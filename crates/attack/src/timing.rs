@@ -94,7 +94,7 @@ pub fn measure_latency(samples: usize, seed: u64) -> LatencyTable {
     let mut hits = Vec::with_capacity(samples);
     let mut misses = Vec::with_capacity(samples);
     for i in 0..samples {
-        let mut sim = Simulation::new(config.clone(), seed.wrapping_add(i as u64));
+        let mut sim = Simulation::new(&config, seed.wrapping_add(i as u64));
         let cold = sim.probe(FlowId(0));
         misses.push(cold.rtt);
         let warm = sim.probe(FlowId(0));

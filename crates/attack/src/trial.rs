@@ -557,7 +557,7 @@ fn run_one_trial(
     for (i, &kind) in kinds.iter().enumerate() {
         // Each attacker gets a fresh simulation fed the same schedule, so
         // earlier attackers' probes cannot pollute later attackers' state.
-        let mut sim = Simulation::new(net.clone(), seed ^ ((trial as u64) << 20) ^ (i as u64 + 1));
+        let mut sim = Simulation::new(net, seed ^ ((trial as u64) << 20) ^ (i as u64 + 1));
         if recorder.is_enabled() {
             sim.attach_recorder(recorder.fork());
         }

@@ -18,7 +18,7 @@ fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.bench_function("probe_cold_plus_warm", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new(net.clone(), 1);
+            let mut sim = Simulation::new(&net, 1);
             let a = sim.probe(FlowId(0));
             let b2 = sim.probe(FlowId(0));
             (a.rtt, b2.rtt)
@@ -29,7 +29,7 @@ fn bench_simulator(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(4);
         let schedule = poisson::schedule(&sc.lambdas, 0.0, sc.window_secs, &mut rng);
         b.iter(|| {
-            let mut sim = Simulation::new(net.clone(), 2);
+            let mut sim = Simulation::new(&net, 2);
             for &(f, t) in &schedule {
                 sim.schedule_flow(f, t);
             }

@@ -1,19 +1,20 @@
 //! The discrete-event simulation loop.
 
 use crate::config::{ConfigError, NetConfig};
-use crate::fault::JitterBursts;
+use crate::fault::{FaultPlan, JitterBursts};
 use crate::slab::CoverIndex;
 use crate::switch::{Lookup, Switch, SwitchMode};
 use crate::topology::NodeId;
 use crate::trace::{FaultKind, Trace, TraceEvent};
 use crate::wheel::EventQueue;
 use crate::LatencyModel;
-use flowspace::{FlowId, RuleId};
+use flowspace::{FlowId, RuleId, RuleSet};
 use obs::trace::{CompKind, TraceEv};
 use obs::{metrics, FlightRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -115,12 +116,15 @@ struct Packet {
     injected_at: f64,
 }
 
+/// Simulation events. Switches are named by their hop position on the
+/// forward path (`path[hop]`), the index of their state in
+/// `Simulation::switches`.
 #[derive(Debug, Clone, PartialEq)]
 enum EventKind {
-    /// The packet reaches switch `node` on its way to the server.
-    AtSwitch { node: NodeId, packet: Packet },
-    /// The controller's flow-mod for `rule` reaches switch `node`.
-    ControllerReply { node: NodeId, rule: RuleId },
+    /// The packet reaches the switch at `hop` on its way to the server.
+    AtSwitch { hop: usize, packet: Packet },
+    /// The controller's flow-mod for `rule` reaches the switch at `hop`.
+    ControllerReply { hop: usize, rule: RuleId },
     /// The packet reached the server host; the echo reply is generated.
     AtServer { packet: Packet },
     /// The echo reply reaches its original sender.
@@ -154,19 +158,32 @@ type ParkedPacket = (Packet, f64, bool);
 /// (the paper's pre-installed path rules) or reactively when
 /// [`NetConfig::transit_reactive`] is set. Echo replies ride the
 /// pre-installed reply rule: no lookups, pure propagation (§VI-A).
+///
+/// Only the switches on the ingress→server path ever see a packet, so
+/// only they get state: set-up and teardown cost O(path length), not
+/// O(fabric size).
 #[derive(Debug)]
 pub struct Simulation {
-    config: NetConfig,
+    /// The controller's reactive rule set.
+    rules: RuleSet,
+    /// Seconds per model step Δ (scales rule timeouts to TTLs).
+    delta: f64,
+    latency: LatencyModel,
+    faults: FaultPlan,
+    /// Number of switches in the topology, for range-checking node ids.
+    fabric_len: usize,
     rng: StdRng,
     now: f64,
     queue: EventQueue<EventKind>,
-    switches: Vec<Switch>,
-    /// Forward path from ingress to server (inclusive).
+    /// Forward path from the ingress switch (`path[0]`) to the server's
+    /// switch (the last element), inclusive.
     path: Vec<NodeId>,
+    /// State of the switches on `path`, indexed by hop.
+    switches: Vec<Switch>,
     /// Packets parked at a switch waiting for a rule installation,
-    /// keyed by the awaited `(switch, rule)` query; each buffer keeps
+    /// keyed by the awaited `(hop, rule)` query; each buffer keeps
     /// arrival order (see [`ParkedPacket`]).
-    pending: BTreeMap<(NodeId, RuleId), Vec<ParkedPacket>>,
+    pending: BTreeMap<(usize, RuleId), Vec<ParkedPacket>>,
     /// Genuine (non-probe) flow arrivals at the ingress switch: ground
     /// truth for `X̂`.
     history: Vec<(FlowId, f64)>,
@@ -194,44 +211,38 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation with a deterministic RNG seed.
     ///
+    /// `config` may be borrowed: the simulation copies out what its
+    /// event loop reads and keeps switch state only for the
+    /// ingress→server path, so building one costs O(path length)
+    /// whatever the size of the topology.
+    ///
     /// # Panics
     ///
     /// Panics if the ingress and server switches are disconnected.
     #[must_use]
-    pub fn new(config: NetConfig, seed: u64) -> Self {
+    pub fn new(config: impl Borrow<NetConfig>, seed: u64) -> Self {
+        let config = config.borrow();
         let path = config
             .topology
             .path(config.ingress, config.server)
             .expect("ingress and server must be connected");
         let cover = Arc::new(CoverIndex::build(&config.rules));
-        let switches = (0..config.topology.len())
-            .map(|i| {
-                let node = NodeId(i);
-                if node == config.ingress {
-                    Switch::new(
-                        SwitchMode::Reactive,
-                        config.capacity,
-                        config.defense,
-                        Arc::clone(&cover),
-                        config.policy,
-                    )
+        let switches = (0..path.len())
+            .map(|hop| {
+                let (mode, capacity) = if hop == 0 {
+                    (SwitchMode::Reactive, config.capacity)
                 } else if config.transit_reactive {
-                    Switch::new(
-                        SwitchMode::Reactive,
-                        config.transit_capacity,
-                        config.defense,
-                        Arc::clone(&cover),
-                        config.policy,
-                    )
+                    (SwitchMode::Reactive, config.transit_capacity)
                 } else {
-                    Switch::new(
-                        SwitchMode::Proactive,
-                        config.transit_capacity.max(1),
-                        config.defense,
-                        Arc::clone(&cover),
-                        config.policy,
-                    )
-                }
+                    (SwitchMode::Proactive, config.transit_capacity.max(1))
+                };
+                Switch::new(
+                    mode,
+                    capacity,
+                    config.defense,
+                    Arc::clone(&cover),
+                    config.policy,
+                )
             })
             .collect();
         let mut fault_rng = StdRng::seed_from_u64(seed ^ FAULT_STREAM_SALT);
@@ -241,6 +252,11 @@ impl Simulation {
             next_toggle: exponential(bursts.period_secs, &mut fault_rng),
         });
         Simulation {
+            rules: config.rules.clone(),
+            delta: config.delta,
+            latency: config.latency,
+            faults: config.faults,
+            fabric_len: config.topology.len(),
             switches,
             path,
             rng: StdRng::seed_from_u64(seed),
@@ -255,7 +271,6 @@ impl Simulation {
             fault_stats: FaultStats::default(),
             recorder: Recorder::disabled(),
             flight: FlightRecorder::disabled(),
-            config,
         }
     }
 
@@ -266,7 +281,8 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found by [`NetConfig::validate`].
-    pub fn try_new(config: NetConfig, seed: u64) -> Result<Self, ConfigError> {
+    pub fn try_new(config: impl Borrow<NetConfig>, seed: u64) -> Result<Self, ConfigError> {
+        let config = config.borrow();
         config.validate()?;
         Ok(Simulation::new(config, seed))
     }
@@ -295,16 +311,10 @@ impl Simulation {
         self.now
     }
 
-    /// The network configuration.
-    #[must_use]
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
     /// Ingress-switch counters (the attacked switch).
     #[must_use]
     pub fn ingress_stats(&self) -> SwitchStats {
-        self.switches[self.config.ingress.0].stats
+        self.switches[0].stats
     }
 
     /// Counters of faults injected so far.
@@ -363,30 +373,45 @@ impl Simulation {
         (!self.probe_results.is_empty()).then(|| self.probe_results.len() as u64 - 1)
     }
 
-    /// Counters of an arbitrary switch.
+    /// Counters of an arbitrary switch: zero for a switch off the
+    /// ingress→server path, which no packet ever reaches.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn stats_of(&self, node: NodeId) -> SwitchStats {
-        self.switches[node.0].stats
+        self.on_path(node)
+            .map_or_else(SwitchStats::default, |s| s.stats)
     }
 
     /// Rules currently cached in the ingress reactive table.
     #[must_use]
     pub fn cached_rules(&self) -> Vec<RuleId> {
-        self.cached_rules_at(self.config.ingress)
+        self.switches[0].cached_rules(self.now)
     }
 
-    /// Rules currently cached at an arbitrary switch.
+    /// Rules currently cached at an arbitrary switch: none for a switch
+    /// off the ingress→server path.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn cached_rules_at(&self, node: NodeId) -> Vec<RuleId> {
-        self.switches[node.0].cached_rules(self.now)
+        self.on_path(node)
+            .map_or_else(Vec::new, |s| s.cached_rules(self.now))
+    }
+
+    /// The state of switch `node` if it lies on the forward path.
+    fn on_path(&self, node: NodeId) -> Option<&Switch> {
+        assert!(
+            node.0 < self.fabric_len,
+            "switch {node} out of range (topology has {})",
+            self.fabric_len
+        );
+        let hop = self.path.iter().position(|&n| n == node)?;
+        Some(&self.switches[hop])
     }
 
     /// Genuine (non-probe) flow arrivals observed so far, in time order.
@@ -414,24 +439,17 @@ impl Simulation {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        let ingress = self.config.ingress;
         let packet = Packet {
             flow,
             probe: None,
             injected_at: at,
         };
         // Host → ingress link.
-        if self.link_drops(ingress, packet, at) {
+        if self.link_drops(self.path[0], packet, at) {
             return;
         }
-        let hop = self.segment_sample(at);
-        self.push(
-            at + hop,
-            EventKind::AtSwitch {
-                node: ingress,
-                packet,
-            },
-        );
+        let delay = self.segment_sample(at);
+        self.push(at + delay, EventKind::AtSwitch { hop: 0, packet });
     }
 
     /// Runs all events with time ≤ `until` and advances the clock to it.
@@ -480,7 +498,6 @@ impl Simulation {
         self.probe_results.push(None);
         let at = self.now;
         let deadline = at + timeout;
-        let ingress = self.config.ingress;
         let packet = Packet {
             flow,
             probe: Some(token),
@@ -493,17 +510,11 @@ impl Simulation {
                 flow: flow.0 as u64,
             },
         );
-        if !self.link_drops(ingress, packet, at) {
+        if !self.link_drops(self.path[0], packet, at) {
             let (base, extra) = self.segment_parts(at);
             self.femit_comp(at, Some(token), CompKind::Hop, base);
             self.femit_comp(at, Some(token), CompKind::Jitter, extra);
-            self.push(
-                at + (base + extra),
-                EventKind::AtSwitch {
-                    node: ingress,
-                    packet,
-                },
-            );
+            self.push(at + (base + extra), EventKind::AtSwitch { hop: 0, packet });
         }
         loop {
             if let Some(obs) = self.probe_results[token as usize] {
@@ -589,7 +600,7 @@ impl Simulation {
     /// the fault stream — is the bit-compatibility contract with the
     /// pre-split `segment_sample`.
     fn segment_parts(&mut self, now: f64) -> (f64, f64) {
-        let base = self.config.latency.segment().sample(&mut self.rng);
+        let base = self.latency.segment().sample(&mut self.rng);
         (base, self.jitter_extra(now))
     }
 
@@ -632,7 +643,7 @@ impl Simulation {
     /// time `at`; returns `true` (recording the drop) when the packet is
     /// lost.
     fn link_drops(&mut self, to: NodeId, packet: Packet, at: f64) -> bool {
-        if !self.fault_fires(self.config.faults.packet_loss) {
+        if !self.fault_fires(self.faults.packet_loss) {
             return false;
         }
         self.fault_event(FaultKind::PacketsDropped, Some(to), packet.probe, at);
@@ -645,19 +656,18 @@ impl Simulation {
         true
     }
 
-    /// Forwards `packet` out of `node` toward the server: either to the
-    /// next switch on the path or to the server host.
-    fn forward(&mut self, node: NodeId, packet: Packet, at: f64, extra_delay: f64) {
-        let (kind, to) = if node == self.config.server {
-            (EventKind::AtServer { packet }, node)
-        } else {
-            let pos = self
-                .path
-                .iter()
-                .position(|&n| n == node)
-                .expect("node on path");
-            let next = self.path[pos + 1];
-            (EventKind::AtSwitch { node: next, packet }, next)
+    /// Forwards `packet` out of the switch at `hop` toward the server:
+    /// either to the next switch on the path or to the server host.
+    fn forward(&mut self, hop: usize, packet: Packet, at: f64, extra_delay: f64) {
+        let (kind, to) = match self.path.get(hop + 1) {
+            Some(&next) => (
+                EventKind::AtSwitch {
+                    hop: hop + 1,
+                    packet,
+                },
+                next,
+            ),
+            None => (EventKind::AtServer { packet }, self.path[hop]),
         };
         if self.link_drops(to, packet, at) {
             return;
@@ -671,8 +681,9 @@ impl Simulation {
 
     fn dispatch(&mut self, time: f64, kind: EventKind) {
         match kind {
-            EventKind::AtSwitch { node, packet } => {
-                if node == self.config.ingress && packet.probe.is_none() {
+            EventKind::AtSwitch { hop, packet } => {
+                let node = self.path[hop];
+                if hop == 0 && packet.probe.is_none() {
                     self.history.push((packet.flow, packet.injected_at));
                 }
                 self.record(TraceEvent::Arrival {
@@ -681,16 +692,16 @@ impl Simulation {
                     probe: packet.probe.is_some(),
                     time,
                 });
-                let lookup = self.switches[node.0].lookup(packet.flow, time);
+                let lookup = self.switches[hop].lookup(packet.flow, time);
                 match lookup {
                     Lookup::Hit { pad } => {
-                        if let Some(rule) = self.config.rules.highest_covering(packet.flow) {
+                        if let Some(rule) = self.rules.highest_covering(packet.flow) {
                             // The matched rule is the highest-priority
                             // *cached* cover; re-derive it for the trace.
-                            let matched = self.switches[node.0]
+                            let matched = self.switches[hop]
                                 .cached_rules(time)
                                 .into_iter()
-                                .filter(|&r| self.config.rules.rule(r).covers_flow(packet.flow))
+                                .filter(|&r| self.rules.rule(r).covers_flow(packet.flow))
                                 .min_by_key(|r| r.0)
                                 .unwrap_or(rule);
                             self.record(TraceEvent::Hit {
@@ -709,7 +720,7 @@ impl Simulation {
                             );
                         }
                         self.femit_comp(time, packet.probe, CompKind::Pad, pad);
-                        self.forward(node, packet, time, pad);
+                        self.forward(hop, packet, time, pad);
                     }
                     Lookup::Miss { rule, fresh } => {
                         self.record(TraceEvent::Miss {
@@ -728,7 +739,7 @@ impl Simulation {
                             },
                         );
                         if fresh {
-                            if self.fault_fires(self.config.faults.packet_in_loss) {
+                            if self.fault_fires(self.faults.packet_in_loss) {
                                 // The packet-in never reaches the
                                 // controller: no flow-mod will come, the
                                 // buffered packet is dropped, and the
@@ -739,7 +750,7 @@ impl Simulation {
                                     packet.probe,
                                     time,
                                 );
-                                self.switches[node.0].abort_query(rule);
+                                self.switches[hop].abort_query(rule);
                                 self.record(TraceEvent::PacketInLost { node, rule, time });
                                 return;
                             }
@@ -751,16 +762,16 @@ impl Simulation {
                                     rule: rule.0 as u64,
                                 },
                             );
-                            let mut setup = self.config.latency.rule_setup.sample(&mut self.rng);
+                            let mut setup = self.latency.rule_setup.sample(&mut self.rng);
                             // The initiator's park time equals the full
                             // controller round: decompose it here, at
                             // incurrence, into the controller-service
                             // base and any injected install delay.
                             self.femit_comp(time, packet.probe, CompKind::Controller, setup);
-                            if self.config.faults.flow_mod_delay_secs > 0.0
-                                && self.fault_fires(self.config.faults.flow_mod_delay)
+                            if self.faults.flow_mod_delay_secs > 0.0
+                                && self.fault_fires(self.faults.flow_mod_delay)
                             {
-                                let extra = self.config.faults.flow_mod_delay_secs;
+                                let extra = self.faults.flow_mod_delay_secs;
                                 self.fault_event(
                                     FaultKind::FlowModsDelayed,
                                     Some(node),
@@ -776,10 +787,10 @@ impl Simulation {
                                 });
                                 setup += extra;
                             }
-                            self.push(time + setup, EventKind::ControllerReply { node, rule });
+                            self.push(time + setup, EventKind::ControllerReply { hop, rule });
                         }
                         self.pending
-                            .entry((node, rule))
+                            .entry((hop, rule))
                             .or_default()
                             .push((packet, time, fresh));
                     }
@@ -799,32 +810,33 @@ impl Simulation {
                                 node: node.0 as u64,
                             },
                         );
-                        let setup = self.config.latency.rule_setup.sample(&mut self.rng);
+                        let setup = self.latency.rule_setup.sample(&mut self.rng);
                         self.femit_comp(time, packet.probe, CompKind::Controller, setup);
-                        self.forward(node, packet, time, setup);
+                        self.forward(hop, packet, time, setup);
                     }
                 }
             }
-            EventKind::ControllerReply { node, rule } => {
+            EventKind::ControllerReply { hop, rule } => {
+                let node = self.path[hop];
                 // Control-plane events are attributed to the probe whose
                 // miss initiated the query (if it was probe traffic).
                 let initiator = self
                     .pending
-                    .get(&(node, rule))
+                    .get(&(hop, rule))
                     .and_then(|parked| parked.iter().find(|(_, _, init)| *init))
                     .and_then(|(packet, _, _)| packet.probe);
-                if self.fault_fires(self.config.faults.flow_mod_loss) {
+                if self.fault_fires(self.faults.flow_mod_loss) {
                     // The flow-mod is lost on the control channel: no
                     // rule is cached and the packets buffered behind the
                     // query are dropped with it.
                     self.fault_event(FaultKind::FlowModsLost, Some(node), initiator, time);
-                    self.switches[node.0].abort_query(rule);
+                    self.switches[hop].abort_query(rule);
                     self.record(TraceEvent::FlowModLost { node, rule, time });
-                    self.pending.remove(&(node, rule));
+                    self.pending.remove(&(hop, rule));
                     return;
                 }
-                let rejected = self.switches[node.0].is_full_at(time)
-                    && self.fault_fires(self.config.faults.table_full_reject);
+                let rejected = self.switches[hop].is_full_at(time)
+                    && self.fault_fires(self.faults.table_full_reject);
                 if rejected {
                     // OFPFMFC_TABLE_FULL: the switch refuses the install
                     // instead of evicting a victim. The controller's
@@ -832,15 +844,10 @@ impl Simulation {
                     // packets are still forwarded — the probe correctly
                     // observes a slow miss, but nothing is cached.
                     self.fault_event(FaultKind::FlowModsRejected, Some(node), initiator, time);
-                    self.switches[node.0].abort_query(rule);
+                    self.switches[hop].abort_query(rule);
                     self.record(TraceEvent::FlowModRejected { node, rule, time });
                 } else {
-                    let evicted = self.switches[node.0].install(
-                        rule,
-                        time,
-                        &self.config.rules,
-                        self.config.delta,
-                    );
+                    let evicted = self.switches[hop].install(rule, time, &self.rules, self.delta);
                     self.record(TraceEvent::Install {
                         node,
                         rule,
@@ -857,7 +864,7 @@ impl Simulation {
                         },
                     );
                 }
-                let released = self.pending.remove(&(node, rule)).unwrap_or_default();
+                let released = self.pending.remove(&(hop, rule)).unwrap_or_default();
                 for (packet, parked_at, init) in released {
                     if !init {
                         // Joiners waited on someone else's query: their
@@ -866,14 +873,14 @@ impl Simulation {
                         // Controller (+ Install) components.
                         self.femit_comp(time, packet.probe, CompKind::PacketIn, time - parked_at);
                     }
-                    self.forward(node, packet, time, 0.0);
+                    self.forward(hop, packet, time, 0.0);
                 }
             }
             EventKind::AtServer { packet } => {
                 // The echo reply rides the pre-installed reply rule: no
                 // lookups, one propagation sample per path segment. Loss
                 // is drawn once for the whole reply path.
-                if self.fault_fires(self.config.faults.packet_loss) {
+                if self.fault_fires(self.faults.packet_loss) {
                     self.fault_event(FaultKind::PacketsDropped, None, packet.probe, time);
                     self.record(TraceEvent::PacketDropped {
                         node: None,
@@ -1208,7 +1215,8 @@ mod tests {
     #[test]
     fn trace_records_miss_install_hit_sequence() {
         use crate::trace::TraceEvent;
-        let mut s = sim(20);
+        let cfg = NetConfig::eval_topology(rules(), 2, 0.02);
+        let mut s = Simulation::new(&cfg, 20);
         s.enable_trace(100);
         let _ = s.probe(FlowId(0)); // miss + install
         let _ = s.probe(FlowId(0)); // hit
@@ -1216,7 +1224,7 @@ mod tests {
         // Events at the *ingress* switch tell the side-channel story:
         // miss + install on the first probe, hit on the second. Transit
         // switches contribute their own (proactive) arrive/hit events.
-        let ingress = s.config().ingress;
+        let ingress = cfg.ingress;
         let at_ingress: Vec<&str> = trace
             .events()
             .iter()
@@ -1260,15 +1268,12 @@ mod tests {
 
     #[test]
     fn transit_switches_proactive_by_default() {
-        let mut s = sim(13);
+        let cfg = NetConfig::eval_topology(rules(), 2, 0.02);
+        let mut s = Simulation::new(&cfg, 13);
         s.schedule_flow(FlowId(1), 0.0);
         s.run_until(0.2);
         // Only the ingress switch saw reactive work.
-        let path = s
-            .config()
-            .topology
-            .path(s.config().ingress, s.config().server)
-            .unwrap();
+        let path = cfg.topology.path(cfg.ingress, cfg.server).unwrap();
         for &node in &path[1..] {
             assert_eq!(s.stats_of(node).misses, 0, "transit {node} missed");
             assert!(s.cached_rules_at(node).is_empty());
@@ -1278,20 +1283,42 @@ mod tests {
 
     #[test]
     fn reactive_transit_switches_install_their_own_rules() {
-        let mut cfg = NetConfig::eval_topology(rules(), 2, 0.02);
-        cfg.transit_reactive = true;
-        let mut s = Simulation::new(cfg, 14);
-        s.schedule_flow(FlowId(1), 0.0);
-        s.run_until(0.5);
-        let path = s
-            .config()
-            .topology
-            .path(s.config().ingress, s.config().server)
-            .unwrap();
-        for &node in &path {
-            assert_eq!(s.stats_of(node).misses, 1, "{node}");
-            assert_eq!(s.cached_rules_at(node), vec![RuleId(1)], "{node}");
+        // The 16-switch evaluation topology (a 3-switch path) and a k = 4
+        // fat tree (20 switches, a 5-switch path through the core).
+        for (mut cfg, path_len) in [
+            (NetConfig::eval_topology(rules(), 2, 0.02), 3),
+            (NetConfig::fat_tree(rules(), 4, 2, 0.02), 5),
+        ] {
+            cfg.transit_reactive = true;
+            let mut s = Simulation::new(&cfg, 14);
+            s.schedule_flow(FlowId(1), 0.0);
+            s.run_until(0.5);
+            let path = cfg.topology.path(cfg.ingress, cfg.server).unwrap();
+            assert_eq!(path.len(), path_len);
+            for i in 0..cfg.topology.len() {
+                let node = NodeId(i);
+                if path.contains(&node) {
+                    assert_eq!(s.stats_of(node).misses, 1, "{node}");
+                    assert_eq!(s.cached_rules_at(node), vec![RuleId(1)], "{node}");
+                } else {
+                    // Off the path: no packet ever reaches the switch.
+                    assert_eq!(s.stats_of(node), SwitchStats::default(), "{node}");
+                    assert!(s.cached_rules_at(node).is_empty(), "{node}");
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn stats_of_out_of_range_node_panics() {
+        let _ = sim(16).stats_of(NodeId(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cached_rules_at_out_of_range_node_panics() {
+        let _ = sim(17).cached_rules_at(NodeId(16));
     }
 
     #[test]
@@ -1446,8 +1473,8 @@ mod tests {
     fn faulty_runs_are_deterministic_under_seed() {
         let mut cfg = NetConfig::eval_topology(rules(), 2, 0.02);
         cfg.faults = crate::FaultPlan::uniform(0.3);
-        let mut a = Simulation::new(cfg.clone(), 77);
-        let mut b = Simulation::new(cfg, 77);
+        let mut a = Simulation::new(&cfg, 77);
+        let mut b = Simulation::new(&cfg, 77);
         for f in [FlowId(0), FlowId(1), FlowId(0), FlowId(2), FlowId(3)] {
             assert_eq!(a.probe_with_timeout(f, 0.05), b.probe_with_timeout(f, 0.05));
         }

@@ -8,7 +8,8 @@
 //! addition, so scheduling order cannot leak into the result.
 
 use attack::sweep::{sweep_policy, SweepParameter};
-use attack::{plan_attack, run_trials_policy, AttackerKind, ExecPolicy};
+use attack::{plan_attack, run_trials_policy, run_trials_with_policy, AttackerKind, ExecPolicy};
+use netsim::NetConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
@@ -101,4 +102,92 @@ fn auto_policy_matches_serial() {
     let serial = run_trials_policy(&sc, &plan, &kinds, 15, 5, ExecPolicy::Serial);
     let auto = run_trials_policy(&sc, &plan, &kinds, 15, 5, ExecPolicy::auto());
     assert_eq!(serial, auto);
+}
+
+#[test]
+fn fat_tree_batch_bit_identical_and_pinned() {
+    // A multi-hop fabric: on a k = 8 fat tree (80 switches) the probe
+    // crosses five switches, proactive by default and reactive with
+    // `transit_reactive`. The pinned confusion counts and ingress cache
+    // counters come from the simulator that gave every switch of the
+    // fabric its own state, so they also pin that keeping state only on
+    // the ingress→server path changes no result.
+    let sc = scenario(23, 4, 12, 6);
+    let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
+    let kinds = [
+        AttackerKind::Naive,
+        AttackerKind::Model,
+        AttackerKind::RestrictedModel,
+        AttackerKind::Random,
+    ];
+    // Per attacker: [tp, tn, fp, fn, inconclusive].
+    type Confusion = [[u64; 5]; 4];
+    // Per attacker: [hits, misses, uncovered, installs, evictions, padded].
+    type CacheCounts = [[u64; 6]; 4];
+    let pinned: [(bool, Confusion, CacheCounts); 2] = [
+        (
+            false,
+            [
+                [13, 0, 8, 2, 0],
+                [13, 0, 8, 2, 0],
+                [15, 0, 8, 0, 0],
+                [12, 4, 4, 3, 0],
+            ],
+            [
+                [1404, 1098, 130, 1092, 0, 0],
+                [1403, 1099, 130, 1094, 0, 0],
+                [1398, 1104, 130, 1098, 0, 0],
+                [1382, 1097, 130, 1091, 0, 0],
+            ],
+        ),
+        (
+            true,
+            [
+                [12, 0, 8, 3, 0],
+                [12, 0, 8, 3, 0],
+                [15, 0, 8, 0, 0],
+                [12, 4, 4, 3, 0],
+            ],
+            [
+                [1405, 1097, 130, 1093, 0, 0],
+                [1402, 1100, 130, 1093, 0, 0],
+                [1402, 1100, 130, 1095, 0, 0],
+                [1385, 1094, 130, 1090, 0, 0],
+            ],
+        ),
+    ];
+    for (transit_reactive, confusion, cache) in pinned {
+        let mut net = NetConfig::fat_tree(sc.rules.clone(), 8, sc.capacity, sc.delta);
+        net.transit_reactive = transit_reactive;
+        let run = |policy| run_trials_with_policy(&sc, &plan, &kinds, 23, 0xFA7_7EE, &net, policy);
+        let serial = run(ExecPolicy::Serial);
+        for threads in THREAD_COUNTS {
+            assert_eq!(
+                serial,
+                run(ExecPolicy::Parallel { threads }),
+                "transit_reactive {transit_reactive}: parallel({threads}) diverged from serial"
+            );
+        }
+        let got: Vec<[u64; 5]> = serial
+            .by_attacker
+            .iter()
+            .map(|(_, a)| [a.tp, a.tn, a.fp, a.fn_, a.inconclusive])
+            .collect();
+        assert_eq!(got, confusion, "transit_reactive {transit_reactive}");
+        let got: Vec<[u64; 6]> = serial
+            .cache_stats
+            .iter()
+            .map(|s| {
+                [
+                    s.hits,
+                    s.misses,
+                    s.uncovered,
+                    s.installs,
+                    s.evictions,
+                    s.padded,
+                ]
+            })
+            .collect();
+        assert_eq!(got, cache, "transit_reactive {transit_reactive}");
+    }
 }
