@@ -285,14 +285,21 @@ impl CompactModel {
         mask_rules(self.states[state])
     }
 
-    /// Index of the state holding exactly `rules`, if representable.
+    /// Index of the state holding exactly `rules`, if representable:
+    /// `None` over capacity or for an id outside the rule set.
     #[must_use]
     pub fn state_of(&self, rules: &[RuleId]) -> Option<usize> {
         let mut mask = 0u32;
-        for r in rules {
-            mask |= 1 << r.0;
+        for &r in rules {
+            mask |= self.rule_bit(r)?;
         }
         self.index.get(&mask).copied()
+    }
+
+    /// The state-mask bit of `rule`, or `None` for an id outside the rule
+    /// set (whose shift would otherwise alias another rule's bit).
+    fn rule_bit(&self, rule: RuleId) -> Option<u32> {
+        (rule.0 < self.rules.len()).then(|| 1 << rule.0)
     }
 
     /// The evaluator's eviction/timeout analysis for a state.
@@ -301,10 +308,14 @@ impl CompactModel {
         &self.analyses[state]
     }
 
-    /// Probability (under `dist`) that `rule` is cached.
+    /// Probability (under `dist`) that `rule` is cached; 0 for an id
+    /// outside the rule set.
     #[must_use]
     pub fn prob_rule_cached(&self, dist: &Distribution, rule: RuleId) -> f64 {
-        dist.mass_where(|i| self.states[i] & (1 << rule.0) != 0)
+        match self.rule_bit(rule) {
+            Some(bit) => dist.mass_where(|i| self.states[i] & bit != 0),
+            None => 0.0,
+        }
     }
 
     /// `I_T` after `steps` steps from the empty cache (Eqn 8).
@@ -457,6 +468,39 @@ mod tests {
             assert!(rules.len() <= m.capacity());
         }
         assert_eq!(m.state_of(&[RuleId(0), RuleId(1), RuleId(2)]), None); // over capacity
+    }
+
+    #[test]
+    fn out_of_range_rule_ids_alias_no_state() {
+        // Twelve rules: ids 12..=31 are past the rule set but inside the
+        // u32 mask; 32 and 40 would wrap onto the bits of ids 0 and 8.
+        let u = 12;
+        let rules = RuleSet::new(
+            (0..12)
+                .map(|i| {
+                    Rule::from_flow_set(
+                        FlowSet::from_flows(u, [FlowId(i)]),
+                        100 - i,
+                        Timeout::idle(3),
+                    )
+                })
+                .collect(),
+            u,
+        )
+        .unwrap();
+        let rates = FlowRates::from_per_step(vec![0.05; u]);
+        let m = CompactModel::build(&rules, &rates, 2, Evaluator::mean_field()).unwrap();
+        let d = m.evolve(50);
+        for id in [12, 31, 32, 40] {
+            assert_eq!(m.state_of(&[RuleId(id)]), None, "RuleId({id})");
+            assert_eq!(m.state_of(&[RuleId(0), RuleId(id)]), None, "RuleId({id})");
+            assert_eq!(m.prob_rule_cached(&d, RuleId(id)), 0.0, "RuleId({id})");
+        }
+        for id in [0, 8, 11] {
+            let s = m.state_of(&[RuleId(id)]).expect("in range");
+            assert_eq!(m.state_rules(s), vec![RuleId(id)]);
+            assert!(m.prob_rule_cached(&d, RuleId(id)) > 0.0);
+        }
     }
 
     #[test]

@@ -154,6 +154,10 @@ impl Evaluator {
     /// effect and keeping it fixed isolates the victim predicate as the
     /// only modeling difference between policies.
     ///
+    /// `at_capacity` enters only through that bound, so only
+    /// `Evaluator::Exact` and `Evaluator::MonteCarlo` read it; the
+    /// mean-field evaluators ignore it.
+    ///
     /// # Panics
     ///
     /// Same conditions as [`Evaluator::analyze`].
@@ -205,6 +209,10 @@ struct Ctx<'a> {
     hp_cached: Vec<Vec<usize>>,
     /// Per-flow per-step rates of each cached rule's cover.
     flow_rates: Vec<Vec<(usize, f64)>>, // (flow index, λΔ)
+    /// Parallel to `flow_rates`: for each flow of each cached rule, the
+    /// positions of the higher-priority cached rules covering that flow,
+    /// ascending (a subset of `hp_cached`).
+    hp_covering: Vec<Vec<Vec<usize>>>,
     /// For each *uncached* rule: (timeout, its per-flow rates, positions of
     /// higher-priority cached rules that overlap it).
     uncached: Vec<UncachedRule>,
@@ -236,8 +244,23 @@ impl<'a> Ctx<'a> {
                 .map(|(pos, _)| pos)
                 .collect()
         };
-        let hp_cached = cached.iter().map(|&j| hp_of(j)).collect();
-        let flow_rates = cached.iter().map(|&j| cover_rates(j)).collect();
+        let hp_cached: Vec<Vec<usize>> = cached.iter().map(|&j| hp_of(j)).collect();
+        let flow_rates: Vec<Vec<(usize, f64)>> = cached.iter().map(|&j| cover_rates(j)).collect();
+        let hp_covering = flow_rates
+            .iter()
+            .zip(&hp_cached)
+            .map(|(fr, hp)| {
+                fr.iter()
+                    .map(|&(f, _)| {
+                        let fid = flowspace::FlowId(f as u32);
+                        hp.iter()
+                            .copied()
+                            .filter(|&h| rules.rule(cached[h]).covers_flow(fid))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         let uncached = rules
             .ids()
             .filter(|j| !cached.contains(j))
@@ -249,6 +272,7 @@ impl<'a> Ctx<'a> {
             t,
             hp_cached,
             flow_rates,
+            hp_covering,
             uncached,
         }
     }
@@ -446,25 +470,6 @@ fn enumerate(
     u[pos] = 0;
 }
 
-/// Mean-field age marginals: `marginals[pos][k-1] = P(u(pos) = k | alive)`.
-///
-/// Two coupling directions are propagated through the fixed point:
-///
-/// * **downward** — a lower-priority rule's effective rate γ̄(k) discounts
-///   flows by the probability that a covering higher-priority cached rule
-///   was already matched (survival beyond `k`);
-/// * **upward** — a higher-priority rule's age is *reweighted by the
-///   likelihood that each lower-priority overlapping rule is alive at all*:
-///   when the high-priority rule matched recently, the low-priority rule
-///   saw fewer relevant flows and is less likely to still be cached, so
-///   conditioning on the observed cache contents shifts the
-///   high-priority age toward "recent".
-///
-/// The injectivity constraint on `u` (only one flow arrives per step, so
-/// two rules cannot share a most-recent-match age) is applied as a
-/// first-order pairwise exclusion: each age weight is discounted by the
-/// probability that any other cached rule holds the same age. Its residual
-/// error is bounded by the exact evaluator in tests.
 /// Which mean-field correction terms to apply.
 #[derive(Debug, Clone, Copy)]
 struct MeanFieldOpts {
@@ -488,144 +493,105 @@ impl MeanFieldOpts {
     }
 }
 
+/// Mean-field age marginals: `marginals[pos][k-1] = P(u(pos) = k | alive)`.
+///
+/// Two coupling directions are propagated through the fixed point:
+///
+/// * **downward** — a lower-priority rule's effective rate γ̄(k) discounts
+///   flows by the probability that a covering higher-priority cached rule
+///   was already matched (survival beyond `k`);
+/// * **upward** — a higher-priority rule's age is *reweighted by the
+///   likelihood that each lower-priority overlapping rule is alive at all*:
+///   when the high-priority rule matched recently, the low-priority rule
+///   saw fewer relevant flows and is less likely to still be cached, so
+///   conditioning on the observed cache contents shifts the
+///   high-priority age toward "recent".
+///
+/// The injectivity constraint on `u` (only one flow arrives per step, so
+/// two rules cannot share a most-recent-match age) is applied as a
+/// first-order pairwise exclusion: each age weight is discounted by the
+/// probability that any other cached rule holds the same age. Its residual
+/// error is bounded by the exact evaluator in tests.
+///
+/// Everything that does not change between iterations is computed once per
+/// state: the downward prior of a rule with no higher-priority cached
+/// overlap, and the alive-likelihood of a pair whose lower-priority rule
+/// overlaps no other higher-priority cached rule. Every value is the same
+/// sequence of floating-point operations as the direct evaluation, so the
+/// marginals are bit-identical to it.
 fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -> Vec<Vec<f64>> {
     let n = ctx.n();
     // Initialize with uniform ages.
     let mut marg: Vec<Vec<f64>> = (0..n)
         .map(|pos| vec![1.0 / f64::from(ctx.t[pos]); ctx.t[pos] as usize])
         .collect();
-    // down[pos] = cached positions whose effective rate pos influences.
-    let down: Vec<Vec<usize>> = (0..n)
+    let mut not_surv = NotSurvival::new(ctx);
+    let mut pair = PairTables::new(not_surv.stride);
+    // down[pos] = cached positions whose effective rate pos influences
+    // (none without the upward message), each with its alive-likelihood
+    // per u(pos) when that never changes.
+    let down: Vec<Vec<(usize, Option<Vec<f64>>)>> = (0..n)
         .map(|pos| {
             (0..n)
-                .filter(|&p2| ctx.hp_cached[p2].contains(&pos))
+                .filter(|&p2| opts.upward && ctx.hp_cached[p2].contains(&pos))
+                .map(|pos2| {
+                    let fixed = (ctx.hp_cached[pos2] == [pos]).then(|| {
+                        pair.fill(ctx, pos, pos2, &not_surv);
+                        (1..=ctx.t[pos] as usize)
+                            .map(|u| pair.likelihood(u).max(1e-300))
+                            .collect()
+                    });
+                    (pos2, fixed)
+                })
                 .collect()
         })
         .collect();
+    let fixed_prior: Vec<Option<Vec<f64>>> = (0..n)
+        .map(|pos| {
+            ctx.hp_cached[pos]
+                .is_empty()
+                .then(|| downward_prior(ctx, pos, &not_surv))
+        })
+        .collect();
+    let mut not_marg: Vec<Vec<f64>> = marg.clone();
     for _ in 0..iterations.max(1) {
-        // Survival s[pos][k] = P(u(pos) > k), k in 0..=t (s[t] = 0).
-        let survival: Vec<Vec<f64>> = marg
-            .iter()
-            .map(|m| {
-                let mut s = vec![0.0; m.len() + 1];
-                let mut acc = 0.0;
-                for k in (0..m.len()).rev() {
-                    acc += m[k];
-                    s[k] = acc;
-                }
-                s
-            })
-            .collect();
-        let surv = |pos: usize, k: usize| -> f64 {
-            let s = &survival[pos];
-            if k < s.len() {
-                s[k]
-            } else {
-                0.0
+        not_surv.update(&marg);
+        for (nm, m) in not_marg.iter_mut().zip(&marg) {
+            for (x, &p) in nm.iter_mut().zip(m) {
+                *x = 1.0 - p;
             }
-        };
+        }
         let mut next = Vec::with_capacity(n);
         for (pos, down_of_pos) in down.iter().enumerate() {
-            let t = ctx.t[pos] as usize;
-            let fr = &ctx.flow_rates[pos];
-            let hp = &ctx.hp_cached[pos];
             // Downward prior: γ̄(k) with each higher-priority overlap
             // present w.p. its survival beyond k.
-            let gamma_bar = |k: usize| -> f64 {
-                fr.iter()
-                    .map(|&(f, r)| {
-                        let mut keep = 1.0;
-                        for &h in hp {
-                            if ctx
-                                .rules
-                                .rule(ctx.cached[h])
-                                .covers_flow(flowspace::FlowId(f as u32))
-                            {
-                                keep *= 1.0 - surv(h, k);
-                            }
-                        }
-                        r * keep
-                    })
-                    .sum()
+            let mut m = match &fixed_prior[pos] {
+                Some(prior) => prior.clone(),
+                None => downward_prior(ctx, pos, &not_surv),
             };
-            let mut m = vec![0.0; t];
-            let mut quiet = 0.0; // Σ_{k'<k} γ̄(k')
-            for k in 1..=t {
-                let g = gamma_bar(k);
-                m[k - 1] = if g > 0.0 {
-                    (g.ln() - g - quiet).exp()
-                } else {
-                    0.0
-                };
-                quiet += g;
-            }
             // Upward correction: multiply by Π_{pos2 ∈ down(pos)}
             // Z_{pos2}(u), the alive-likelihood of each influenced rule
             // given u(pos) = u (other couplings at their mean field).
-            let down_of_pos: &[usize] = if opts.upward { down_of_pos } else { &[] };
-            for &pos2 in down_of_pos {
-                let t2 = ctx.t[pos2] as usize;
-                // Split pos2's flows into those covered by pos (gated by
-                // [k ≥ u]) and the rest; both keep the mean-field discount
-                // of pos2's *other* higher-priority overlaps.
-                let mut base = vec![0.0; t2 + 1]; // prefix sums over k=1..t2
-                let mut extra = vec![0.0; t2 + 1];
-                let mut base_k = vec![0.0; t2 + 1];
-                let mut extra_k = vec![0.0; t2 + 1];
-                for k in 1..=t2 {
-                    let mut b = 0.0;
-                    let mut e = 0.0;
-                    for &(f, r) in &ctx.flow_rates[pos2] {
-                        let fid = flowspace::FlowId(f as u32);
-                        let mut keep = 1.0;
-                        for &h in &ctx.hp_cached[pos2] {
-                            if h != pos && ctx.rules.rule(ctx.cached[h]).covers_flow(fid) {
-                                keep *= 1.0 - surv(h, k);
-                            }
-                        }
-                        if ctx.rules.rule(ctx.cached[pos]).covers_flow(fid) {
-                            e += r * keep;
-                        } else {
-                            b += r * keep;
-                        }
-                    }
-                    base_k[k] = b;
-                    extra_k[k] = e;
-                    base[k] = base[k - 1] + b;
-                    extra[k] = extra[k - 1] + e;
+            for (pos2, fixed) in down_of_pos {
+                if fixed.is_none() {
+                    pair.fill(ctx, pos, *pos2, &not_surv);
                 }
                 for (u_idx, w) in m.iter_mut().enumerate() {
                     if *w == 0.0 {
                         continue;
                     }
-                    let u = u_idx + 1;
-                    // γ̃(k) = base(k) + extra(k)·[k ≥ u];
-                    // C(m) = Σ_{k≤m} γ̃(k).
-                    let cum = |mm: usize| -> f64 {
-                        let mm = mm.min(t2);
-                        base[mm]
-                            + if mm >= u {
-                                extra[mm] - extra[u - 1]
-                            } else {
-                                0.0
-                            }
+                    *w *= match fixed {
+                        Some(z) => z[u_idx],
+                        None => pair.likelihood(u_idx + 1).max(1e-300),
                     };
-                    let mut z = 0.0;
-                    for u2 in 1..=t2 {
-                        let g = base_k[u2] + if u2 >= u { extra_k[u2] } else { 0.0 };
-                        if g > 0.0 {
-                            z += g * (-g - cum(u2 - 1)).exp();
-                        }
-                    }
-                    *w *= z.max(1e-300);
                 }
             }
             // Pairwise injectivity exclusion: u(pos) cannot equal u(j').
             if opts.exclusion {
                 for (u_idx, w) in m.iter_mut().enumerate() {
-                    for (other, mo) in marg.iter().enumerate() {
-                        if other != pos && u_idx < mo.len() {
-                            *w *= 1.0 - mo[u_idx];
+                    for (other, nm) in not_marg.iter().enumerate() {
+                        if other != pos && u_idx < nm.len() {
+                            *w *= nm[u_idx];
                         }
                     }
                 }
@@ -636,13 +602,164 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                     *x /= s;
                 }
             } else {
-                m.fill(1.0 / t as f64);
+                m.fill(1.0 / f64::from(ctx.t[pos]));
             }
             next.push(m);
         }
         marg = next;
     }
     marg
+}
+
+/// The unnormalized downward age weights of the cached rule at `pos`:
+/// `γ̄(k)·e^{-γ̄(k) - Σ_{k'<k} γ̄(k')}` for `k = 1..=t`, where
+/// `γ̄(k) = Σ_f r_f·Π_h (1 − P(u(h) > k))` over the higher-priority cached
+/// rules `h` covering `f`.
+fn downward_prior(ctx: &Ctx<'_>, pos: usize, not_surv: &NotSurvival) -> Vec<f64> {
+    let t = ctx.t[pos] as usize;
+    let mut m = vec![0.0; t];
+    let mut quiet = 0.0; // Σ_{k'<k} γ̄(k')
+    for k in 1..=t {
+        let g: f64 = ctx.flow_rates[pos]
+            .iter()
+            .zip(&ctx.hp_covering[pos])
+            .map(|(&(_, r), covering)| {
+                let mut keep = 1.0;
+                for &h in covering {
+                    keep *= not_surv.at(h, k);
+                }
+                r * keep
+            })
+            .sum();
+        m[k - 1] = if g > 0.0 {
+            (g.ln() - g - quiet).exp()
+        } else {
+            0.0
+        };
+        quiet += g;
+    }
+    m
+}
+
+/// `1 − P(u(h) > k)` for each cached position `h` and step
+/// `k = 0..=max t`, rebuilt from the age marginals once per iteration.
+struct NotSurvival {
+    stride: usize,
+    table: Vec<f64>,
+}
+
+impl NotSurvival {
+    /// All ones: the value past each rule's timeout, which never changes.
+    fn new(ctx: &Ctx<'_>) -> Self {
+        let stride = ctx.t.iter().max().map_or(0, |&t| t as usize) + 1;
+        NotSurvival {
+            stride,
+            table: vec![1.0; ctx.n() * stride],
+        }
+    }
+
+    fn update(&mut self, marg: &[Vec<f64>]) {
+        for (row, m) in self.table.chunks_exact_mut(self.stride).zip(marg) {
+            let mut acc = 0.0;
+            for k in (0..m.len()).rev() {
+                acc += m[k];
+                row[k] = 1.0 - acc;
+            }
+        }
+    }
+
+    fn at(&self, h: usize, k: usize) -> f64 {
+        self.table[h * self.stride + k]
+    }
+}
+
+/// Scratch tables for the alive-likelihood `Z_{pos2}(u)` of one
+/// (`pos`, `pos2`) pair, reused across pairs. `pos2`'s effective rate is
+/// split into the flows `pos` does not cover (`base`) and those it does
+/// (`extra`, counted only at steps `k ≥ u`); both keep the mean-field
+/// discount of `pos2`'s *other* higher-priority overlaps.
+struct PairTables {
+    /// `pos2`'s timeout; the tables hold entries `0..=t2`.
+    t2: usize,
+    /// Per-step rates `base(k)`, `extra(k)` and their prefix sums over
+    /// `1..=k` (entry 0 is 0).
+    base_k: Vec<f64>,
+    extra_k: Vec<f64>,
+    base: Vec<f64>,
+    extra: Vec<f64>,
+    /// `prefix[m]` = the in-order sum of the `u2 = 1..=m` terms of `Z(u)`
+    /// for any `u > m`, where they do not depend on `u`.
+    prefix: Vec<f64>,
+}
+
+impl PairTables {
+    fn new(len: usize) -> Self {
+        PairTables {
+            t2: 0,
+            base_k: vec![0.0; len],
+            extra_k: vec![0.0; len],
+            base: vec![0.0; len],
+            extra: vec![0.0; len],
+            prefix: vec![0.0; len],
+        }
+    }
+
+    fn fill(&mut self, ctx: &Ctx<'_>, pos: usize, pos2: usize, not_surv: &NotSurvival) {
+        let t2 = ctx.t[pos2] as usize;
+        self.t2 = t2;
+        for k in 1..=t2 {
+            let mut b = 0.0;
+            let mut e = 0.0;
+            for (&(_, r), covering) in ctx.flow_rates[pos2].iter().zip(&ctx.hp_covering[pos2]) {
+                let mut keep = 1.0;
+                let mut by_pos = false;
+                for &h in covering {
+                    if h == pos {
+                        by_pos = true;
+                    } else {
+                        keep *= not_surv.at(h, k);
+                    }
+                }
+                if by_pos {
+                    e += r * keep;
+                } else {
+                    b += r * keep;
+                }
+            }
+            self.base_k[k] = b;
+            self.extra_k[k] = e;
+            self.base[k] = self.base[k - 1] + b;
+            self.extra[k] = self.extra[k - 1] + e;
+        }
+        for u2 in 1..=t2 {
+            let g = self.base_k[u2];
+            self.prefix[u2] = if g > 0.0 {
+                self.prefix[u2 - 1] + g * (-g - self.base[u2 - 1]).exp()
+            } else {
+                self.prefix[u2 - 1]
+            };
+        }
+    }
+
+    /// `Z(u) = Σ_{u2=1..=t2} γ̃(u2)·e^{-γ̃(u2) - C(u2-1)}` over the terms
+    /// with `γ̃ > 0`, where `γ̃(k) = base(k) + extra(k)·[k ≥ u]` and
+    /// `C(m) = Σ_{k≤m} γ̃(k)`: the `u2 < u` terms come from the prefix.
+    fn likelihood(&self, u: usize) -> f64 {
+        let mut z = self.prefix[(u - 1).min(self.t2)];
+        for u2 in u..=self.t2 {
+            let g = self.base_k[u2] + self.extra_k[u2];
+            if g > 0.0 {
+                let cum = self.base[u2 - 1]
+                    + if u2 > u {
+                        self.extra[u2 - 1] - self.extra[u - 1]
+                    } else {
+                        0.0
+                    };
+                z += g * (-g - cum).exp();
+            }
+        }
+        z
+    }
 }
 
 fn mean_field(
