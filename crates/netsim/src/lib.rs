@@ -50,6 +50,7 @@
 mod config;
 mod fault;
 mod latency;
+mod queue;
 mod sim;
 pub mod slab;
 mod switch;
@@ -60,9 +61,10 @@ pub mod wheel;
 pub use config::{ConfigError, Defense, DelayPadding, NetConfig, WindowPadding};
 pub use fault::{FaultPlan, JitterBursts};
 pub use latency::{Gaussian, LatencyModel, ShiftedLogNormal};
+pub use queue::EventQueue;
 pub use sim::{FaultStats, ProbeObservation, Simulation, SwitchStats};
 pub use slab::{CoverIndex, FlowEntry, FlowStore, Slab};
 pub use switch::SwitchMode;
 pub use topology::{NodeId, Topology, TopologyError};
 pub use trace::{FaultKind, Trace, TraceEvent};
-pub use wheel::{EventQueue, TimerId, TimerWheel};
+pub use wheel::{TimerId, TimerWheel};

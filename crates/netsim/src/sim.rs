@@ -2,12 +2,12 @@
 
 use crate::config::{ConfigError, NetConfig};
 use crate::fault::{FaultPlan, JitterBursts};
+use crate::queue::EventQueue;
 use crate::slab::CoverIndex;
 use crate::switch::{Lookup, Switch, SwitchMode};
 use crate::topology::NodeId;
 use crate::trace::{FaultKind, Trace, TraceEvent};
-use crate::wheel::EventQueue;
-use crate::LatencyModel;
+use crate::{Gaussian, LatencyModel, ShiftedLogNormal};
 use flowspace::{FlowId, RuleId, RuleSet};
 use obs::trace::{CompKind, TraceEv};
 use obs::{metrics, FlightRecorder, Recorder};
@@ -15,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use crate::switch::SwitchStats;
@@ -143,11 +142,13 @@ fn exponential(mean: f64, rng: &mut StdRng) -> f64 {
     (-mean * u.ln()).max(1e-12)
 }
 
-/// A packet parked behind an in-flight controller query: the packet, its
-/// park time, and whether it initiated the packet-in (joiners' waits are
-/// billed to the `packet_in` RTT component; the initiator's wait is
-/// already decomposed into controller + install at miss time).
-type ParkedPacket = (Packet, f64, bool);
+/// A packet parked behind an in-flight controller query, with its park
+/// time. The first packet of a buffer is the one whose miss sent the
+/// packet-in (the initiator); later ones joined the query in flight.
+/// Joiners' waits are billed to the `packet_in` RTT component; the
+/// initiator's wait is already decomposed into controller + install at
+/// miss time.
+type ParkedPacket = (Packet, f64);
 
 /// A running simulated network: hosts, per-switch flow tables, a reactive
 /// controller and a common server, per §VI-A's client–server layout.
@@ -168,7 +169,10 @@ pub struct Simulation {
     rules: RuleSet,
     /// Seconds per model step Δ (scales rule timeouts to TTLs).
     delta: f64,
-    latency: LatencyModel,
+    /// One link segment's latency ([`LatencyModel::segment`]).
+    segment: Gaussian,
+    /// The controller's rule-setup delay.
+    rule_setup: ShiftedLogNormal,
     faults: FaultPlan,
     /// Number of switches in the topology, for range-checking node ids.
     fabric_len: usize,
@@ -180,10 +184,14 @@ pub struct Simulation {
     path: Vec<NodeId>,
     /// State of the switches on `path`, indexed by hop.
     switches: Vec<Switch>,
-    /// Packets parked at a switch waiting for a rule installation,
-    /// keyed by the awaited `(hop, rule)` query; each buffer keeps
-    /// arrival order (see [`ParkedPacket`]).
-    pending: BTreeMap<(usize, RuleId), Vec<ParkedPacket>>,
+    /// Packets parked at a switch waiting for a rule installation, one
+    /// reused buffer per `(hop, rule)` query at index
+    /// `hop * rules.len() + rule`, in arrival order (see
+    /// [`ParkedPacket`]). A query is in flight exactly when its buffer
+    /// is non-empty: every path that ends a query (install, flow-mod
+    /// loss, table-full reject) empties the buffer, and a lost
+    /// packet-in is never parked.
+    parked: Vec<Vec<ParkedPacket>>,
     /// Genuine (non-probe) flow arrivals at the ingress switch: ground
     /// truth for `X̂`.
     history: Vec<(FlowId, f64)>,
@@ -254,15 +262,16 @@ impl Simulation {
         Simulation {
             rules: config.rules.clone(),
             delta: config.delta,
-            latency: config.latency,
+            segment: config.latency.segment(),
+            rule_setup: config.latency.rule_setup,
             faults: config.faults,
             fabric_len: config.topology.len(),
+            parked: vec![Vec::new(); path.len() * config.rules.len()],
             switches,
             path,
             rng: StdRng::seed_from_u64(seed),
             now: 0.0,
             queue: EventQueue::new(),
-            pending: BTreeMap::new(),
             history: Vec::new(),
             probe_results: Vec::new(),
             trace: None,
@@ -600,7 +609,7 @@ impl Simulation {
     /// the fault stream — is the bit-compatibility contract with the
     /// pre-split `segment_sample`.
     fn segment_parts(&mut self, now: f64) -> (f64, f64) {
-        let base = self.latency.segment().sample(&mut self.rng);
+        let base = self.segment.sample(&mut self.rng);
         (base, self.jitter_extra(now))
     }
 
@@ -679,6 +688,11 @@ impl Simulation {
         self.push(at + extra_delay + hop, kind);
     }
 
+    /// Index of the `(hop, rule)` query's buffer in `parked`.
+    fn parked_slot(&self, hop: usize, rule: RuleId) -> usize {
+        hop * self.rules.len() + rule.0
+    }
+
     fn dispatch(&mut self, time: f64, kind: EventKind) {
         match kind {
             EventKind::AtSwitch { hop, packet } => {
@@ -694,16 +708,20 @@ impl Simulation {
                 });
                 let lookup = self.switches[hop].lookup(packet.flow, time);
                 match lookup {
-                    Lookup::Hit { pad } => {
-                        if let Some(rule) = self.rules.highest_covering(packet.flow) {
-                            // The matched rule is the highest-priority
-                            // *cached* cover; re-derive it for the trace.
-                            let matched = self.switches[hop]
-                                .cached_rules(time)
-                                .into_iter()
-                                .filter(|&r| self.rules.rule(r).covers_flow(packet.flow))
-                                .min_by_key(|r| r.0)
-                                .unwrap_or(rule);
+                    Lookup::Hit { pad, rule } => {
+                        // The Hit names the matched rule: the cached rule
+                        // a reactive table matched, or at a proactive
+                        // switch the highest-priority cover (none for an
+                        // uncovered flow, which emits no Hit). Only
+                        // derived when a sink will record it.
+                        let traced = self.trace.is_some()
+                            || (packet.probe.is_some() && self.flight.is_enabled());
+                        let matched = if traced {
+                            rule.or_else(|| self.rules.highest_covering(packet.flow))
+                        } else {
+                            None
+                        };
+                        if let Some(matched) = matched {
                             self.record(TraceEvent::Hit {
                                 node,
                                 flow: packet.flow,
@@ -722,7 +740,11 @@ impl Simulation {
                         self.femit_comp(time, packet.probe, CompKind::Pad, pad);
                         self.forward(hop, packet, time, pad);
                     }
-                    Lookup::Miss { rule, fresh } => {
+                    Lookup::Miss { rule } => {
+                        // No packet parked behind the rule: no query is
+                        // in flight, so this miss sends the packet-in.
+                        let slot = self.parked_slot(hop, rule);
+                        let fresh = self.parked[slot].is_empty();
                         self.record(TraceEvent::Miss {
                             node,
                             flow: packet.flow,
@@ -742,7 +764,7 @@ impl Simulation {
                             if self.fault_fires(self.faults.packet_in_loss) {
                                 // The packet-in never reaches the
                                 // controller: no flow-mod will come, the
-                                // buffered packet is dropped, and the
+                                // packet is dropped unparked, and the
                                 // next miss must query afresh.
                                 self.fault_event(
                                     FaultKind::PacketInsLost,
@@ -750,7 +772,6 @@ impl Simulation {
                                     packet.probe,
                                     time,
                                 );
-                                self.switches[hop].abort_query(rule);
                                 self.record(TraceEvent::PacketInLost { node, rule, time });
                                 return;
                             }
@@ -762,7 +783,7 @@ impl Simulation {
                                     rule: rule.0 as u64,
                                 },
                             );
-                            let mut setup = self.latency.rule_setup.sample(&mut self.rng);
+                            let mut setup = self.rule_setup.sample(&mut self.rng);
                             // The initiator's park time equals the full
                             // controller round: decompose it here, at
                             // incurrence, into the controller-service
@@ -789,10 +810,7 @@ impl Simulation {
                             }
                             self.push(time + setup, EventKind::ControllerReply { hop, rule });
                         }
-                        self.pending
-                            .entry((hop, rule))
-                            .or_default()
-                            .push((packet, time, fresh));
+                        self.parked[slot].push((packet, time));
                     }
                     Lookup::Uncovered => {
                         // Every such packet detours via the controller
@@ -810,7 +828,7 @@ impl Simulation {
                                 node: node.0 as u64,
                             },
                         );
-                        let setup = self.latency.rule_setup.sample(&mut self.rng);
+                        let setup = self.rule_setup.sample(&mut self.rng);
                         self.femit_comp(time, packet.probe, CompKind::Controller, setup);
                         self.forward(hop, packet, time, setup);
                     }
@@ -818,21 +836,17 @@ impl Simulation {
             }
             EventKind::ControllerReply { hop, rule } => {
                 let node = self.path[hop];
+                let slot = self.parked_slot(hop, rule);
                 // Control-plane events are attributed to the probe whose
                 // miss initiated the query (if it was probe traffic).
-                let initiator = self
-                    .pending
-                    .get(&(hop, rule))
-                    .and_then(|parked| parked.iter().find(|(_, _, init)| *init))
-                    .and_then(|(packet, _, _)| packet.probe);
+                let initiator = self.parked[slot].first().and_then(|(p, _)| p.probe);
                 if self.fault_fires(self.faults.flow_mod_loss) {
                     // The flow-mod is lost on the control channel: no
                     // rule is cached and the packets buffered behind the
                     // query are dropped with it.
                     self.fault_event(FaultKind::FlowModsLost, Some(node), initiator, time);
-                    self.switches[hop].abort_query(rule);
                     self.record(TraceEvent::FlowModLost { node, rule, time });
-                    self.pending.remove(&(hop, rule));
+                    self.parked[slot].clear();
                     return;
                 }
                 let rejected = self.switches[hop].is_full_at(time)
@@ -844,7 +858,6 @@ impl Simulation {
                     // packets are still forwarded — the probe correctly
                     // observes a slow miss, but nothing is cached.
                     self.fault_event(FaultKind::FlowModsRejected, Some(node), initiator, time);
-                    self.switches[hop].abort_query(rule);
                     self.record(TraceEvent::FlowModRejected { node, rule, time });
                 } else {
                     let evicted = self.switches[hop].install(rule, time, &self.rules, self.delta);
@@ -864,9 +877,11 @@ impl Simulation {
                         },
                     );
                 }
-                let released = self.pending.remove(&(hop, rule)).unwrap_or_default();
-                for (packet, parked_at, init) in released {
-                    if !init {
+                // Forwarding pushes events but dispatches none, so nothing
+                // parks behind this query while its buffer is out.
+                let mut released = std::mem::take(&mut self.parked[slot]);
+                for (i, (packet, parked_at)) in released.drain(..).enumerate() {
+                    if i > 0 {
                         // Joiners waited on someone else's query: their
                         // whole park is packet-in wait. The initiator
                         // accounted its own wait at incurrence, as
@@ -875,6 +890,7 @@ impl Simulation {
                     }
                     self.forward(hop, packet, time, 0.0);
                 }
+                self.parked[slot] = released;
             }
             EventKind::AtServer { packet } => {
                 // The echo reply rides the pre-installed reply rule: no

@@ -12,7 +12,9 @@
 //! * a [`Slab`] arena with free-list reuse and stable `u32` handles
 //!   (no per-entry allocation after warm-up);
 //! * the hierarchical timing wheel ([`crate::wheel::TimerWheel`]) for
-//!   O(1) amortized expiry instead of full-table retain scans;
+//!   O(1) amortized expiry instead of full-table retain scans (the
+//!   wheel serves only this expiry index: the simulator's event queue
+//!   is a separate run plus binary heap, [`crate::EventQueue`]);
 //! * a [`CoverIndex`] mapping each flow to its covering rules in
 //!   priority order, so a lookup touches `O(cover(f))` rules instead of
 //!   every cached entry.
@@ -276,6 +278,8 @@ pub struct FlowStore {
     tail: u32,
     /// Scratch buffer for wheel expirations (reused across purges).
     expired: Vec<Expired<FlowEntry>>,
+    /// Scratch buffer for eviction candidates (reused across evictions).
+    candidates: Vec<Candidate>,
     policy: PolicyKind,
 }
 
@@ -309,6 +313,7 @@ impl FlowStore {
             head: NIL,
             tail: NIL,
             expired: Vec::new(),
+            candidates: Vec::new(),
             policy,
         }
     }
@@ -481,11 +486,11 @@ impl FlowStore {
     /// least recently used entry). Only *eviction* pays this O(len)
     /// walk; wheel-driven expiry stays O(1) amortized.
     fn evict(&mut self, now: f64) -> Option<RuleId> {
-        let mut candidates = Vec::with_capacity(self.wheel.len());
+        self.candidates.clear();
         let mut cur = self.tail;
         while cur != NIL {
             if let Some((deadline, entry)) = self.wheel.entry_at(cur) {
-                candidates.push(Candidate {
+                self.candidates.push(Candidate {
                     slot: cur,
                     remaining: deadline - now,
                     ttl: entry.ttl,
@@ -493,10 +498,10 @@ impl FlowStore {
             }
             cur = self.r_prev[cur as usize];
         }
-        if candidates.is_empty() {
+        if self.candidates.is_empty() {
             return None;
         }
-        let victim = candidates[self.policy.victim(&candidates)].slot;
+        let victim = self.candidates[self.policy.victim(&self.candidates)].slot;
         let entry = self.wheel.cancel_at(victim)?;
         self.unlink(victim);
         self.by_rule[entry.rule.0] = TimerId::NULL;

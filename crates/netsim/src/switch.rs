@@ -5,7 +5,6 @@ use crate::slab::{CoverIndex, FlowStore};
 use flowspace::{FlowId, RuleId, RuleSet};
 use ftcache::PolicyKind;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How a switch handles table misses.
@@ -23,12 +22,14 @@ pub enum SwitchMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Lookup {
     /// Matched a cached (or permanent) rule; forwarded immediately.
-    /// `pad` carries any delay-padding the defense adds.
-    Hit { pad: f64 },
-    /// No cached rule; a controller query for `rule` is needed. `fresh` is
-    /// true if this packet triggered the query (false = a query for the
-    /// same rule is already in flight and the packet joins its buffer).
-    Miss { rule: RuleId, fresh: bool },
+    /// `rule` is the cached rule the reactive table matched (`None` at a
+    /// proactive switch, which matches its pre-installed rules without a
+    /// table lookup); `pad` carries any delay-padding the defense adds.
+    Hit { pad: f64, rule: Option<RuleId> },
+    /// No cached rule; a controller query for `rule` is needed (or is
+    /// already in flight: the simulation knows which, from the packets
+    /// parked behind it).
+    Miss { rule: RuleId },
     /// No rule in the whole policy covers the flow: every such packet goes
     /// to the controller (the paper's pre-installed send-unmatched-ICMP-
     /// to-controller rule) and nothing is installed.
@@ -93,8 +94,6 @@ pub(crate) struct Switch {
     /// Flow → covering-rules index, shared across the simulation's
     /// switches (built once per policy).
     cover: Arc<CoverIndex>,
-    /// Rules with a controller query in flight.
-    in_flight: BTreeSet<RuleId>,
     defense: Defense,
     pub(crate) stats: SwitchStats,
 }
@@ -116,7 +115,6 @@ impl Switch {
             mode,
             table: FlowStore::with_policy(capacity.max(1), cover.n_rules(), policy),
             cover,
-            in_flight: BTreeSet::new(),
             defense,
             stats: SwitchStats::default(),
         }
@@ -126,19 +124,23 @@ impl Switch {
     pub(crate) fn lookup(&mut self, flow: FlowId, now: f64) -> Lookup {
         if self.mode == SwitchMode::Proactive {
             self.stats.hits += 1;
-            return Lookup::Hit { pad: 0.0 };
+            return Lookup::Hit {
+                pad: 0.0,
+                rule: None,
+            };
         }
-        let cover = Arc::clone(&self.cover);
-        if let Some(rule) = self.table.lookup(flow, now, &cover) {
+        if let Some(rule) = self.table.lookup(flow, now, &self.cover) {
             self.stats.hits += 1;
             let pad = self.padding_for(rule, now);
-            return Lookup::Hit { pad };
+            return Lookup::Hit {
+                pad,
+                rule: Some(rule),
+            };
         }
-        match cover.highest(flow) {
+        match self.cover.highest(flow) {
             Some(rule) => {
                 self.stats.misses += 1;
-                let fresh = self.in_flight.insert(rule);
-                Lookup::Miss { rule, fresh }
+                Lookup::Miss { rule }
             }
             None => {
                 self.stats.uncovered += 1;
@@ -156,7 +158,6 @@ impl Switch {
         rules: &RuleSet,
         delta: f64,
     ) -> Option<RuleId> {
-        self.in_flight.remove(&rule);
         let spec = rules.rule(rule).timeout();
         let ttl = f64::from(spec.steps) * delta;
         // FlowStore::install resets the padding state (packet count and
@@ -168,13 +169,6 @@ impl Switch {
             self.stats.evictions += 1;
         }
         evicted
-    }
-
-    /// Abandons an in-flight controller query for `rule` (the packet-in
-    /// or the flow-mod was lost); the next miss for the rule is fresh
-    /// again.
-    pub(crate) fn abort_query(&mut self, rule: RuleId) {
-        self.in_flight.remove(&rule);
     }
 
     /// Whether the reactive table has no free slot at `now` (a flow-mod
@@ -229,6 +223,14 @@ mod tests {
         .unwrap()
     }
 
+    /// A reactive hit on `rule` with padding `pad`.
+    fn hit(pad: f64, rule: usize) -> Lookup {
+        Lookup::Hit {
+            pad,
+            rule: Some(RuleId(rule)),
+        }
+    }
+
     fn switch(mode: SwitchMode, capacity: usize, defense: Defense) -> Switch {
         Switch::new(
             mode,
@@ -243,23 +245,14 @@ mod tests {
     fn miss_then_install_then_hit() {
         let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 2, Defense::default());
-        assert_eq!(
-            sw.lookup(FlowId(0), 0.0),
-            Lookup::Miss {
-                rule: RuleId(0),
-                fresh: true
-            }
-        );
-        // A second packet while the query is in flight is not fresh.
+        assert_eq!(sw.lookup(FlowId(0), 0.0), Lookup::Miss { rule: RuleId(0) });
+        // A second packet before the install misses the same rule.
         assert_eq!(
             sw.lookup(FlowId(0), 0.001),
-            Lookup::Miss {
-                rule: RuleId(0),
-                fresh: false
-            }
+            Lookup::Miss { rule: RuleId(0) }
         );
         sw.install(RuleId(0), 0.004, &rules, 0.02);
-        assert_eq!(sw.lookup(FlowId(0), 0.005), Lookup::Hit { pad: 0.0 });
+        assert_eq!(sw.lookup(FlowId(0), 0.005), hit(0.0, 0));
         assert_eq!(sw.stats.hits, 1);
         assert_eq!(sw.stats.misses, 2);
         assert_eq!(sw.stats.installs, 1);
@@ -278,7 +271,13 @@ mod tests {
     #[test]
     fn proactive_always_hits() {
         let mut sw = switch(SwitchMode::Proactive, 2, Defense::default());
-        assert_eq!(sw.lookup(FlowId(3), 0.0), Lookup::Hit { pad: 0.0 });
+        assert_eq!(
+            sw.lookup(FlowId(3), 0.0),
+            Lookup::Hit {
+                pad: 0.0,
+                rule: None
+            }
+        );
         assert_eq!(sw.stats.hits, 1);
     }
 
@@ -289,7 +288,13 @@ mod tests {
             ..Defense::default()
         };
         let mut sw = switch(SwitchMode::Reactive, 2, defense);
-        assert_eq!(sw.lookup(FlowId(0), 0.0), Lookup::Hit { pad: 0.0 });
+        assert_eq!(
+            sw.lookup(FlowId(0), 0.0),
+            Lookup::Hit {
+                pad: 0.0,
+                rule: None
+            }
+        );
     }
 
     #[test]
@@ -300,13 +305,7 @@ mod tests {
         sw.install(RuleId(0), 0.004, &rules, 0.02); // ttl = 0.2 s
         assert!(matches!(sw.lookup(FlowId(0), 0.1), Lookup::Hit { .. }));
         // Idle timer re-armed at 0.1 → expires at 0.3.
-        assert!(matches!(
-            sw.lookup(FlowId(0), 0.35),
-            Lookup::Miss {
-                rule: RuleId(0),
-                fresh: true
-            }
-        ));
+        assert_eq!(sw.lookup(FlowId(0), 0.35), Lookup::Miss { rule: RuleId(0) });
     }
 
     #[test]
@@ -322,9 +321,9 @@ mod tests {
         let mut sw = switch(SwitchMode::Reactive, 2, defense);
         sw.lookup(FlowId(0), 0.0);
         sw.install(RuleId(0), 0.004, &rules, 0.02);
-        assert_eq!(sw.lookup(FlowId(0), 0.01), Lookup::Hit { pad: 0.004 });
-        assert_eq!(sw.lookup(FlowId(0), 0.02), Lookup::Hit { pad: 0.004 });
-        assert_eq!(sw.lookup(FlowId(0), 0.03), Lookup::Hit { pad: 0.0 });
+        assert_eq!(sw.lookup(FlowId(0), 0.01), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.02), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.03), hit(0.0, 0));
         assert_eq!(sw.stats.padded, 2);
     }
 
@@ -342,27 +341,13 @@ mod tests {
         sw.lookup(FlowId(0), 0.0);
         sw.install(RuleId(0), 0.004, &rules, 0.02);
         // Every hit within 0.5 s of installation is padded...
-        assert_eq!(sw.lookup(FlowId(0), 0.1), Lookup::Hit { pad: 0.004 });
-        assert_eq!(sw.lookup(FlowId(0), 0.3), Lookup::Hit { pad: 0.004 });
-        assert_eq!(sw.lookup(FlowId(0), 0.49), Lookup::Hit { pad: 0.004 });
+        assert_eq!(sw.lookup(FlowId(0), 0.1), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.3), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.49), hit(0.004, 0));
         // ...and unpadded afterwards (the idle rule is kept alive by the
         // hits themselves).
-        assert_eq!(sw.lookup(FlowId(0), 0.6), Lookup::Hit { pad: 0.0 });
+        assert_eq!(sw.lookup(FlowId(0), 0.6), hit(0.0, 0));
         assert_eq!(sw.stats.padded, 3);
-    }
-
-    #[test]
-    fn aborted_query_makes_next_miss_fresh() {
-        let mut sw = switch(SwitchMode::Reactive, 2, Defense::default());
-        sw.lookup(FlowId(0), 0.0);
-        sw.abort_query(RuleId(0));
-        assert_eq!(
-            sw.lookup(FlowId(0), 0.01),
-            Lookup::Miss {
-                rule: RuleId(0),
-                fresh: true
-            }
-        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! A deterministic hierarchical timing wheel and the exact-order event
-//! queue built on it.
+//! A deterministic hierarchical timing wheel: the expiry index behind
+//! each switch's [`FlowStore`](crate::FlowStore). The simulator's event
+//! queue does not use it; see [`EventQueue`](crate::EventQueue), a
+//! run plus a binary heap.
 //!
 //! # Structure
 //!
@@ -24,8 +26,7 @@
 //! exactly the timers with `deadline <= now`. The expired set is
 //! therefore bit-identical to a linear scan at **any** tick resolution,
 //! and the batch is reported in `(tick, schedule-seq)` order — FIFO
-//! within a tick. [`EventQueue`] layers a `(time, push-seq)` sort on
-//! top, reproducing a binary min-heap's pop order byte for byte.
+//! within a tick.
 
 use crate::slab::{Slab, NIL};
 
@@ -163,22 +164,13 @@ impl<T> TimerWheel<T> {
         self.tick_secs
     }
 
-    pub(crate) fn tick_of(&self, deadline: f64) -> u64 {
+    fn tick_of(&self, deadline: f64) -> u64 {
         let t = deadline / self.tick_secs;
         if t <= 0.0 {
             0
         } else {
             t as u64 // saturating; floor for non-negative values
         }
-    }
-
-    pub(crate) fn current_tick(&self) -> u64 {
-        self.cur_tick
-    }
-
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
     }
 
     /// The level whose slot width first distinguishes `tick` from
@@ -552,150 +544,11 @@ impl<T> TimerWheel<T> {
         self.split_due(now, out);
         out[from..].sort_by(|a, b| a.tick.cmp(&b.tick).then(a.seq.cmp(&b.seq)));
     }
-
-    /// Drains the earliest non-empty tick into `out` (possibly after
-    /// overflow rescans and cascades) and advances the cursor past it.
-    /// Leaves `out` empty iff no timer is scheduled.
-    pub(crate) fn expire_next_tick(&mut self, out: &mut Vec<Expired<T>>) {
-        while !self.nodes.is_empty() && out.is_empty() {
-            let boundary = if self.heads[OVERFLOW_BUCKET as usize] == NIL {
-                u64::MAX
-            } else {
-                (self.cur_tick | HORIZON_MASK).saturating_add(1)
-            };
-            let pending = self.next_pending_tick();
-            if boundary <= pending {
-                if boundary == u64::MAX {
-                    return;
-                }
-                self.cur_tick = boundary;
-                self.rescan_overflow();
-                continue;
-            }
-            if pending == u64::MAX {
-                return;
-            }
-            self.cur_tick = pending;
-            self.process_tick(pending, out);
-        }
-        if !out.is_empty() {
-            // The drained tick is now fully in the past.
-            self.cur_tick = self.cur_tick.saturating_add(1);
-        }
-    }
-}
-
-/// A discrete-event queue with exact `(time, push-order)` pop order —
-/// byte-identical to a `BinaryHeap` min-heap over `(time, seq)` — backed
-/// by the timing wheel for O(1) scheduling instead of O(log n).
-///
-/// Events in ticks the wheel has already drained (e.g. pushed for a
-/// time at or before the event being dispatched) go straight into the
-/// sorted ready buffer, so cross-tick ordering is preserved exactly.
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    wheel: TimerWheel<T>,
-    /// Materialized events, sorted descending by `(time, seq)`; the pop
-    /// end (minimum) is at the back.
-    ready: Vec<ReadyEvent<T>>,
-    scratch: Vec<Expired<T>>,
-}
-
-#[derive(Debug)]
-struct ReadyEvent<T> {
-    time: f64,
-    seq: u64,
-    value: T,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue at the default tick resolution.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-            ready: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.wheel.len() + self.ready.len()
-    }
-
-    /// Whether no event is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ready.is_empty() && self.wheel.is_empty()
-    }
-
-    /// Enqueues `value` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push(&mut self, time: f64, value: T) {
-        assert!(time.is_finite(), "event time must be finite");
-        if self.wheel.tick_of(time) < self.wheel.current_tick() {
-            // The tick was already drained: merge into the ready
-            // buffer at the exact (time, seq) position.
-            let seq = self.wheel.next_seq();
-            let pos = self
-                .ready
-                .partition_point(|e| e.time.total_cmp(&time).then(e.seq.cmp(&seq)).is_gt());
-            self.ready.insert(pos, ReadyEvent { time, seq, value });
-        } else {
-            self.wheel.schedule(time, value);
-        }
-    }
-
-    /// The earliest queued event time, if any.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.refill();
-        self.ready.last().map(|e| e.time)
-    }
-
-    /// Removes and returns the earliest event (ties in time resolve in
-    /// push order).
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        self.refill();
-        self.ready.pop().map(|e| (e.time, e.value))
-    }
-
-    fn refill(&mut self) {
-        if !self.ready.is_empty() {
-            return;
-        }
-        self.scratch.clear();
-        self.wheel.expire_next_tick(&mut self.scratch);
-        if self.scratch.is_empty() {
-            return;
-        }
-        self.scratch
-            .sort_by(|a, b| b.deadline.total_cmp(&a.deadline).then(b.seq.cmp(&a.seq)));
-        self.ready
-            .extend(self.scratch.drain(..).map(|e| ReadyEvent {
-                time: e.deadline,
-                seq: e.seq,
-                value: e.value,
-            }));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::collections::BinaryHeap;
 
     #[test]
     fn expires_exactly_at_deadline() {
@@ -782,76 +635,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].value, "far");
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn queue_matches_binary_heap_on_random_workload() {
-        // Reference: the exact ordering the simulator's old BinaryHeap
-        // implemented — min by (time, seq).
-        #[derive(PartialEq)]
-        struct Ev(f64, u64);
-        impl Eq for Ev {}
-        impl Ord for Ev {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .0
-                    .total_cmp(&self.0)
-                    .then_with(|| other.1.cmp(&self.1))
-            }
-        }
-        impl PartialOrd for Ev {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut q = EventQueue::new();
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = 0.0f64;
-        for _ in 0..2000 {
-            if rng.gen::<f64>() < 0.55 || heap.is_empty() {
-                // Mix of immediate (same-tick), near and far times.
-                let dt = match rng.gen_range(0..4) {
-                    0 => rng.gen::<f64>() * 1e-5,
-                    1 => rng.gen::<f64>() * 1e-2,
-                    2 => rng.gen::<f64>() * 10.0,
-                    _ => rng.gen::<f64>() * 1e7, // overflow horizon
-                };
-                let t = now + dt;
-                seq += 1;
-                q.push(t, seq);
-                heap.push(Ev(t, seq));
-            } else {
-                let Ev(ht, hseq) = heap.pop().unwrap();
-                let (qt, qv) = q.pop().unwrap();
-                assert_eq!(qt.to_bits(), ht.to_bits(), "pop times must match");
-                assert_eq!(qv, hseq, "pop order must match");
-                now = ht;
-            }
-        }
-        while let Some(Ev(ht, hseq)) = heap.pop() {
-            let (qt, qv) = q.pop().unwrap();
-            assert_eq!(qt.to_bits(), ht.to_bits());
-            assert_eq!(qv, hseq);
-        }
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_into_drained_tick_keeps_order() {
-        let mut q = EventQueue::new();
-        q.push(1.0, "first");
-        assert_eq!(q.pop(), Some((1.0, "first")));
-        // 0.5's tick is long drained; 1.00001 shares 1.0's drained tick.
-        q.push(0.5, "past");
-        q.push(1.000_01, "sametick");
-        q.push(2.0, "future");
-        assert_eq!(q.pop(), Some((0.5, "past")));
-        assert_eq!(q.pop(), Some((1.000_01, "sametick")));
-        assert_eq!(q.pop(), Some((2.0, "future")));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!   schedule / cancel / re-arm / expire sequences — including
 //!   same-tick collisions (coarse tick) and the beyond-horizon
 //!   overflow path (deadlines past 2^36 ticks).
-//! * [`EventQueue`] vs. a verbatim `BinaryHeap` min-heap over
-//!   `(time, push-seq)` — the scheduler the queue replaced — with
-//!   pushes into already-drained ticks.
+//! * [`EventQueue`] (a monotone FIFO run plus a binary heap) vs. a
+//!   verbatim `BinaryHeap` min-heap over `(time, push-seq)` — the
+//!   scheduler the simulator started with — with pushes at or before
+//!   the last popped time, exact ties, and non-decreasing runs broken
+//!   by pushes earlier than their tail.
 //! * [`FlowStore`] vs. the reference `ftcache::ClockTable` it
 //!   replaced, over random lookup / install sequences.
 //!
@@ -273,9 +275,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The event queue's pop stream is byte-identical to the binary
-    /// heap it replaced, including events pushed at or before the time
-    /// of an event already popped (the drained-tick merge path) and
-    /// exact-tie times from a coarse grid.
+    /// heap, including events pushed at or before the time of an event
+    /// already popped, exact-tie times from a coarse grid, and
+    /// non-decreasing runs — with exact ties to the run's last time —
+    /// broken by pushes earlier than the run's tail. The runs exercise
+    /// the queue's split: a push at or after its run's last time joins
+    /// the run, any other goes to the heap, and pops interleave both.
     #[test]
     fn event_queue_matches_binary_heap(
         ops in vec((0u8..4, 0u32..64, 0.0f64..1.0), 1..300),
@@ -285,14 +290,25 @@ proptest! {
         let mut seq = 0u64;
         let mut next_value = 0u32;
         let mut last_pop = 0.0f64;
+        // Last time of the non-decreasing push run (sel % 8 == 1 | 5).
+        let mut run_tail = 0.0f64;
         for &(kind, sel, a) in &ops {
             if kind % 4 < 3 {
-                // Push: grid times force ties; sel % 4 == 0 pushes near
-                // (possibly before) the last popped time.
-                let time = if sel % 4 == 0 {
-                    (last_pop - 0.5 + a).max(0.0)
-                } else {
-                    f64::from(sel % 16) * 0.25
+                let time = match sel % 8 {
+                    // Near (possibly before) the last popped time.
+                    0 | 4 => (last_pop - 0.5 + a).max(0.0),
+                    // Extend the run: an exact tie with its tail a
+                    // quarter of the time, else a step forward.
+                    1 | 5 => {
+                        if a >= 0.25 {
+                            run_tail += a * 0.5;
+                        }
+                        run_tail
+                    }
+                    // Break the run: earlier than its tail.
+                    3 => (run_tail - 0.01 - a).max(0.0),
+                    // Grid times force ties.
+                    _ => f64::from(sel % 16) * 0.25,
                 };
                 seq += 1;
                 queue.push(time, next_value);
@@ -313,6 +329,7 @@ proptest! {
                     last_pop = t;
                 }
             }
+            prop_assert_eq!(queue.len(), heap.len());
         }
         // Drain the tails in lockstep.
         loop {

@@ -1,9 +1,14 @@
 //! Property-based tests for the network simulator: conservation and
 //! consistency invariants under arbitrary traffic and probing patterns.
 
-use flow_recon::flowspace::{FlowId, FlowSet, Rule, RuleSet, Timeout};
-use flow_recon::netsim::{FaultPlan, Gaussian, JitterBursts, NetConfig, Simulation};
+use flow_recon::flowspace::{FlowId, FlowSet, Rule, RuleId, RuleSet, Timeout};
+use flow_recon::netsim::{
+    FaultPlan, Gaussian, JitterBursts, NetConfig, NodeId, Simulation, TraceEvent,
+};
+use flow_recon::obs::trace::{probe_ctx, TraceEv};
+use flow_recon::obs::FlightRecorder;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const UNIVERSE: usize = 6;
 
@@ -47,8 +52,161 @@ fn actions_strategy() -> impl Strategy<Value = Vec<Action>> {
     proptest::collection::vec(action, 1..40)
 }
 
+/// The `(node, rule)` of every flight-recorded `Hit`, with the flow of
+/// the probe it belongs to (from that probe's `Inject`).
+fn flight_hits(flight: &FlightRecorder) -> Vec<(u64, u64, u64)> {
+    let mut injected = BTreeMap::new();
+    let mut hits = Vec::new();
+    for (id, rec) in flight.records() {
+        match rec.ev {
+            TraceEv::Inject { flow } => {
+                injected.insert(id.token, flow);
+            }
+            TraceEv::Hit { node, rule } => hits.push((id.token, node, rule)),
+            _ => {}
+        }
+    }
+    hits.into_iter()
+        .map(|(token, node, rule)| (node, rule, injected[&token]))
+        .collect()
+}
+
+/// A reactive switch's `Hit` names the highest-priority *cached* cover,
+/// which need not be the policy's highest-priority cover
+/// (`RuleSet::highest_covering`); a proactive switch's names the latter.
+#[test]
+fn hit_names_the_cached_cover_not_the_policy_winner() {
+    // Rule 0 (higher priority) covers flows 0 and 1; rule 1 covers 1 and
+    // 2. A packet of flow 2 caches only rule 1, so flow 1 then hits rule
+    // 1 at the ingress although rule 0 wins flow 1 in the policy.
+    let rules = RuleSet::new(
+        vec![
+            Rule::from_flow_set(
+                FlowSet::from_flows(UNIVERSE, [FlowId(0), FlowId(1)]),
+                2,
+                Timeout::idle(25),
+            ),
+            Rule::from_flow_set(
+                FlowSet::from_flows(UNIVERSE, [FlowId(1), FlowId(2)]),
+                1,
+                Timeout::idle(25),
+            ),
+        ],
+        UNIVERSE,
+    )
+    .unwrap();
+    assert_eq!(rules.highest_covering(FlowId(1)), Some(RuleId(0)));
+    let cfg = NetConfig::eval_topology(rules, 2, 0.02);
+    let ingress = cfg.ingress;
+    let mut sim = Simulation::new(&cfg, 5);
+    sim.enable_trace(1000);
+    sim.attach_flight(FlightRecorder::enabled(), probe_ctx(0, 0, 0));
+    assert!(!sim.probe(FlowId(2)).hit, "cold: installs rule 1");
+    assert!(
+        sim.probe(FlowId(1)).hit,
+        "rule 1 is cached and covers flow 1"
+    );
+    assert_eq!(sim.cached_rules(), vec![RuleId(1)]);
+
+    // The trace: flow 1's ingress Hit names rule 1; the proactive
+    // transit switches match their pre-installed rule 0.
+    let hits: Vec<(NodeId, RuleId)> = sim
+        .trace()
+        .unwrap()
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Hit {
+                node,
+                flow: FlowId(1),
+                rule,
+                ..
+            } => Some((node, rule)),
+            _ => None,
+        })
+        .collect();
+    let path = cfg.topology.path(ingress, cfg.server).unwrap();
+    let want: Vec<(NodeId, RuleId)> = path
+        .iter()
+        .map(|&n| (n, if n == ingress { RuleId(1) } else { RuleId(0) }))
+        .collect();
+    assert_eq!(hits, want);
+
+    // The flight recorder names the same rules for the probe of flow 1.
+    let flight = sim.take_flight();
+    let hits: Vec<(u64, u64)> = flight_hits(&flight)
+        .into_iter()
+        .filter(|&(_, _, flow)| flow == 1)
+        .map(|(node, rule, _)| (node, rule))
+        .collect();
+    let want: Vec<(u64, u64)> = want
+        .iter()
+        .map(|&(n, r)| (n.0 as u64, r.0 as u64))
+        .collect();
+    assert_eq!(hits, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Attaching a `Trace` and a `FlightRecorder` changes no probe
+    /// observation and no ingress counter, and every `Hit` either sink
+    /// records names a rule covering the packet's flow.
+    #[test]
+    fn tracing_does_not_perturb_and_hits_name_covering_rules(
+        rules in rule_set_strategy(),
+        actions in actions_strategy(),
+        seed in 0u64..1000,
+        capacity in 1usize..=4,
+    ) {
+        let cfg = NetConfig::eval_topology(rules.clone(), capacity, 0.02);
+        let mut bare = Simulation::new(&cfg, seed);
+        let mut traced = Simulation::new(&cfg, seed);
+        traced.enable_trace(100_000);
+        traced.attach_flight(FlightRecorder::enabled(), probe_ctx(0, 0, 0));
+        for a in &actions {
+            match *a {
+                Action::Schedule(f, dt) => {
+                    let at = bare.now() + dt;
+                    bare.schedule_flow(FlowId(f), at);
+                    traced.schedule_flow(FlowId(f), at);
+                }
+                Action::Probe(f) => {
+                    prop_assert_eq!(bare.probe(FlowId(f)), traced.probe(FlowId(f)));
+                }
+                Action::Run(dt) => {
+                    let t = bare.now() + dt;
+                    bare.run_until(t);
+                    traced.run_until(t);
+                }
+            }
+            prop_assert_eq!(bare.ingress_stats(), traced.ingress_stats());
+        }
+        let end = bare.now() + 60.0;
+        bare.run_until(end);
+        traced.run_until(end);
+        prop_assert_eq!(bare.ingress_stats(), traced.ingress_stats());
+
+        let trace = traced.trace().unwrap();
+        prop_assume!(trace.discarded() == 0);
+        for e in trace.events() {
+            if let TraceEvent::Hit { flow, rule, .. } = *e {
+                prop_assert!(
+                    rules.rule(rule).covers_flow(flow),
+                    "trace Hit names rule {:?}, which does not cover {:?}", rule, flow
+                );
+            }
+        }
+        let flight = traced.take_flight();
+        prop_assume!(flight.dropped() == 0);
+        for (node, rule, flow) in flight_hits(&flight) {
+            prop_assert!(
+                rules.rule(RuleId(rule as usize)).covers_flow(FlowId(flow as u32)),
+                "flight Hit at node {} names rule {}, which does not cover flow {}",
+                node, rule, flow
+            );
+        }
+    }
 
     #[test]
     fn simulator_conserves_packets_and_answers_probes(

@@ -8,8 +8,12 @@
 //! addition, so scheduling order cannot leak into the result.
 
 use attack::sweep::{sweep_policy, SweepParameter};
-use attack::{plan_attack, run_trials_policy, run_trials_with_policy, AttackerKind, ExecPolicy};
-use netsim::NetConfig;
+use attack::{
+    plan_attack, run_trials_policy, run_trials_robust_policy, run_trials_with_policy,
+    scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialReport,
+};
+use ftcache::PolicyKind;
+use netsim::{FaultPlan, NetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
@@ -189,5 +193,239 @@ fn fat_tree_batch_bit_identical_and_pinned() {
             })
             .collect();
         assert_eq!(got, cache, "transit_reactive {transit_reactive}");
+    }
+}
+
+/// One attacker's row of a pinned batch: confusion counts `[tp, tn, fp,
+/// fn, inconclusive]`, robust-loop `fault_counters` `[probes, timeouts,
+/// retries, outliers, inconclusive, recalibrations]`, simulator
+/// `sim_faults` `[packets_dropped, packet_ins_lost, flow_mods_lost,
+/// flow_mods_delayed, flow_mods_rejected, probe_timeouts]` and ingress
+/// `cache_stats` `[hits, misses, uncovered, installs, evictions,
+/// padded]`.
+type BatchRow = [u64; 23];
+
+fn batch_rows(report: &TrialReport) -> Vec<BatchRow> {
+    (0..report.by_attacker.len())
+        .map(|i| {
+            let a = &report.by_attacker[i].1;
+            let c = &report.fault_counters[i];
+            let f = &report.sim_faults[i];
+            let s = &report.cache_stats[i];
+            [
+                a.tp,
+                a.tn,
+                a.fp,
+                a.fn_,
+                a.inconclusive,
+                c.probes,
+                c.timeouts,
+                c.retries,
+                c.outliers,
+                c.inconclusive,
+                c.recalibrations,
+                f.packets_dropped,
+                f.packet_ins_lost,
+                f.flow_mods_lost,
+                f.flow_mods_delayed,
+                f.flow_mods_rejected,
+                f.probe_timeouts,
+                s.hits,
+                s.misses,
+                s.uncovered,
+                s.installs,
+                s.evictions,
+                s.padded,
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn tournament_fault_batches_pinned() {
+    // The defense tournament's regime, capacity halved and λ doubled
+    // (29–41% of installs evict here), under uniform faults: packets
+    // park behind controller queries that are lost, rejected or
+    // answered, and probes time out and retry — paths the fault-free
+    // batches above never take. The pins come from the simulator that
+    // tracked in-flight queries in a per-switch set and parked packets
+    // in an ordered map, with a timing-wheel event queue, so they also
+    // pin that the flat parked-packet table and the run-plus-heap queue
+    // change no result.
+    let base = ScenarioSampler::default();
+    let sampler = ScenarioSampler {
+        capacity: base.capacity / 2,
+        lambda_max: base.lambda_max * 2.0,
+        ..base
+    };
+    let mut rng = StdRng::seed_from_u64(0x7E5);
+    let sc = sampler.sample_forced((0.2, 0.8), &mut rng);
+    let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
+    let kinds = [
+        AttackerKind::Naive,
+        AttackerKind::Model,
+        AttackerKind::Random,
+    ];
+    let pinned: [(PolicyKind, f64, [BatchRow; 3]); 6] = [
+        (
+            PolicyKind::Srt,
+            0.05,
+            [
+                [
+                    4, 1, 11, 0, 0, // confusion
+                    21, 5, 5, 0, 0, 0, // fault_counters
+                    1050, 4, 2, 4, 1, 5, // sim_faults
+                    4066, 180, 0, 172, 59, 0, // cache_stats
+                ],
+                [
+                    4, 3, 7, 0, 2, // confusion
+                    28, 14, 12, 0, 2, 0, // fault_counters
+                    1012, 9, 7, 3, 3, 14, // sim_faults
+                    4026, 227, 0, 206, 79, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    1029, 1, 10, 6, 4, 0, // sim_faults
+                    3994, 258, 0, 241, 100, 0, // cache_stats
+                ],
+            ],
+        ),
+        (
+            PolicyKind::Srt,
+            0.15,
+            [
+                [
+                    2, 1, 8, 0, 5, // confusion
+                    29, 18, 13, 0, 5, 0, // fault_counters
+                    2456, 25, 26, 19, 6, 18, // sim_faults
+                    3521, 322, 0, 261, 98, 0, // cache_stats
+                ],
+                [
+                    2, 4, 6, 1, 3, // confusion
+                    27, 13, 11, 1, 3, 0, // fault_counters
+                    2508, 20, 30, 21, 5, 13, // sim_faults
+                    3520, 305, 0, 250, 86, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    2485, 14, 14, 23, 5, 0, // sim_faults
+                    3564, 259, 0, 224, 64, 0, // cache_stats
+                ],
+            ],
+        ),
+        (
+            PolicyKind::Lru,
+            0.05,
+            [
+                [
+                    4, 1, 11, 0, 0, // confusion
+                    23, 7, 7, 0, 0, 0, // fault_counters
+                    1045, 4, 2, 7, 2, 7, // sim_faults
+                    4063, 183, 0, 174, 55, 0, // cache_stats
+                ],
+                [
+                    4, 3, 9, 0, 0, // confusion
+                    21, 5, 5, 0, 0, 0, // fault_counters
+                    1012, 7, 4, 3, 3, 5, // sim_faults
+                    4006, 239, 0, 223, 87, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    1026, 1, 9, 5, 4, 0, // sim_faults
+                    4048, 204, 0, 188, 65, 0, // cache_stats
+                ],
+            ],
+        ),
+        (
+            PolicyKind::Lru,
+            0.15,
+            [
+                [
+                    0, 0, 9, 2, 5, // confusion
+                    35, 24, 19, 0, 5, 0, // fault_counters
+                    2458, 24, 29, 20, 6, 24, // sim_faults
+                    3543, 305, 0, 241, 78, 0, // cache_stats
+                ],
+                [
+                    2, 4, 4, 1, 5, // confusion
+                    32, 21, 16, 0, 5, 0, // fault_counters
+                    2514, 25, 25, 22, 2, 21, // sim_faults
+                    3524, 306, 0, 254, 82, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    2487, 17, 15, 22, 5, 0, // sim_faults
+                    3557, 266, 0, 226, 66, 0, // cache_stats
+                ],
+            ],
+        ),
+        (
+            PolicyKind::Fdrc,
+            0.05,
+            [
+                [
+                    4, 1, 11, 0, 0, // confusion
+                    22, 6, 6, 0, 0, 0, // fault_counters
+                    1045, 5, 3, 3, 0, 6, // sim_faults
+                    4052, 194, 0, 185, 64, 0, // cache_stats
+                ],
+                [
+                    4, 3, 9, 0, 0, // confusion
+                    19, 3, 3, 0, 0, 0, // fault_counters
+                    1001, 6, 4, 7, 3, 3, // sim_faults
+                    4007, 237, 0, 222, 91, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    1029, 2, 8, 5, 4, 0, // sim_faults
+                    4030, 222, 0, 207, 73, 0, // cache_stats
+                ],
+            ],
+        ),
+        (
+            PolicyKind::Fdrc,
+            0.15,
+            [
+                [
+                    1, 0, 9, 1, 5, // confusion
+                    37, 26, 21, 0, 5, 0, // fault_counters
+                    2459, 27, 28, 21, 6, 26, // sim_faults
+                    3520, 327, 0, 261, 90, 0, // cache_stats
+                ],
+                [
+                    1, 5, 3, 1, 6, // confusion
+                    32, 22, 16, 0, 6, 0, // fault_counters
+                    2507, 31, 24, 19, 4, 22, // sim_faults
+                    3518, 312, 0, 253, 90, 0, // cache_stats
+                ],
+                [
+                    0, 9, 3, 4, 0, // confusion
+                    0, 0, 0, 0, 0, 0, // fault_counters
+                    2482, 17, 16, 22, 5, 0, // sim_faults
+                    3551, 272, 0, 231, 69, 0, // cache_stats
+                ],
+            ],
+        ),
+    ];
+    for (policy, rate, want) in pinned {
+        let mut net = scenario_net_config(&sc);
+        net.policy = policy;
+        net.faults = FaultPlan::uniform(rate);
+        let report = run_trials_robust_policy(
+            &sc,
+            &plan,
+            &kinds,
+            16,
+            0x7E5_F417,
+            &net,
+            ExecPolicy::Serial,
+            &ProbePolicy::default(),
+        );
+        assert_eq!(batch_rows(&report), want, "{policy} at fault rate {rate}");
     }
 }
