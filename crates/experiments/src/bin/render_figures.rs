@@ -21,7 +21,7 @@ fn f(cell: &str) -> f64 {
 
 fn write_svg(opts: &ExpOpts, name: &str, svg: &str) {
     let path = opts.out_file(name);
-    std::fs::write(&path, svg).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    obs::write_atomic(&path, svg).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
 

@@ -263,7 +263,7 @@ impl RunManifest {
             eprintln!("obs: cannot create {}: {e}", opts.out.display());
             return;
         }
-        match std::fs::write(&path, line) {
+        match obs::write_atomic(&path, line) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("obs: cannot write {}: {e}", path.display()),
         }
@@ -301,7 +301,7 @@ pub fn write_stats(opts: &ExpOpts, experiment: &str, stats: &RunStats) {
         stats.wall_secs,
         stats.trials_per_sec(),
     );
-    std::fs::write(&path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    obs::write_atomic(&path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("run stats: {stats}");
 }
 
@@ -318,7 +318,7 @@ pub fn write_csv(path: &std::path::Path, header: &str, rows: &[String]) {
         body.push_str(r);
         body.push('\n');
     }
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    obs::write_atomic(path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
 

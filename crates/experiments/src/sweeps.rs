@@ -244,7 +244,7 @@ pub fn run_fault_sweep(opts: &ExpOpts) -> i32 {
     let path = opts.out_file("fault_sweep.svg");
     // detlint::allow(D4): figure output is best-effort plumbing; an
     // unwritable results dir should abort loudly, as the bins always did.
-    std::fs::write(&path, chart).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    obs::write_atomic(&path, chart).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
     write_trace_outputs("fault_sweep", opts, &outcome.flight);
     finish_sweep(
@@ -474,7 +474,7 @@ pub fn run_defense_tournament(opts: &ExpOpts) -> i32 {
     );
     let path = opts.out_file("defense_tournament.svg");
     // detlint::allow(D4): same best-effort figure write as fault_sweep.
-    std::fs::write(&path, chart).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    obs::write_atomic(&path, chart).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
     write_trace_outputs("defense_tournament", opts, &outcome.flight);
     finish_sweep(
@@ -504,7 +504,7 @@ fn write_trace_outputs(name: &str, opts: &ExpOpts, flight: &obs::FlightRecorder)
         .unwrap_or_else(|e| panic!("writing {}: {e}", fr.display()));
     println!("wrote {}", fr.display());
     let tj = opts.out_file(&format!("{name}.trace.json"));
-    std::fs::write(&tj, flight.to_chrome_trace())
+    obs::write_atomic(&tj, flight.to_chrome_trace())
         // detlint::allow(D4): same loud-exit output plumbing.
         .unwrap_or_else(|e| panic!("writing {}: {e}", tj.display()));
     println!("wrote {}", tj.display());

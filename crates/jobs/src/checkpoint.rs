@@ -280,13 +280,13 @@ fn header_line(meta: &CkptMeta) -> String {
 }
 
 /// Writes a full checkpoint snapshot atomically: the whole file is
-/// built in memory, written to a `.tmp` sibling, then renamed over
-/// `path`. `units` are `(index, result_json, metrics_json)` for every
-/// completed unit, in index order.
+/// built in memory, then written with [`obs::write_atomic`]. `units`
+/// are `(index, result_json, metrics_json)` for every completed unit,
+/// in index order.
 ///
 /// # Errors
 ///
-/// Any I/O error from writing or renaming the temporary file.
+/// Any error from [`obs::write_atomic`].
 pub fn write(
     path: &Path,
     meta: &CkptMeta,
@@ -307,19 +307,7 @@ pub fn write(
         body.push('\n');
     }
     body.push_str(&format!("{{\"complete_units\":{}}}\n", units.len()));
-    let tmp = tmp_path(path);
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// The `.tmp` sibling a flush stages through.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("ckpt"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
+    obs::write_atomic(path, body)
 }
 
 /// Loads and validates a checkpoint.

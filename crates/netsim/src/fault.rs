@@ -14,8 +14,10 @@
 //! probability 0.0 — or disabling the plan entirely — leaves the
 //! fault-free simulation bit-identical to a run without any plan, and
 //! parallel trial execution stays byte-equal to serial execution. Each
-//! injected fault is recorded as a [`TraceEvent`](crate::TraceEvent)
-//! variant so experiments can audit exactly what was injected.
+//! injected fault is counted in [`FaultStats`](crate::FaultStats) under
+//! its [`FaultKind`] and, when it strikes a probe, flight-recorded as a
+//! `fault` record on that probe's chain, so experiments can audit
+//! exactly what was injected.
 
 use crate::latency::Gaussian;
 use serde::{Deserialize, Serialize};
@@ -67,6 +69,48 @@ pub struct FaultPlan {
     pub table_full_reject: f64,
     /// Burst jitter episodes layered on the latency model, if any.
     pub jitter: Option<JitterBursts>,
+}
+
+/// The classes of injected fault, one per [`FaultStats`] counter — the
+/// single fault taxonomy: [`FaultStats::count`] bumps the counter a
+/// kind names, and the simulator flight-records the kind's
+/// [`label`](FaultKind::label) on the affected probe's chain, so the
+/// counters and the recorded events cannot disagree.
+///
+/// [`FaultStats`]: crate::FaultStats
+/// [`FaultStats::count`]: crate::FaultStats::count
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FaultKind {
+    /// Data-plane packet lost on a link.
+    PacketsDropped,
+    /// Table-miss packet-in that never reached the controller.
+    PacketInsLost,
+    /// Flow-mod lost on the control channel.
+    FlowModsLost,
+    /// Flow-mod delayed on the control channel.
+    FlowModsDelayed,
+    /// Flow-mod rejected by a full table.
+    FlowModsRejected,
+    /// Probe reply that never arrived within the timeout.
+    ProbeTimeouts,
+}
+
+impl FaultKind {
+    /// The canonical label: the matching [`FaultStats`] field name and
+    /// the suffix of the `netsim.fault.*` metric.
+    ///
+    /// [`FaultStats`]: crate::FaultStats
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::PacketsDropped => "packets_dropped",
+            FaultKind::PacketInsLost => "packet_ins_lost",
+            FaultKind::FlowModsLost => "flow_mods_lost",
+            FaultKind::FlowModsDelayed => "flow_mods_delayed",
+            FaultKind::FlowModsRejected => "flow_mods_rejected",
+            FaultKind::ProbeTimeouts => "probe_timeouts",
+        }
+    }
 }
 
 impl FaultPlan {
@@ -162,6 +206,39 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(p.is_noop());
+    }
+
+    /// Counting each kind once yields exactly one increment, in the
+    /// [`FaultStats`](crate::FaultStats) counter named by its label.
+    #[test]
+    fn fault_kind_matches_fault_stats_counters() {
+        use crate::FaultStats;
+
+        let counters = |s: &FaultStats| {
+            [
+                ("packets_dropped", s.packets_dropped),
+                ("packet_ins_lost", s.packet_ins_lost),
+                ("flow_mods_lost", s.flow_mods_lost),
+                ("flow_mods_delayed", s.flow_mods_delayed),
+                ("flow_mods_rejected", s.flow_mods_rejected),
+                ("probe_timeouts", s.probe_timeouts),
+            ]
+        };
+        for kind in [
+            FaultKind::PacketsDropped,
+            FaultKind::PacketInsLost,
+            FaultKind::FlowModsLost,
+            FaultKind::FlowModsDelayed,
+            FaultKind::FlowModsRejected,
+            FaultKind::ProbeTimeouts,
+        ] {
+            let mut stats = FaultStats::default();
+            stats.count(kind);
+            for (label, value) in counters(&stats) {
+                let expected = u64::from(label == kind.label());
+                assert_eq!(value, expected, "{kind:?} -> {label}");
+            }
+        }
     }
 
     #[test]

@@ -55,16 +55,14 @@ mod sim;
 pub mod slab;
 mod switch;
 mod topology;
-pub mod trace;
 pub mod wheel;
 
 pub use config::{ConfigError, Defense, DelayPadding, NetConfig, WindowPadding};
-pub use fault::{FaultPlan, JitterBursts};
+pub use fault::{FaultKind, FaultPlan, JitterBursts};
 pub use latency::{Gaussian, LatencyModel, ShiftedLogNormal};
 pub use queue::EventQueue;
 pub use sim::{FaultStats, ProbeObservation, Simulation, SwitchStats};
 pub use slab::{CoverIndex, FlowEntry, FlowStore, Slab};
 pub use switch::SwitchMode;
 pub use topology::{NodeId, Topology, TopologyError};
-pub use trace::{FaultKind, Trace, TraceEvent};
 pub use wheel::{TimerId, TimerWheel};

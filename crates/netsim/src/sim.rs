@@ -1,12 +1,11 @@
 //! The discrete-event simulation loop.
 
 use crate::config::{ConfigError, NetConfig};
-use crate::fault::{FaultPlan, JitterBursts};
+use crate::fault::{FaultKind, FaultPlan, JitterBursts};
 use crate::queue::EventQueue;
 use crate::slab::CoverIndex;
 use crate::switch::{Lookup, Switch, SwitchMode};
 use crate::topology::NodeId;
-use crate::trace::{FaultKind, Trace, TraceEvent};
 use crate::{Gaussian, LatencyModel, ShiftedLogNormal};
 use flowspace::{FlowId, RuleId, RuleSet};
 use obs::trace::{CompKind, TraceEv};
@@ -43,10 +42,8 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Tallies one injected fault of `kind` — the counter side of the
-    /// single-source classification in [`TraceEvent::fault_kind`].
-    /// [`FaultKind::Jitter`] is an episode boundary, not a discrete
-    /// injection, and has no counter (see [`FaultKind`]).
+    /// Tallies one injected fault of `kind` in the counter its
+    /// [`label`](FaultKind::label) names.
     pub fn count(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::PacketsDropped => self.packets_dropped += 1,
@@ -55,7 +52,6 @@ impl FaultStats {
             FaultKind::FlowModsDelayed => self.flow_mods_delayed += 1,
             FaultKind::FlowModsRejected => self.flow_mods_rejected += 1,
             FaultKind::ProbeTimeouts => self.probe_timeouts += 1,
-            FaultKind::Jitter => {}
         }
     }
 
@@ -126,7 +122,7 @@ enum EventKind {
     ControllerReply { hop: usize, rule: RuleId },
     /// The packet reached the server host; the echo reply is generated.
     AtServer { packet: Packet },
-    /// The echo reply reaches its original sender.
+    /// A probe's echo reply reaches the attacker.
     ReplyArrives { packet: Packet },
 }
 
@@ -197,8 +193,6 @@ pub struct Simulation {
     history: Vec<(FlowId, f64)>,
     /// Completed probe observations by token.
     probe_results: Vec<Option<ProbeObservation>>,
-    /// Optional packet-level event recording.
-    trace: Option<Trace>,
     /// Dedicated RNG stream for fault draws (see [`FAULT_STREAM_SALT`]).
     fault_rng: StdRng,
     /// Burst-jitter episode state, if the fault plan enables jitter.
@@ -274,7 +268,6 @@ impl Simulation {
             queue: EventQueue::new(),
             history: Vec::new(),
             probe_results: Vec::new(),
-            trace: None,
             fault_rng,
             jitter,
             fault_stats: FaultStats::default(),
@@ -294,24 +287,6 @@ impl Simulation {
         let config = config.borrow();
         config.validate()?;
         Ok(Simulation::new(config, seed))
-    }
-
-    /// Enables packet-level tracing, keeping at most `capacity` events
-    /// (see [`Trace`]). Replaces any previous trace.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(event);
-        }
     }
 
     /// Current simulation time, seconds.
@@ -493,8 +468,9 @@ impl Simulation {
     /// simulation until its reply returns or `timeout` seconds elapse.
     ///
     /// On timeout the clock is advanced to the deadline (the attacker
-    /// waited that long), a [`TraceEvent::ProbeTimeout`] is recorded, and
-    /// `None` is returned — the explicit representation of a lost probe.
+    /// waited that long), a [`FaultKind::ProbeTimeouts`] fault is counted
+    /// and flight-recorded, and `None` is returned — the explicit
+    /// representation of a lost probe.
     /// An infinite `timeout` reproduces [`Simulation::probe`] except that
     /// an unanswerable probe yields `None` instead of panicking.
     ///
@@ -537,10 +513,6 @@ impl Simulation {
                 if deadline.is_finite() {
                     self.now = self.now.max(deadline);
                     self.fault_event(FaultKind::ProbeTimeouts, None, Some(token), deadline);
-                    self.record(TraceEvent::ProbeTimeout {
-                        flow,
-                        time: deadline,
-                    });
                 }
                 return None;
             }
@@ -589,7 +561,7 @@ impl Simulation {
     }
 
     /// Flight-records an injected fault on a probe's chain and tallies
-    /// it — trace label and counter both derive from the same
+    /// it — record label and counter both derive from the same
     /// [`FaultKind`], so they cannot diverge.
     fn fault_event(&mut self, kind: FaultKind, node: Option<NodeId>, probe: Option<u64>, at: f64) {
         self.fault_stats.count(kind);
@@ -626,10 +598,8 @@ impl Simulation {
         let Some(j) = self.jitter.as_mut() else {
             return 0.0;
         };
-        let mut toggles = Vec::new();
         while j.next_toggle <= now {
             j.active = !j.active;
-            toggles.push((j.active, j.next_toggle));
             let mean = if j.active {
                 j.bursts.burst_secs
             } else {
@@ -637,15 +607,11 @@ impl Simulation {
             };
             j.next_toggle += exponential(mean, &mut self.fault_rng);
         }
-        let extra = if j.active {
+        if j.active {
             j.bursts.extra.sample(&mut self.fault_rng)
         } else {
             0.0
-        };
-        for (active, time) in toggles {
-            self.record(TraceEvent::JitterToggle { active, time });
         }
-        extra
     }
 
     /// Draws the per-link packet-loss fault for a hop towards `to` at
@@ -656,12 +622,6 @@ impl Simulation {
             return false;
         }
         self.fault_event(FaultKind::PacketsDropped, Some(to), packet.probe, at);
-        self.record(TraceEvent::PacketDropped {
-            node: Some(to),
-            flow: packet.flow,
-            probe: packet.probe.is_some(),
-            time: at,
-        });
         true
     }
 
@@ -700,12 +660,6 @@ impl Simulation {
                 if hop == 0 && packet.probe.is_none() {
                     self.history.push((packet.flow, packet.injected_at));
                 }
-                self.record(TraceEvent::Arrival {
-                    node,
-                    flow: packet.flow,
-                    probe: packet.probe.is_some(),
-                    time,
-                });
                 let lookup = self.switches[hop].lookup(packet.flow, time);
                 match lookup {
                     Lookup::Hit { pad, rule } => {
@@ -713,29 +667,20 @@ impl Simulation {
                         // a reactive table matched, or at a proactive
                         // switch the highest-priority cover (none for an
                         // uncovered flow, which emits no Hit). Only
-                        // derived when a sink will record it.
-                        let traced = self.trace.is_some()
-                            || (packet.probe.is_some() && self.flight.is_enabled());
-                        let matched = if traced {
-                            rule.or_else(|| self.rules.highest_covering(packet.flow))
-                        } else {
-                            None
-                        };
-                        if let Some(matched) = matched {
-                            self.record(TraceEvent::Hit {
-                                node,
-                                flow: packet.flow,
-                                rule: matched,
-                                time,
-                            });
-                            self.femit(
-                                time,
-                                packet.probe,
-                                TraceEv::Hit {
-                                    node: node.0 as u64,
-                                    rule: matched.0 as u64,
-                                },
-                            );
+                        // derived when the flight recorder will record it.
+                        if packet.probe.is_some() && self.flight.is_enabled() {
+                            if let Some(matched) =
+                                rule.or_else(|| self.rules.highest_covering(packet.flow))
+                            {
+                                self.femit(
+                                    time,
+                                    packet.probe,
+                                    TraceEv::Hit {
+                                        node: node.0 as u64,
+                                        rule: matched.0 as u64,
+                                    },
+                                );
+                            }
                         }
                         self.femit_comp(time, packet.probe, CompKind::Pad, pad);
                         self.forward(hop, packet, time, pad);
@@ -745,12 +690,6 @@ impl Simulation {
                         // in flight, so this miss sends the packet-in.
                         let slot = self.parked_slot(hop, rule);
                         let fresh = self.parked[slot].is_empty();
-                        self.record(TraceEvent::Miss {
-                            node,
-                            flow: packet.flow,
-                            rule,
-                            time,
-                        });
                         self.femit(
                             time,
                             packet.probe,
@@ -772,7 +711,6 @@ impl Simulation {
                                     packet.probe,
                                     time,
                                 );
-                                self.record(TraceEvent::PacketInLost { node, rule, time });
                                 return;
                             }
                             self.femit(
@@ -800,12 +738,6 @@ impl Simulation {
                                     time,
                                 );
                                 self.femit_comp(time, packet.probe, CompKind::Install, extra);
-                                self.record(TraceEvent::FlowModDelayed {
-                                    node,
-                                    rule,
-                                    extra,
-                                    time,
-                                });
                                 setup += extra;
                             }
                             self.push(time + setup, EventKind::ControllerReply { hop, rule });
@@ -816,11 +748,6 @@ impl Simulation {
                         // Every such packet detours via the controller
                         // (the pre-installed send-to-controller rule);
                         // nothing is installed.
-                        self.record(TraceEvent::Uncovered {
-                            node,
-                            flow: packet.flow,
-                            time,
-                        });
                         self.femit(
                             time,
                             packet.probe,
@@ -845,7 +772,6 @@ impl Simulation {
                     // rule is cached and the packets buffered behind the
                     // query are dropped with it.
                     self.fault_event(FaultKind::FlowModsLost, Some(node), initiator, time);
-                    self.record(TraceEvent::FlowModLost { node, rule, time });
                     self.parked[slot].clear();
                     return;
                 }
@@ -858,15 +784,8 @@ impl Simulation {
                     // packets are still forwarded — the probe correctly
                     // observes a slow miss, but nothing is cached.
                     self.fault_event(FaultKind::FlowModsRejected, Some(node), initiator, time);
-                    self.record(TraceEvent::FlowModRejected { node, rule, time });
                 } else {
                     let evicted = self.switches[hop].install(rule, time, &self.rules, self.delta);
-                    self.record(TraceEvent::Install {
-                        node,
-                        rule,
-                        evicted,
-                        time,
-                    });
                     self.femit(
                         time,
                         initiator,
@@ -898,12 +817,6 @@ impl Simulation {
                 // is drawn once for the whole reply path.
                 if self.fault_fires(self.faults.packet_loss) {
                     self.fault_event(FaultKind::PacketsDropped, None, packet.probe, time);
-                    self.record(TraceEvent::PacketDropped {
-                        node: None,
-                        flow: packet.flow,
-                        probe: packet.probe.is_some(),
-                        time,
-                    });
                     return;
                 }
                 let segments = self.path.len() + 1; // server link + hops + host link
@@ -918,16 +831,15 @@ impl Simulation {
                 }
                 self.femit_comp(time, packet.probe, CompKind::Hop, base_sum);
                 self.femit_comp(time, packet.probe, CompKind::Jitter, extra_sum);
-                self.push(time + delay, EventKind::ReplyArrives { packet });
+                // A genuine packet's reply is drawn above, keeping every
+                // later draw in place, but not scheduled: nothing reads
+                // its arrival.
+                if packet.probe.is_some() {
+                    self.push(time + delay, EventKind::ReplyArrives { packet });
+                }
             }
             EventKind::ReplyArrives { packet } => {
                 let rtt = time - packet.injected_at;
-                self.record(TraceEvent::Delivered {
-                    flow: packet.flow,
-                    probe: packet.probe.is_some(),
-                    rtt,
-                    time,
-                });
                 self.femit(time, packet.probe, TraceEv::Delivered { rtt });
                 if let Some(token) = packet.probe {
                     let hit = rtt < LatencyModel::threshold();
@@ -1229,47 +1141,34 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_miss_install_hit_sequence() {
-        use crate::trace::TraceEvent;
+    fn flight_records_miss_install_hit_sequence() {
         let cfg = NetConfig::eval_topology(rules(), 2, 0.02);
         let mut s = Simulation::new(&cfg, 20);
-        s.enable_trace(100);
+        s.attach_flight(FlightRecorder::enabled(), obs::trace::probe_ctx(0, 0, 0));
         let _ = s.probe(FlowId(0)); // miss + install
         let _ = s.probe(FlowId(0)); // hit
-        let trace = s.trace().expect("enabled");
+        let flight = s.take_flight();
         // Events at the *ingress* switch tell the side-channel story:
-        // miss + install on the first probe, hit on the second. Transit
-        // switches contribute their own (proactive) arrive/hit events.
-        let ingress = cfg.ingress;
-        let at_ingress: Vec<&str> = trace
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::Miss { node, .. } if node == ingress => Some("miss"),
-                TraceEvent::Install { node, .. } if node == ingress => Some("install"),
-                TraceEvent::Hit { node, .. } if node == ingress => Some("hit"),
+        // miss + install on probe 0, hit on probe 1. Transit switches
+        // contribute their own (proactive) hits.
+        let ingress = cfg.ingress.0 as u64;
+        let at_ingress: Vec<(Option<u64>, &str)> = flight
+            .records()
+            .filter_map(|(_, r)| match r.ev {
+                TraceEv::Miss { node, .. } if node == ingress => Some((r.probe, "miss")),
+                TraceEv::Install { node, .. } if node == ingress => Some((r.probe, "install")),
+                TraceEv::Hit { node, .. } if node == ingress => Some((r.probe, "hit")),
                 _ => None,
             })
             .collect();
-        assert_eq!(at_ingress, vec!["miss", "install", "hit"]);
-        let delivered = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Delivered { .. }))
-            .count();
-        assert_eq!(delivered, 2);
+        assert_eq!(
+            at_ingress,
+            vec![(Some(0), "miss"), (Some(0), "install"), (Some(1), "hit")]
+        );
+        assert_eq!(flight.delivered_probes().len(), 2);
         // Timestamps are monotone.
-        let times: Vec<f64> = trace.events().iter().map(TraceEvent::time).collect();
+        let times: Vec<f64> = flight.records().map(|(_, r)| r.time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        // The rendered log names the attacked switch.
-        assert!(trace.render().contains("s2 MISS f0"), "{}", trace.render());
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let mut s = sim(21);
-        let _ = s.probe(FlowId(0));
-        assert!(s.trace().is_none());
     }
 
     #[test]
@@ -1377,18 +1276,19 @@ mod tests {
         let mut cfg = NetConfig::eval_topology(rules(), 2, 0.02);
         cfg.faults.packet_loss = 1.0;
         let mut s = Simulation::new(cfg, 30);
-        s.enable_trace(100);
+        s.attach_flight(FlightRecorder::enabled(), obs::trace::probe_ctx(0, 0, 0));
         let res = s.probe_with_timeout(FlowId(0), 0.05);
         assert_eq!(res, None);
         assert_eq!(s.now(), 0.05, "clock advances to the deadline");
         assert_eq!(s.fault_stats().probe_timeouts, 1);
         assert!(s.fault_stats().packets_dropped >= 1);
-        assert!(s
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::ProbeTimeout { .. })));
+        assert!(s.take_flight().records().any(|(_, r)| matches!(
+            r.ev,
+            TraceEv::Fault {
+                kind: "probe_timeouts",
+                ..
+            }
+        )));
     }
 
     #[test]

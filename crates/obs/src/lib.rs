@@ -25,6 +25,9 @@
 //!   a [`ProbeId`], decomposable into RTT components
 //!   ([`trace::Breakdown`]), dumpable on a crash and exportable as
 //!   Chrome trace-event / Perfetto JSON. See DESIGN.md §11.
+//! * [`write_atomic`] — the one write path for result files (CSVs,
+//!   SVGs, manifests, flight dumps, checkpoints): a killed run leaves
+//!   the previous file or the new one, never a torn one.
 //!
 //! The crate is dependency-free (std only): the deterministic crates
 //! below it must not grow hidden entropy or allocation pressure from
@@ -47,3 +50,53 @@ pub use manifest::ManifestEntry;
 pub use recorder::{Counter, Recorder};
 pub use span::Span;
 pub use trace::{probe_ctx, Breakdown, CompKind, FlightRecorder, ProbeId, TraceEv};
+
+use std::io;
+use std::path::Path;
+
+/// Writes `bytes` to `path` through a `.tmp` sibling and a rename, so a
+/// process killed mid-write leaves the previous file or the new one,
+/// never a torn one. It does not sync, so it promises nothing across a
+/// power loss.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] when `path` names no file, and any
+/// I/O error from writing or renaming the temporary file.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Result<()> {
+    let path = path.as_ref();
+    let Some(name) = path.file_name() else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        ));
+    };
+    let mut tmp = name.to_os_string();
+    tmp.push(".tmp");
+    let tmp = path.with_file_name(tmp);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_atomic_overwrites_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("obs-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.csv");
+        write_atomic(&path, "old,row\n").unwrap();
+        write_atomic(&path, "new,row\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new,row\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.csv"], "no .tmp sibling is left");
+        let err = write_atomic(dir.join(".."), "x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -31,7 +31,7 @@
 use crate::manifest::{fmt_f64, json_escape};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Default retained-event capacity of an enabled recorder.
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -685,17 +685,14 @@ impl FlightRecorder {
         out
     }
 
-    /// Writes the dump to `path` through a `.tmp` sibling and an atomic
-    /// rename — a kill mid-dump leaves the previous file or none, never
-    /// a torn one (the checkpoint discipline).
+    /// Writes the dump to `path` with [`write_atomic`](crate::write_atomic):
+    /// a kill mid-dump leaves the previous file or none, never a torn one.
     ///
     /// # Errors
     ///
-    /// Any I/O error from writing or renaming the temporary file.
+    /// Any error from [`write_atomic`](crate::write_atomic).
     pub fn dump_jsonl(&self, path: &Path, source: &str) -> std::io::Result<()> {
-        let tmp = tmp_sibling(path);
-        std::fs::write(&tmp, self.dump_string(source))?;
-        std::fs::rename(&tmp, path)
+        crate::write_atomic(path, self.dump_string(source))
     }
 
     /// Renders the retained records as Chrome trace-event JSON (the
@@ -758,16 +755,6 @@ impl FlightRecorder {
         out.push_str("]}");
         out
     }
-}
-
-/// The `.tmp` sibling an atomic dump stages through.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("flightrec"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -917,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_jsonl_is_atomic_and_parseable_shape() {
+    fn dump_jsonl_writes_the_dump_string() {
         let dir = std::env::temp_dir().join("obs-trace-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("x.flightrec.jsonl");
@@ -927,7 +914,7 @@ mod tests {
         f.dump_jsonl(&path, "x").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("{\"version\":"));
-        assert!(!tmp_sibling(&path).exists());
+        assert_eq!(text, f.dump_string("x"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -312,7 +312,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 }
             }
             if let Some(svg_path) = args.get("svg") {
-                std::fs::write(svg_path, diagnose_svg(&hists))
+                obs::write_atomic(svg_path, diagnose_svg(&hists))
                     .map_err(|e| format!("writing {svg_path}: {e}"))?;
                 let _ = writeln!(out, "wrote {svg_path}");
             }
@@ -332,7 +332,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             render_flight_timeline(&mut out, &recs);
             render_flight_slowest(&mut out, &recs, top);
             if let Some(svg_path) = args.get("svg") {
-                std::fs::write(svg_path, flight_svg(&recs))
+                obs::write_atomic(svg_path, flight_svg(&recs))
                     .map_err(|e| format!("writing {svg_path}: {e}"))?;
                 let _ = writeln!(out, "wrote {svg_path}");
             }

@@ -13,6 +13,7 @@ use flow_recon::flowspace::transform::{covers_preserved, merge_candidates, merge
 use flow_recon::model::leakage::measure_leakage;
 use flow_recon::model::useq::Evaluator;
 use flow_recon::netsim::Simulation;
+use flow_recon::obs::{probe_ctx, FlightRecorder};
 use flow_recon::traffic::{NetworkScenario, ScenarioSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,14 +164,23 @@ fn tracing_works_through_the_full_stack() {
     let sc = scenario(40);
     let net = flow_recon::attack::scenario_net_config(&sc);
     let mut sim = Simulation::new(net, 5);
-    sim.enable_trace(10_000);
+    sim.attach_flight(FlightRecorder::enabled(), probe_ctx(0, 0, 0));
     let flow = sc.target;
     sim.schedule_flow(flow, 0.1);
     sim.run_until(1.0);
-    let _ = sim.probe(flow);
-    let trace = sim.trace().unwrap();
-    assert!(!trace.is_empty());
-    assert!(trace.of_flow(flow).count() >= 2);
-    // Rendered output is line-per-event.
-    assert_eq!(trace.render().lines().count(), trace.len());
+    let observed = sim.probe(flow);
+    let flight = sim.take_flight();
+    let delivered = flight.delivered_probes();
+    assert_eq!(delivered.len(), 1);
+    let b = flight
+        .explain(delivered[0])
+        .expect("delivered probe has events");
+    assert_eq!(b.rtt, Some(observed.rtt));
+    // The dump is a header line, then one line per record.
+    let dump = flight.dump_string("full_stack");
+    let mut lines = dump.lines();
+    assert!(lines
+        .next()
+        .is_some_and(|h| h.contains("\"kind\":\"flightrec\"")));
+    assert_eq!(lines.count(), flight.len());
 }

@@ -9,11 +9,14 @@
 
 use attack::sweep::{sweep_policy, SweepParameter};
 use attack::{
-    plan_attack, run_trials_policy, run_trials_robust_policy, run_trials_with_policy,
-    scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialReport,
+    plan_attack, run_trials_policy, run_trials_robust_policy, run_trials_traced,
+    run_trials_with_policy, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy,
+    TrialReport,
 };
 use ftcache::PolicyKind;
 use netsim::{FaultPlan, NetConfig};
+use obs::manifest::fnv1a;
+use obs::{FlightRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
@@ -241,17 +244,9 @@ fn batch_rows(report: &TrialReport) -> Vec<BatchRow> {
         .collect()
 }
 
-#[test]
-fn tournament_fault_batches_pinned() {
-    // The defense tournament's regime, capacity halved and λ doubled
-    // (29–41% of installs evict here), under uniform faults: packets
-    // park behind controller queries that are lost, rejected or
-    // answered, and probes time out and retry — paths the fault-free
-    // batches above never take. The pins come from the simulator that
-    // tracked in-flight queries in a per-switch set and parked packets
-    // in an ordered map, with a timing-wheel event queue, so they also
-    // pin that the flat parked-packet table and the run-plus-heap queue
-    // change no result.
+/// The defense tournament's regime, capacity halved and λ doubled
+/// (29–41% of installs evict here).
+fn tournament_scenario() -> NetworkScenario {
     let base = ScenarioSampler::default();
     let sampler = ScenarioSampler {
         capacity: base.capacity / 2,
@@ -259,13 +254,28 @@ fn tournament_fault_batches_pinned() {
         ..base
     };
     let mut rng = StdRng::seed_from_u64(0x7E5);
-    let sc = sampler.sample_forced((0.2, 0.8), &mut rng);
+    sampler.sample_forced((0.2, 0.8), &mut rng)
+}
+
+const TOURNAMENT_KINDS: [AttackerKind; 3] = [
+    AttackerKind::Naive,
+    AttackerKind::Model,
+    AttackerKind::Random,
+];
+
+#[test]
+fn tournament_fault_batches_pinned() {
+    // The tournament regime under uniform faults: packets park behind
+    // controller queries that are lost, rejected or answered, and
+    // probes time out and retry — paths the fault-free batches above
+    // never take. The pins come from the simulator that tracked
+    // in-flight queries in a per-switch set and parked packets in an
+    // ordered map, with a timing-wheel event queue, so they also pin
+    // that the flat parked-packet table and the run-plus-heap queue
+    // change no result.
+    let sc = tournament_scenario();
     let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
-    let kinds = [
-        AttackerKind::Naive,
-        AttackerKind::Model,
-        AttackerKind::Random,
-    ];
+    let kinds = TOURNAMENT_KINDS;
     let pinned: [(PolicyKind, f64, [BatchRow; 3]); 6] = [
         (
             PolicyKind::Srt,
@@ -428,4 +438,58 @@ fn tournament_fault_batches_pinned() {
         );
         assert_eq!(batch_rows(&report), want, "{policy} at fault rate {rate}");
     }
+}
+
+#[test]
+fn tournament_flight_contents_pinned() {
+    // One traced batch of the tournament regime at a 15% fault rate:
+    // every probe's chain through parked packets, lost and rejected
+    // flow-mods, timeouts and retries. The pins come from the simulator
+    // that stamped each event into a second, packet-level text trace
+    // beside the flight recorder, so they pin that the flight recorder,
+    // now the only event sink, still records the same events in the
+    // same order.
+    let sc = tournament_scenario();
+    let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
+    let mut net = scenario_net_config(&sc);
+    net.policy = PolicyKind::Srt;
+    net.faults = FaultPlan::uniform(0.15);
+    let mut flight = FlightRecorder::enabled();
+    let _ = run_trials_traced(
+        &sc,
+        &plan,
+        &TOURNAMENT_KINDS,
+        16,
+        0x7E5_F417,
+        &net,
+        ExecPolicy::Serial,
+        Some(&ProbePolicy::default()),
+        &mut Recorder::disabled(),
+        0,
+        &mut flight,
+    );
+    assert_eq!((flight.len(), flight.dropped()), (620, 0));
+    let counts: Vec<(&str, u64)> = flight.counts_by_kind().into_iter().collect();
+    assert_eq!(
+        counts,
+        [
+            ("classified", 24),
+            ("component", 216),
+            ("delivered", 25),
+            ("fault", 62),
+            ("hit", 123),
+            ("inject", 56),
+            ("install", 3),
+            ("miss", 3),
+            ("outlier", 1),
+            ("packet_in", 3),
+            ("retry", 24),
+            ("span", 32),
+            ("verdict", 48),
+        ]
+    );
+    assert_eq!(
+        fnv1a(flight.dump_string("pin").as_bytes()),
+        0x195b_4197_8e3d_6cb1
+    );
 }
