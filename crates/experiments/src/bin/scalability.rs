@@ -94,8 +94,10 @@ fn main() {
         &rows,
     );
 
-    // Fat-tree sweep: the attack on a datacenter fabric. The wheel-based
-    // scheduler makes the 1280-switch (k=32) run tractable.
+    // Fat-tree sweep: the attack on a datacenter fabric. The fabric's size
+    // barely moves the cost: building it is O(links), its ingress→server
+    // route one BFS (run by `NetConfig::fat_tree`), and each simulation
+    // keeps state only for the switches on that path.
     let ks: &[usize] = if opts.fast { &[4] } else { &[4, 8, 16, 32] };
     let kinds = [
         AttackerKind::Naive,

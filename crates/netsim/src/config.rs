@@ -208,6 +208,7 @@ impl NetConfig {
             faults: FaultPlan::default(),
             policy: PolicyKind::default(),
         }
+        .with_route()
     }
 
     /// A datacenter-scale variant on a `k`-ary fat tree
@@ -235,6 +236,7 @@ impl NetConfig {
             faults: FaultPlan::default(),
             policy: PolicyKind::default(),
         }
+        .with_route()
     }
 
     /// A minimal single-switch variant, handy for tests and examples.
@@ -254,6 +256,17 @@ impl NetConfig {
             faults: FaultPlan::default(),
             policy: PolicyKind::default(),
         }
+        .with_route()
+    }
+
+    /// Resolves the ingress→server route once, with the call
+    /// [`Simulation::new`](crate::Simulation::new) makes, so the routing
+    /// work is part of building the configuration and every clone
+    /// carries the computed route. A disconnected pair is left for
+    /// [`NetConfig::validate`] to report.
+    fn with_route(self) -> Self {
+        let _ = self.topology.path(self.ingress, self.server);
+        self
     }
 
     /// Sets the cache policy from its CLI/config name — the boundary

@@ -216,7 +216,9 @@ impl Simulation {
     /// `config` may be borrowed: the simulation copies out what its
     /// event loop reads and keeps switch state only for the
     /// ingress→server path, so building one costs O(path length)
-    /// whatever the size of the topology.
+    /// whatever the size of the topology, once the topology has routed
+    /// toward the server (the `NetConfig` constructors do so; otherwise
+    /// the first simulation runs that one BFS).
     ///
     /// # Panics
     ///

@@ -1,8 +1,14 @@
 //! Switch-level network topologies with shortest-path routing.
+//!
+//! Routes are computed one destination at a time: the first route asked
+//! for toward `dst` runs one BFS from `dst` over the adjacency lists and
+//! keeps the resulting next-hop column, so a topology costs O(n + links)
+//! plus n entries per destination routed.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a switch in a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -21,6 +27,8 @@ pub enum TopologyError {
     BadLink(usize, usize),
     /// No path exists between the two nodes.
     Disconnected(NodeId, NodeId),
+    /// A route named a node outside the topology.
+    UnknownNode(NodeId),
 }
 
 impl fmt::Display for TopologyError {
@@ -28,6 +36,7 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::BadLink(a, b) => write!(f, "link ({a}, {b}) references unknown node"),
             TopologyError::Disconnected(a, b) => write!(f, "no path between {a} and {b}"),
+            TopologyError::UnknownNode(v) => write!(f, "unknown node {v}"),
         }
     }
 }
@@ -47,14 +56,63 @@ fn fnv1a(words: [u64; 3]) -> u64 {
     h
 }
 
-/// An undirected switch graph with precomputed shortest-path next hops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// How a node picks its next hop among the neighbours one hop closer to
+/// the destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum Routing {
+    /// The neighbour that discovered the node in a BFS from the
+    /// destination (adjacency order breaks ties).
+    BfsParent,
+    /// Per-pair deterministic ECMP: the neighbour `w` minimising
+    /// `(fnv1a([src, dst, w]), w)`.
+    Ecmp,
+}
+
+/// An undirected switch graph with shortest-path routing, computed per
+/// destination on first use.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(from = "TopologyRepr", into = "TopologyRepr")]
 pub struct Topology {
     n: usize,
     adj: Vec<Vec<usize>>,
-    /// `next_hop[src][dst]` = next node from `src` toward `dst`
-    /// (`usize::MAX` if unreachable, `src` if `src == dst`).
-    next_hop: Vec<Vec<usize>>,
+    routing: Routing,
+    /// `toward[dst][src]` = next node from `src` toward `dst`
+    /// (`usize::MAX` if unreachable, `dst` at `dst`), filled by one BFS
+    /// the first time a route toward `dst` is asked for.
+    toward: Vec<OnceLock<Vec<usize>>>,
+}
+
+/// The serialized form of a [`Topology`]: the graph and its routing rule,
+/// without the route cache.
+#[derive(Serialize, Deserialize)]
+struct TopologyRepr {
+    n: usize,
+    adj: Vec<Vec<usize>>,
+    routing: Routing,
+}
+
+impl From<TopologyRepr> for Topology {
+    fn from(r: TopologyRepr) -> Self {
+        Topology::with_routing(r.n, r.adj, r.routing)
+    }
+}
+
+impl From<Topology> for TopologyRepr {
+    fn from(t: Topology) -> Self {
+        TopologyRepr {
+            n: t.n,
+            adj: t.adj,
+            routing: t.routing,
+        }
+    }
+}
+
+/// Equal graphs with equal routing rules route identically, whichever
+/// routes either has computed so far.
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, &self.adj, self.routing) == (other.n, &other.adj, other.routing)
+    }
 }
 
 impl Topology {
@@ -69,13 +127,13 @@ impl Topology {
                 return Err(TopologyError::BadLink(a, b));
             }
         }
-        Ok(Self::from_valid_links(n, links))
+        Ok(Self::from_valid_links(n, links, Routing::BfsParent))
     }
 
     /// Builds from links already known to be in range and loop-free —
     /// the named constructors wire their graphs by construction, so
     /// they skip [`Topology::new`]'s validation (and its error path).
-    fn from_valid_links(n: usize, links: &[(usize, usize)]) -> Self {
+    fn from_valid_links(n: usize, links: &[(usize, usize)], routing: Routing) -> Self {
         let mut adj = vec![Vec::new(); n];
         for &(a, b) in links {
             debug_assert!(a < n && b < n && a != b, "link ({a}, {b}) invalid");
@@ -84,31 +142,23 @@ impl Topology {
                 adj[b].push(a);
             }
         }
-        // BFS from every destination to fill next hops.
-        let mut next_hop = vec![vec![usize::MAX; n]; n];
-        for dst in 0..n {
-            let mut dist = vec![usize::MAX; n];
-            dist[dst] = 0;
-            next_hop[dst][dst] = dst;
-            let mut q = VecDeque::from([dst]);
-            while let Some(v) = q.pop_front() {
-                for &w in &adj[v] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
-                        // First hop from w toward dst is v.
-                        next_hop[w][dst] = v;
-                        q.push_back(w);
-                    }
-                }
-            }
+        Topology::with_routing(n, adj, routing)
+    }
+
+    /// A topology over `adj` with no route computed yet.
+    fn with_routing(n: usize, adj: Vec<Vec<usize>>, routing: Routing) -> Self {
+        Topology {
+            n,
+            adj,
+            routing,
+            toward: (0..n).map(|_| OnceLock::new()).collect(),
         }
-        Topology { n, adj, next_hop }
     }
 
     /// A single-switch topology.
     #[must_use]
     pub fn single_switch() -> Self {
-        Topology::from_valid_links(1, &[])
+        Topology::from_valid_links(1, &[], Routing::BfsParent)
     }
 
     /// A linear chain of `n` switches.
@@ -120,7 +170,7 @@ impl Topology {
     pub fn linear(n: usize) -> Self {
         assert!(n > 0, "need at least one switch");
         let links: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-        Topology::from_valid_links(n, &links)
+        Topology::from_valid_links(n, &links, Routing::BfsParent)
     }
 
     /// A 16-switch topology modeled on Stanford University's backbone
@@ -141,15 +191,16 @@ impl Topology {
             links.push((0, z));
             links.push((1, z));
         }
-        Topology::from_valid_links(16, &links)
+        Topology::from_valid_links(16, &links, Routing::BfsParent)
     }
 
     /// A k-ary fat-tree (Al-Fares et al.): `(k/2)²` core switches plus
     /// `k` pods of `k/2` aggregation and `k/2` edge switches each —
-    /// `5k²/4` switches total (k=16 → 320, k=32 → 1280). Cores are
-    /// numbered first, then pods contiguously (aggregation before edge;
-    /// see [`Topology::fat_tree_edge`]). Aggregation switch `i` of every
-    /// pod uplinks to cores `i·k/2 .. (i+1)·k/2`.
+    /// `5k²/4` switches and `k³/2` links total (k=16 → 320, k=32 →
+    /// 1280 switches). Cores are numbered first, then pods contiguously
+    /// (aggregation before edge; see [`Topology::fat_tree_edge`]).
+    /// Aggregation switch `i` of every pod uplinks to cores
+    /// `i·k/2 .. (i+1)·k/2`.
     ///
     /// Path selection is ECMP-style but deterministic: among the
     /// equal-cost next hops toward a destination, each `(src, dst)` pair
@@ -169,7 +220,7 @@ impl Topology {
         let half = k / 2;
         let cores = half * half;
         let n = cores + k * k;
-        let mut links = Vec::new();
+        let mut links = Vec::with_capacity(k * k * half);
         for p in 0..k {
             let pod = cores + p * k;
             for i in 0..half {
@@ -180,46 +231,7 @@ impl Topology {
                 }
             }
         }
-        let mut t = Topology::from_valid_links(n, &links);
-        // Replace the BFS-parent next hops with the deterministic ECMP
-        // choice. dist[dst][v] = hops from v to dst.
-        let mut dist = vec![vec![usize::MAX; n]; n];
-        for (dst, d) in dist.iter_mut().enumerate() {
-            d[dst] = 0;
-            let mut q = VecDeque::from([dst]);
-            while let Some(v) = q.pop_front() {
-                for &w in &t.adj[v] {
-                    if d[w] == usize::MAX {
-                        d[w] = d[v] + 1;
-                        q.push_back(w);
-                    }
-                }
-            }
-        }
-        for src in 0..n {
-            for (dst, to_dst) in dist.iter().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                let d = to_dst[src];
-                if d == usize::MAX {
-                    continue;
-                }
-                let mut best: Option<(u64, usize)> = None;
-                for &w in &t.adj[src] {
-                    if to_dst[w] + 1 == d {
-                        let key = (fnv1a([src as u64, dst as u64, w as u64]), w);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                }
-                if let Some((_, w)) = best {
-                    t.next_hop[src][dst] = w;
-                }
-            }
-        }
-        t
+        Topology::from_valid_links(n, &links, Routing::Ecmp)
     }
 
     /// The node id of edge switch `index` in `pod` of a `k`-ary fat
@@ -269,13 +281,62 @@ impl Topology {
         &self.adj[node.0]
     }
 
+    /// The next-hop column toward `dst`, computed on first use.
+    fn column(&self, src: NodeId, dst: NodeId) -> Result<&[usize], TopologyError> {
+        for node in [src, dst] {
+            if node.0 >= self.n {
+                return Err(TopologyError::UnknownNode(node));
+            }
+        }
+        Ok(self.toward[dst.0].get_or_init(|| self.route_toward(dst.0)))
+    }
+
+    /// One BFS from `dst`: every reachable node's next hop toward `dst`
+    /// under the topology's routing rule.
+    fn route_toward(&self, dst: usize) -> Vec<usize> {
+        let mut next = vec![usize::MAX; self.n];
+        let mut dist = vec![usize::MAX; self.n];
+        next[dst] = dst;
+        dist[dst] = 0;
+        let mut q = VecDeque::from([dst]);
+        while let Some(v) = q.pop_front() {
+            for &w in &self.adj[v] {
+                if dist[w] == usize::MAX {
+                    dist[w] = dist[v] + 1;
+                    // First hop from w toward dst is v.
+                    next[w] = v;
+                    q.push_back(w);
+                }
+            }
+        }
+        if self.routing == Routing::Ecmp {
+            for src in 0..self.n {
+                let d = dist[src];
+                if src == dst || d == usize::MAX {
+                    continue;
+                }
+                let key = |w: usize| (fnv1a([src as u64, dst as u64, w as u64]), w);
+                if let Some(w) = self.adj[src]
+                    .iter()
+                    .copied()
+                    .filter(|&w| dist[w] + 1 == d)
+                    .min_by_key(|&w| key(w))
+                {
+                    next[src] = w;
+                }
+            }
+        }
+        next
+    }
+
     /// The next hop from `src` toward `dst`.
     ///
     /// # Errors
     ///
+    /// [`TopologyError::UnknownNode`] if either node is out of range;
     /// [`TopologyError::Disconnected`] if no path exists.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Result<NodeId, TopologyError> {
-        let h = self.next_hop[src.0][dst.0];
+        let h = self.column(src, dst)?[src.0];
         if h == usize::MAX {
             Err(TopologyError::Disconnected(src, dst))
         } else {
@@ -287,13 +348,18 @@ impl Topology {
     ///
     /// # Errors
     ///
+    /// [`TopologyError::UnknownNode`] if either node is out of range;
     /// [`TopologyError::Disconnected`] if no path exists.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, TopologyError> {
+        let next = self.column(src, dst)?;
         let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            cur = self.next_hop(cur, dst)?;
-            path.push(cur);
+        let mut cur = src.0;
+        while cur != dst.0 {
+            cur = next[cur];
+            if cur == usize::MAX {
+                return Err(TopologyError::Disconnected(src, dst));
+            }
+            path.push(NodeId(cur));
         }
         Ok(path)
     }
@@ -302,6 +368,7 @@ impl Topology {
     ///
     /// # Errors
     ///
+    /// [`TopologyError::UnknownNode`] if either node is out of range;
     /// [`TopologyError::Disconnected`] if no path exists.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Result<usize, TopologyError> {
         Ok(self.path(src, dst)?.len() - 1)
@@ -373,12 +440,17 @@ mod tests {
 
     #[test]
     fn fat_tree_shape_and_distances() {
+        // (k/2)² cores plus k pods of k/2 aggregation and k/2 edge
+        // switches: 5k²/4 switches. Each aggregation switch links to the
+        // k/2 edge switches of its pod and to k/2 cores, and there are
+        // k·k/2 of them: k³/2 links.
+        for k in [2, 4, 8, 16, 32] {
+            let t = Topology::fat_tree(k);
+            assert_eq!(t.len(), 5 * k * k / 4, "switches for k={k}");
+            assert_eq!(t.link_count(), k * k * k / 2, "links for k={k}");
+        }
         let t = Topology::fat_tree(4);
-        assert_eq!(t.len(), 20, "5k²/4 switches for k=4");
-        // k³/4 hosts-worth of edge ports; links: k·(k/2)·k = k²·k/2… here
-        // each pod has 2·2 agg–edge links and 2·2 agg–core links → 8·4/2?
-        // Count directly: 4 pods × (4 + 4) = 32 links.
-        assert_eq!(t.link_count(), 32);
+        assert_eq!((t.len(), t.link_count()), (20, 32));
         let e00 = Topology::fat_tree_edge(4, 0, 0);
         let e01 = Topology::fat_tree_edge(4, 0, 1);
         let e30 = Topology::fat_tree_edge(4, 3, 0);
@@ -413,6 +485,74 @@ mod tests {
                 // Consecutive path nodes are adjacent.
                 for w in p.windows(2) {
                     assert!(t.neighbors(w[0]).contains(&w[1].0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fat_tree_64_routes_one_destination_in_linear_memory() {
+        let t = Topology::fat_tree(64);
+        assert_eq!((t.len(), t.link_count()), (5_120, 131_072));
+        let src = Topology::fat_tree_edge(64, 0, 0);
+        let dst = Topology::fat_tree_edge(64, 63, 0);
+        assert_eq!(t.distance(src, dst), Ok(4));
+        // One column of n next hops, not an all-pairs table.
+        let filled: Vec<usize> = (0..t.len())
+            .filter(|&d| t.toward[d].get().is_some())
+            .collect();
+        assert_eq!(filled, vec![dst.0]);
+    }
+
+    #[test]
+    fn routes_are_cached_per_destination_and_ignored_by_eq() {
+        let t = Topology::fat_tree(4);
+        let fresh = t.clone();
+        let (a, b) = (
+            Topology::fat_tree_edge(4, 0, 0),
+            Topology::fat_tree_edge(4, 3, 1),
+        );
+        let p = t.path(a, b).unwrap();
+        assert_eq!(t, fresh, "a filled cache leaves the graph equal");
+        let warm = t.clone();
+        assert!(
+            warm.toward[b.0].get().is_some(),
+            "a clone carries its columns"
+        );
+        assert_eq!(warm.path(a, b).unwrap(), p);
+        assert_eq!(fresh.path(a, b).unwrap(), p);
+    }
+
+    #[test]
+    fn unknown_nodes_are_typed_errors() {
+        let t = Topology::linear(3);
+        let (ok, bad) = (NodeId(1), NodeId(3));
+        for (src, dst) in [(bad, ok), (ok, bad)] {
+            let err = TopologyError::UnknownNode(bad);
+            assert_eq!(t.next_hop(src, dst), Err(err.clone()));
+            assert_eq!(t.path(src, dst), Err(err.clone()));
+            assert_eq!(t.distance(src, dst), Err(err));
+        }
+        assert!(TopologyError::UnknownNode(bad).to_string().contains("s3"));
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_routing_rule() {
+        for t in [Topology::fat_tree(4), Topology::stanford_backbone()] {
+            let _ = t.path(NodeId(0), NodeId(5));
+            let json = serde_json::to_string(&t).unwrap();
+            assert!(
+                !json.contains("toward"),
+                "the route cache is not serialized"
+            );
+            let back: Topology = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, t);
+            for d in 0..t.len() {
+                for s in 0..t.len() {
+                    assert_eq!(
+                        back.next_hop(NodeId(s), NodeId(d)),
+                        t.next_hop(NodeId(s), NodeId(d))
+                    );
                 }
             }
         }
