@@ -156,7 +156,6 @@ impl ClockTable {
         }
         let rule = entry.rule;
         self.entries.insert(0, entry);
-        self.policy.on_refresh(0);
         Some(rule)
     }
 
@@ -181,7 +180,6 @@ impl ClockTable {
             entry.ttl = ttl;
             entry.kind = kind;
             self.entries.insert(0, entry);
-            self.policy.on_refresh(0);
             return None;
         }
         let evicted = if self.entries.len() == self.capacity {
@@ -200,10 +198,7 @@ impl ClockTable {
                 })
                 .collect();
             let victim = self.policy.victim(&candidates);
-            let slot = candidates[victim].slot;
-            let rule = self.entries.remove(slot as usize).rule;
-            self.policy.on_evict(slot);
-            Some(rule)
+            Some(self.entries.remove(candidates[victim].slot as usize).rule)
         } else {
             None
         };
@@ -216,7 +211,6 @@ impl ClockTable {
                 kind,
             },
         );
-        self.policy.on_install(0);
         evicted
     }
 

@@ -9,19 +9,18 @@
 //!   is the ground truth the Markov models of `recon-core` are validated
 //!   against.
 //! * [`ClockTable`] — a **continuous-time** table keyed on real-valued
-//!   deadlines, used by the `netsim` discrete-event simulator (the stand-in
-//!   for Open vSwitch, which also evicts the rule with the shortest
-//!   remaining lifetime).
+//!   deadlines: the flow table of every switch in the `netsim`
+//!   discrete-event simulator (the stand-in for Open vSwitch, which also
+//!   evicts the rule with the shortest remaining lifetime).
 //!
 //! Both order entries by recency (most recently matched/installed first) and
 //! store only *reactive* rules; permanently installed rules (the paper
 //! reserves three table slots for them) are handled by the switch layer.
 //!
-//! Eviction is pluggable: both tables (and `netsim`'s slab-backed
-//! `FlowStore`) delegate the victim choice to a [`CachePolicy`] from the
-//! [`policy`] module — [`PolicyKind::Srt`] (the default, the paper's
-//! assumption), [`PolicyKind::Lru`], or the FDRC-style
-//! [`PolicyKind::Fdrc`].
+//! Eviction is pluggable: both tables delegate the victim choice to a
+//! [`CachePolicy`] from the [`policy`] module — [`PolicyKind::Srt`]
+//! (the default, the paper's assumption), [`PolicyKind::Lru`], or the
+//! FDRC-style [`PolicyKind::Fdrc`].
 //!
 //! # Example
 //!

@@ -1,13 +1,11 @@
 //! Pluggable rule-caching policies.
 //!
-//! Every flow-table implementation in the workspace — the discrete-step
-//! [`FlowTable`](crate::FlowTable), the continuous-time
-//! [`ClockTable`](crate::ClockTable), and netsim's slab-backed
-//! `FlowStore` — delegates its eviction decision to a [`CachePolicy`].
-//! The policy sees only [`Candidate`] records, so one implementation
-//! serves tables with completely different internal representations
-//! (recency-ordered vectors vs. intrusive lists over timer-wheel slab
-//! indices).
+//! Both flow-table implementations in the workspace — the discrete-step
+//! [`FlowTable`](crate::FlowTable) and the continuous-time
+//! [`ClockTable`](crate::ClockTable) that netsim's switches run —
+//! delegate their eviction decision to a [`CachePolicy`]. The policy
+//! sees only [`Candidate`] records, so one implementation serves both
+//! tables, whose timers count in different units (steps vs. seconds).
 //!
 //! # Determinism contract
 //!
@@ -21,12 +19,11 @@
 //!
 //! # Slot handles
 //!
-//! [`Candidate::slot`] is an opaque `u32` handle owned by the table:
-//! vector tables pass the entry index, the slab-backed store passes the
-//! timer-wheel node index. The policy returns a *position in the
-//! candidate slice*; the table maps it back through `slot`. This keeps
-//! the wheel-driven O(1) expiry path intact — the policy never walks
-//! table internals, it only ranks the snapshot it is handed.
+//! [`Candidate::slot`] is the candidate's index in the table's
+//! recency-ordered entry vector. The policy returns a *position in the
+//! candidate slice*; the table maps it back through `slot`. The policy
+//! never walks table internals and hears of no install, hit or expiry:
+//! it only ranks the snapshot it is handed.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -51,7 +48,7 @@ impl std::error::Error for CapacityError {}
 /// policies may only rely on their ratio and relative order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
-    /// Opaque table-owned handle (vector index or slab node index).
+    /// The entry's index in the table's recency-ordered entry vector.
     pub slot: u32,
     /// Remaining lifetime until the entry would expire on its own.
     pub remaining: f64,
@@ -59,13 +56,8 @@ pub struct Candidate {
     pub ttl: f64,
 }
 
-/// An eviction discipline for a rule cache.
-///
-/// The `victim` method is the load-bearing decision; the lifecycle
-/// hooks (`on_install` / `on_refresh` / `on_evict` / `on_tick`) exist
-/// so stateful policies (e.g. frequency counters) can track the table
-/// without the table knowing about them. The shipped policies are
-/// stateless and leave the hooks as no-ops.
+/// An eviction discipline for a rule cache: a pure ranking of the
+/// candidate snapshot a full table hands it.
 pub trait CachePolicy {
     /// Stable lowercase name (CLI / CSV / metric label).
     fn name(&self) -> &'static str;
@@ -75,18 +67,6 @@ pub trait CachePolicy {
     /// slice**. Must be deterministic; ties must break toward the
     /// earlier (less recently used) candidate.
     fn victim(&self, candidates: &[Candidate]) -> usize;
-
-    /// Called after a new entry is installed under handle `slot`.
-    fn on_install(&mut self, _slot: u32) {}
-
-    /// Called when an existing entry is hit or refreshed in place.
-    fn on_refresh(&mut self, _slot: u32) {}
-
-    /// Called after the entry under `slot` is evicted or expires.
-    fn on_evict(&mut self, _slot: u32) {}
-
-    /// Called when table time advances without touching any entry.
-    fn on_tick(&mut self) {}
 }
 
 /// First index whose score is a *strict* minimum under `total_cmp`,
@@ -109,7 +89,7 @@ fn first_strict_min(candidates: &[Candidate], score: impl Fn(&Candidate) -> f64)
 /// The built-in cache policies, nameable from configs and the CLI.
 ///
 /// This enum is the single home of the eviction logic that used to be
-/// duplicated across `FlowTable`, `ClockTable`, and `FlowStore`.
+/// duplicated across the flow tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// Shortest-remaining-time (Open vSwitch behavior, the paper's

@@ -195,9 +195,7 @@ impl FlowTable {
     /// Returns `None` (and leaves the table unchanged) if no timer is 0.
     pub fn expire_one(&mut self) -> Option<RuleId> {
         let idx = self.entries.iter().rposition(|e| e.remaining == 0)?;
-        let rule = self.entries.remove(idx).rule;
-        self.policy.on_evict(idx as u32);
-        Some(rule)
+        Some(self.entries.remove(idx).rule)
     }
 
     /// Asks the policy for a victim and removes it. The table must be
@@ -218,10 +216,7 @@ impl FlowTable {
             })
             .collect();
         let victim = self.policy.victim(&candidates);
-        let slot = candidates[victim].slot;
-        let rule = self.entries.remove(slot as usize).rule;
-        self.policy.on_evict(slot);
-        rule
+        self.entries.remove(candidates[victim].slot as usize).rule
     }
 
     /// Processes a flow arrival, performing the hit or miss transition.
@@ -252,7 +247,6 @@ impl FlowTable {
                 e.remaining = e.remaining.saturating_sub(1);
             }
             self.entries.insert(0, entry);
-            self.policy.on_refresh(0);
             return Access::Hit { rule: hit };
         }
         let Some(install) = rules.highest_covering(f) else {
@@ -274,7 +268,6 @@ impl FlowTable {
                 remaining: rules.rule(install).timeout().steps,
             },
         );
-        self.policy.on_install(0);
         Access::Install {
             rule: install,
             evicted,
@@ -287,7 +280,6 @@ impl FlowTable {
         for e in &mut self.entries {
             e.remaining = e.remaining.saturating_sub(1);
         }
-        self.policy.on_tick();
     }
 
     /// Applies an attacker *probe* of flow `f` **without advancing time**:
@@ -309,7 +301,6 @@ impl FlowTable {
                 entry.remaining = rules.rule(hit).timeout().steps;
             }
             self.entries.insert(0, entry);
-            self.policy.on_refresh(0);
             return Access::Hit { rule: hit };
         }
         let Some(install) = rules.highest_covering(f) else {
@@ -327,7 +318,6 @@ impl FlowTable {
                 remaining: rules.rule(install).timeout().steps,
             },
         );
-        self.policy.on_install(0);
         Access::Install {
             rule: install,
             evicted,

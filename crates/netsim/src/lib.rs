@@ -9,10 +9,9 @@
 //!   consults the controller, installs the highest-priority covering rule
 //!   and releases the buffer;
 //! * **timeouts and eviction** — per-rule idle/hard timeouts and
-//!   shortest-remaining-lifetime eviction in a bounded table
-//!   ([`FlowStore`], a slab/timing-wheel store whose semantics are
-//!   pinned byte-for-byte against the reference
-//!   [`ftcache::ClockTable`]);
+//!   shortest-remaining-lifetime eviction (or another
+//!   [`ftcache::PolicyKind`]) in a bounded table: each switch runs an
+//!   [`ftcache::ClockTable`];
 //! * **the timing side channel** — hit and miss path latencies are sampled
 //!   from the distributions the paper measured (hit ≈ N(0.087 ms,
 //!   0.021 ms), miss adds ≈ N(3.98 ms, 1.8 ms) of rule-setup delay), so a
@@ -52,17 +51,12 @@ mod fault;
 mod latency;
 mod queue;
 mod sim;
-pub mod slab;
 mod switch;
 mod topology;
-pub mod wheel;
 
 pub use config::{ConfigError, Defense, DelayPadding, NetConfig, WindowPadding};
 pub use fault::{FaultKind, FaultPlan, JitterBursts};
 pub use latency::{Gaussian, LatencyModel, ShiftedLogNormal};
-pub use queue::EventQueue;
 pub use sim::{FaultStats, ProbeObservation, Simulation, SwitchStats};
-pub use slab::{CoverIndex, FlowEntry, FlowStore, Slab};
 pub use switch::SwitchMode;
 pub use topology::{NodeId, Topology, TopologyError};
-pub use wheel::{TimerId, TimerWheel};

@@ -62,7 +62,7 @@ impl<T> Eq for Queued<T> {}
 /// A discrete-event queue with exact `(time, push-order)` pop order. See
 /// the module docs for the run-plus-heap layout.
 #[derive(Debug)]
-pub struct EventQueue<T> {
+pub(crate) struct EventQueue<T> {
     /// Events in push order with non-decreasing times (under
     /// `f64::total_cmp`); the front is the run's minimum.
     run: VecDeque<Queued<T>>,
@@ -70,12 +70,6 @@ pub struct EventQueue<T> {
     heap: BinaryHeap<Queued<T>>,
     /// Monotone push counter (the tie-break).
     seq: u64,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> EventQueue<T> {
@@ -90,14 +84,14 @@ impl<T> EventQueue<T> {
     }
 
     /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.run.len() + self.heap.len()
     }
 
     /// Whether no event is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.run.is_empty() && self.heap.is_empty()
     }
 
@@ -153,6 +147,8 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -230,5 +226,109 @@ mod tests {
         assert_eq!(q.pop(), Some((3.0, "tie")));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+    }
+
+    // ---- EventQueue vs the verbatim (time, seq) binary heap ----
+
+    struct QueueEv {
+        time: f64,
+        seq: u64,
+        value: u32,
+    }
+
+    impl PartialEq for QueueEv {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for QueueEv {}
+    impl Ord for QueueEv {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Min-heap via reversal, ties broken by push order.
+            other
+                .time
+                .total_cmp(&self.time)
+                .then(other.seq.cmp(&self.seq))
+        }
+    }
+    impl PartialOrd for QueueEv {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The event queue's pop stream is byte-identical to the binary
+        /// heap, including events pushed at or before the time of an event
+        /// already popped, exact-tie times from a coarse grid, and
+        /// non-decreasing runs — with exact ties to the run's last time —
+        /// broken by pushes earlier than the run's tail. The runs exercise
+        /// the queue's split: a push at or after its run's last time joins
+        /// the run, any other goes to the heap, and pops interleave both.
+        #[test]
+        fn event_queue_matches_binary_heap(
+            ops in vec((0u8..4, 0u32..64, 0.0f64..1.0), 1..300),
+        ) {
+            let mut queue: EventQueue<u32> = EventQueue::new();
+            let mut heap: BinaryHeap<QueueEv> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut next_value = 0u32;
+            let mut last_pop = 0.0f64;
+            // Last time of the non-decreasing push run (sel % 8 == 1 | 5).
+            let mut run_tail = 0.0f64;
+            for &(kind, sel, a) in &ops {
+                if kind % 4 < 3 {
+                    let time = match sel % 8 {
+                        // Near (possibly before) the last popped time.
+                        0 | 4 => (last_pop - 0.5 + a).max(0.0),
+                        // Extend the run: an exact tie with its tail a
+                        // quarter of the time, else a step forward.
+                        1 | 5 => {
+                            if a >= 0.25 {
+                                run_tail += a * 0.5;
+                            }
+                            run_tail
+                        }
+                        // Break the run: earlier than its tail.
+                        3 => (run_tail - 0.01 - a).max(0.0),
+                        // Grid times force ties.
+                        _ => f64::from(sel % 16) * 0.25,
+                    };
+                    seq += 1;
+                    queue.push(time, next_value);
+                    heap.push(QueueEv { time, seq, value: next_value });
+                    next_value += 1;
+                } else {
+                    prop_assert_eq!(
+                        queue.peek_time().map(f64::to_bits),
+                        heap.peek().map(|e| e.time.to_bits()),
+                    );
+                    let got = queue.pop();
+                    let want = heap.pop().map(|e| (e.time, e.value));
+                    prop_assert_eq!(
+                        got.map(|(t, v)| (t.to_bits(), v)),
+                        want.map(|(t, v)| (t.to_bits(), v)),
+                    );
+                    if let Some((t, _)) = want {
+                        last_pop = t;
+                    }
+                }
+                prop_assert_eq!(queue.len(), heap.len());
+            }
+            // Drain the tails in lockstep.
+            loop {
+                let got = queue.pop();
+                let want = heap.pop().map(|e| (e.time, e.value));
+                prop_assert_eq!(
+                    got.map(|(t, v)| (t.to_bits(), v)),
+                    want.map(|(t, v)| (t.to_bits(), v)),
+                );
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,6 @@
 use crate::config::{ConfigError, NetConfig};
 use crate::fault::{FaultKind, FaultPlan, JitterBursts};
 use crate::queue::EventQueue;
-use crate::slab::CoverIndex;
 use crate::switch::{Lookup, Switch, SwitchMode};
 use crate::topology::NodeId;
 use crate::{Gaussian, LatencyModel, ShiftedLogNormal};
@@ -14,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 pub use crate::switch::SwitchStats;
 
@@ -230,7 +228,6 @@ impl Simulation {
             .topology
             .path(config.ingress, config.server)
             .expect("ingress and server must be connected");
-        let cover = Arc::new(CoverIndex::build(&config.rules));
         let switches = (0..path.len())
             .map(|hop| {
                 let (mode, capacity) = if hop == 0 {
@@ -244,7 +241,7 @@ impl Simulation {
                     mode,
                     capacity,
                     config.defense,
-                    Arc::clone(&cover),
+                    config.rules.len(),
                     config.policy,
                 )
             })
@@ -662,7 +659,7 @@ impl Simulation {
                 if hop == 0 && packet.probe.is_none() {
                     self.history.push((packet.flow, packet.injected_at));
                 }
-                let lookup = self.switches[hop].lookup(packet.flow, time);
+                let lookup = self.switches[hop].lookup(packet.flow, time, &self.rules);
                 match lookup {
                     Lookup::Hit { pad, rule } => {
                         // The Hit names the matched rule: the cached rule
@@ -1055,6 +1052,30 @@ mod tests {
         assert!(!p1.hit && !p2.hit);
         assert!(s.cached_rules().is_empty());
         assert_eq!(s.ingress_stats().uncovered, 2);
+    }
+
+    #[test]
+    fn flow_outside_the_universe_is_uncovered() {
+        let rules = RuleSet::new(
+            vec![Rule::from_flow_set(
+                FlowSet::from_flows(16, [FlowId(3)]),
+                10,
+                Timeout::idle(25),
+            )],
+            16,
+        )
+        .unwrap();
+        let mut s = Simulation::new(NetConfig::eval_topology(rules, 6, 0.02), 8);
+        s.schedule_flow(FlowId(99), 0.0);
+        let p = s.probe(FlowId(99));
+        assert!(!p.hit, "an uncovered probe detours via the controller");
+        assert_eq!(s.ingress_stats().uncovered, 2);
+        assert!(s.cached_rules().is_empty());
+        // The same holds with a rule cached.
+        let _ = s.probe(FlowId(3));
+        assert!(!s.probe(FlowId(99)).hit);
+        assert_eq!(s.ingress_stats().uncovered, 3);
+        assert_eq!(s.cached_rules(), vec![RuleId(0)]);
     }
 
     #[test]

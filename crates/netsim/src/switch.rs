@@ -1,11 +1,9 @@
 //! The simulated SDN switch.
 
 use crate::config::Defense;
-use crate::slab::{CoverIndex, FlowStore};
 use flowspace::{FlowId, RuleId, RuleSet};
-use ftcache::PolicyKind;
+use ftcache::{ClockTable, PolicyKind};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How a switch handles table misses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +88,12 @@ impl SwitchStats {
 #[derive(Debug)]
 pub(crate) struct Switch {
     mode: SwitchMode,
-    table: FlowStore,
-    /// Flow → covering-rules index, shared across the simulation's
-    /// switches (built once per policy).
-    cover: Arc<CoverIndex>,
+    table: ClockTable,
+    /// Per rule id: packets forwarded since the rule's latest install,
+    /// and that install's time (the padding defenses' state). Every
+    /// install, fresh or refreshed in place, resets its rule's entry,
+    /// and a hit always follows its rule's latest install.
+    padding: Vec<(u32, f64)>,
     defense: Defense,
     pub(crate) stats: SwitchStats,
 }
@@ -103,7 +103,7 @@ impl Switch {
         mode: SwitchMode,
         capacity: usize,
         defense: Defense,
-        cover: Arc<CoverIndex>,
+        n_rules: usize,
         policy: PolicyKind,
     ) -> Self {
         let mode = if defense.proactive {
@@ -113,15 +113,16 @@ impl Switch {
         };
         Switch {
             mode,
-            table: FlowStore::with_policy(capacity.max(1), cover.n_rules(), policy),
-            cover,
+            table: ClockTable::with_policy(capacity.max(1), policy),
+            padding: vec![(0, 0.0); n_rules],
             defense,
             stats: SwitchStats::default(),
         }
     }
 
-    /// Presents one packet of `flow` to the switch at time `now`.
-    pub(crate) fn lookup(&mut self, flow: FlowId, now: f64) -> Lookup {
+    /// Presents one packet of `flow` to the switch at time `now`. A
+    /// flow outside the rule set's universe is covered by no rule.
+    pub(crate) fn lookup(&mut self, flow: FlowId, now: f64, rules: &RuleSet) -> Lookup {
         if self.mode == SwitchMode::Proactive {
             self.stats.hits += 1;
             return Lookup::Hit {
@@ -129,7 +130,11 @@ impl Switch {
                 rule: None,
             };
         }
-        if let Some(rule) = self.table.lookup(flow, now, &self.cover) {
+        if flow.index() >= rules.universe_size() {
+            self.stats.uncovered += 1;
+            return Lookup::Uncovered;
+        }
+        if let Some(rule) = self.table.lookup(flow, now, rules) {
             self.stats.hits += 1;
             let pad = self.padding_for(rule, now);
             return Lookup::Hit {
@@ -137,7 +142,7 @@ impl Switch {
                 rule: Some(rule),
             };
         }
-        match self.cover.highest(flow) {
+        match rules.highest_covering(flow) {
             Some(rule) => {
                 self.stats.misses += 1;
                 Lookup::Miss { rule }
@@ -160,9 +165,7 @@ impl Switch {
     ) -> Option<RuleId> {
         let spec = rules.rule(rule).timeout();
         let ttl = f64::from(spec.steps) * delta;
-        // FlowStore::install resets the padding state (packet count and
-        // installation time) on both the fresh and refresh paths, which
-        // is exactly what the per-rule maps of the seed did here.
+        self.padding[rule.0] = (0, now);
         let evicted = self.table.install(rule, ttl, spec.kind, now);
         self.stats.installs += 1;
         if evicted.is_some() {
@@ -174,7 +177,7 @@ impl Switch {
     /// Whether the reactive table has no free slot at `now` (a flow-mod
     /// arriving now would have to evict — or be rejected by the
     /// table-full fault).
-    pub(crate) fn is_full_at(&mut self, now: f64) -> bool {
+    pub(crate) fn is_full_at(&self, now: f64) -> bool {
         self.table.len_at(now) >= self.table.capacity()
     }
 
@@ -185,18 +188,16 @@ impl Switch {
 
     fn padding_for(&mut self, rule: RuleId, now: f64) -> f64 {
         let mut pad = 0.0f64;
-        let (delay_first, pad_recent) = (self.defense.delay_first, self.defense.pad_recent);
-        if let Some(entry) = self.table.entry_mut(rule) {
-            if let Some(cfg) = delay_first {
-                if entry.pkts_since_install < cfg.packets {
-                    entry.pkts_since_install += 1;
-                    pad = pad.max(cfg.pad_secs);
-                }
+        let (pkts_since_install, installed_at) = &mut self.padding[rule.0];
+        if let Some(cfg) = self.defense.delay_first {
+            if *pkts_since_install < cfg.packets {
+                *pkts_since_install += 1;
+                pad = pad.max(cfg.pad_secs);
             }
-            if let Some(cfg) = pad_recent {
-                if now - entry.installed_at < cfg.window_secs {
-                    pad = pad.max(cfg.pad_secs);
-                }
+        }
+        if let Some(cfg) = self.defense.pad_recent {
+            if now - *installed_at < cfg.window_secs {
+                pad = pad.max(cfg.pad_secs);
             }
         }
         if pad > 0.0 {
@@ -236,7 +237,7 @@ mod tests {
             mode,
             capacity,
             defense,
-            Arc::new(CoverIndex::build(&rules())),
+            rules().len(),
             PolicyKind::default(),
         )
     }
@@ -245,14 +246,17 @@ mod tests {
     fn miss_then_install_then_hit() {
         let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 2, Defense::default());
-        assert_eq!(sw.lookup(FlowId(0), 0.0), Lookup::Miss { rule: RuleId(0) });
+        assert_eq!(
+            sw.lookup(FlowId(0), 0.0, &rules),
+            Lookup::Miss { rule: RuleId(0) }
+        );
         // A second packet before the install misses the same rule.
         assert_eq!(
-            sw.lookup(FlowId(0), 0.001),
+            sw.lookup(FlowId(0), 0.001, &rules),
             Lookup::Miss { rule: RuleId(0) }
         );
         sw.install(RuleId(0), 0.004, &rules, 0.02);
-        assert_eq!(sw.lookup(FlowId(0), 0.005), hit(0.0, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.005, &rules), hit(0.0, 0));
         assert_eq!(sw.stats.hits, 1);
         assert_eq!(sw.stats.misses, 2);
         assert_eq!(sw.stats.installs, 1);
@@ -261,18 +265,20 @@ mod tests {
 
     #[test]
     fn uncovered_flow_never_installs() {
+        let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 2, Defense::default());
-        assert_eq!(sw.lookup(FlowId(3), 0.0), Lookup::Uncovered);
-        assert_eq!(sw.lookup(FlowId(3), 1.0), Lookup::Uncovered);
+        assert_eq!(sw.lookup(FlowId(3), 0.0, &rules), Lookup::Uncovered);
+        assert_eq!(sw.lookup(FlowId(3), 1.0, &rules), Lookup::Uncovered);
         assert_eq!(sw.stats.uncovered, 2);
         assert!(sw.cached_rules(1.0).is_empty());
     }
 
     #[test]
     fn proactive_always_hits() {
+        let rules = rules();
         let mut sw = switch(SwitchMode::Proactive, 2, Defense::default());
         assert_eq!(
-            sw.lookup(FlowId(3), 0.0),
+            sw.lookup(FlowId(3), 0.0, &rules),
             Lookup::Hit {
                 pad: 0.0,
                 rule: None
@@ -283,13 +289,14 @@ mod tests {
 
     #[test]
     fn proactive_defense_overrides_mode() {
+        let rules = rules();
         let defense = Defense {
             proactive: true,
             ..Defense::default()
         };
         let mut sw = switch(SwitchMode::Reactive, 2, defense);
         assert_eq!(
-            sw.lookup(FlowId(0), 0.0),
+            sw.lookup(FlowId(0), 0.0, &rules),
             Lookup::Hit {
                 pad: 0.0,
                 rule: None
@@ -301,11 +308,17 @@ mod tests {
     fn rule_expires_and_misses_again() {
         let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 2, Defense::default());
-        sw.lookup(FlowId(0), 0.0);
+        sw.lookup(FlowId(0), 0.0, &rules);
         sw.install(RuleId(0), 0.004, &rules, 0.02); // ttl = 0.2 s
-        assert!(matches!(sw.lookup(FlowId(0), 0.1), Lookup::Hit { .. }));
+        assert!(matches!(
+            sw.lookup(FlowId(0), 0.1, &rules),
+            Lookup::Hit { .. }
+        ));
         // Idle timer re-armed at 0.1 → expires at 0.3.
-        assert_eq!(sw.lookup(FlowId(0), 0.35), Lookup::Miss { rule: RuleId(0) });
+        assert_eq!(
+            sw.lookup(FlowId(0), 0.35, &rules),
+            Lookup::Miss { rule: RuleId(0) }
+        );
     }
 
     #[test]
@@ -319,12 +332,36 @@ mod tests {
             ..Defense::default()
         };
         let mut sw = switch(SwitchMode::Reactive, 2, defense);
-        sw.lookup(FlowId(0), 0.0);
+        sw.lookup(FlowId(0), 0.0, &rules);
         sw.install(RuleId(0), 0.004, &rules, 0.02);
-        assert_eq!(sw.lookup(FlowId(0), 0.01), hit(0.004, 0));
-        assert_eq!(sw.lookup(FlowId(0), 0.02), hit(0.004, 0));
-        assert_eq!(sw.lookup(FlowId(0), 0.03), hit(0.0, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.01, &rules), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.02, &rules), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.03, &rules), hit(0.0, 0));
         assert_eq!(sw.stats.padded, 2);
+    }
+
+    #[test]
+    fn every_install_restarts_delay_padding() {
+        let rules = rules();
+        let defense = Defense {
+            delay_first: Some(DelayPadding {
+                packets: 1,
+                pad_secs: 0.004,
+            }),
+            ..Defense::default()
+        };
+        let mut sw = switch(SwitchMode::Reactive, 1, defense);
+        sw.install(RuleId(0), 0.0, &rules, 0.02);
+        assert_eq!(sw.lookup(FlowId(0), 0.01, &rules), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.02, &rules), hit(0.0, 0));
+        // A refresh in place restarts the count...
+        sw.install(RuleId(0), 0.03, &rules, 0.02);
+        assert_eq!(sw.lookup(FlowId(0), 0.04, &rules), hit(0.004, 0));
+        // ...and so does a fresh install after an eviction.
+        assert_eq!(sw.install(RuleId(1), 0.05, &rules, 0.02), Some(RuleId(0)));
+        assert_eq!(sw.install(RuleId(0), 0.06, &rules, 0.02), Some(RuleId(1)));
+        assert_eq!(sw.lookup(FlowId(0), 0.07, &rules), hit(0.004, 0));
+        assert_eq!(sw.stats.padded, 3);
     }
 
     #[test]
@@ -338,15 +375,15 @@ mod tests {
             ..Defense::default()
         };
         let mut sw = switch(SwitchMode::Reactive, 2, defense);
-        sw.lookup(FlowId(0), 0.0);
+        sw.lookup(FlowId(0), 0.0, &rules);
         sw.install(RuleId(0), 0.004, &rules, 0.02);
         // Every hit within 0.5 s of installation is padded...
-        assert_eq!(sw.lookup(FlowId(0), 0.1), hit(0.004, 0));
-        assert_eq!(sw.lookup(FlowId(0), 0.3), hit(0.004, 0));
-        assert_eq!(sw.lookup(FlowId(0), 0.49), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.1, &rules), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.3, &rules), hit(0.004, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.49, &rules), hit(0.004, 0));
         // ...and unpadded afterwards (the idle rule is kept alive by the
         // hits themselves).
-        assert_eq!(sw.lookup(FlowId(0), 0.6), hit(0.0, 0));
+        assert_eq!(sw.lookup(FlowId(0), 0.6, &rules), hit(0.0, 0));
         assert_eq!(sw.stats.padded, 3);
     }
 
@@ -355,7 +392,7 @@ mod tests {
         let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 1, Defense::default());
         assert!(!sw.is_full_at(0.0));
-        sw.lookup(FlowId(0), 0.0);
+        sw.lookup(FlowId(0), 0.0, &rules);
         sw.install(RuleId(0), 0.004, &rules, 0.02); // ttl = 0.2 s
         assert!(sw.is_full_at(0.01));
         // After the idle timeout expires the slot frees up again.
@@ -366,9 +403,9 @@ mod tests {
     fn eviction_counted() {
         let rules = rules();
         let mut sw = switch(SwitchMode::Reactive, 1, Defense::default());
-        sw.lookup(FlowId(0), 0.0);
+        sw.lookup(FlowId(0), 0.0, &rules);
         sw.install(RuleId(0), 0.004, &rules, 0.02);
-        sw.lookup(FlowId(1), 0.01);
+        sw.lookup(FlowId(1), 0.01, &rules);
         sw.install(RuleId(1), 0.014, &rules, 0.02);
         assert_eq!(sw.stats.evictions, 1);
         assert_eq!(sw.cached_rules(0.014), vec![RuleId(1)]);

@@ -1,23 +1,16 @@
 //! Property tests pinning the [`CachePolicy`] refactor to the
-//! pre-refactor eviction logic:
-//!
-//! * [`FlowTable`] and [`ClockTable`] evictions vs. *verbatim*
-//!   re-implementations of the historical victim rules, computed
-//!   independently from an entry snapshot taken before each operation —
-//!   SRT must match the old "smallest remaining, ties toward least
-//!   recent" scan bit-for-bit, and LRU / FDRC must match their
-//!   documented contracts under the same tie-break.
-//! * [`FlowStore`] vs. the reference [`ClockTable`] under **every**
-//!   [`PolicyKind`], extending the default-policy equivalence test in
-//!   `wheel_equivalence.rs` to the full policy matrix.
-//!
-//! Together with the SRT-vs-reference pins, the FlowStore/ClockTable
-//! agreement transitively pins all three tables to one victim rule per
-//! policy.
+//! pre-refactor eviction logic, under **every** [`PolicyKind`]:
+//! [`FlowTable`] and [`ClockTable`] (the table netsim's switches run)
+//! evictions vs. *verbatim* re-implementations of the historical victim
+//! rules, computed independently from an entry snapshot taken before
+//! each operation — SRT must match the old "smallest remaining, ties
+//! toward least recent" scan bit-for-bit, and LRU / FDRC must match
+//! their documented contracts under the same tie-break. The
+//! `ClockTable` sequences interleave lookups with the installs, each
+//! checked against the same snapshot.
 
 use flowspace::{FlowId, FlowSet, Rule, RuleId, RuleSet, Timeout, TimeoutKind};
 use ftcache::{Access, ClockEntry, ClockTable, Entry, FlowTable, PolicyKind, StepOutcome};
-use netsim::{CoverIndex, FlowStore};
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -142,84 +135,72 @@ proptest! {
     }
 
     /// Every `ClockTable` eviction picks exactly the live entry the
-    /// verbatim pre-refactor scan predicts at the install's timestamp.
+    /// verbatim pre-refactor scan predicts at the install's timestamp,
+    /// and every lookup interleaved with those installs returns the
+    /// minimum-id live cover of the pre-lookup snapshot. After each op
+    /// the hit or installed entry leads the recency order — an idle hit
+    /// re-armed to `now + ttl`, a hard hit with its deadline unchanged —
+    /// ahead of every other live entry in its old order.
     #[test]
     fn clock_table_evictions_match_verbatim_reference(
-        n_rules in 2usize..=8,
+        flow_sets in vec(btree_set(0u32..(UNIVERSE as u32), 1..=3), 2..=8),
         capacity in 1usize..=3,
-        ops in vec((0u32..64, 0.0f64..1.0), 1..120),
-    ) {
-        for policy in PolicyKind::all() {
-            let mut table = ClockTable::with_policy(capacity, policy);
-            let mut now = 0.0f64;
-            for &(sel, a) in &ops {
-                now += a * 1.5;
-                let rule = RuleId(sel as usize % n_rules);
-                let ttl = 0.1 + f64::from(sel % 8) * 0.4;
-                let tk = if sel % 16 < 8 { TimeoutKind::Idle } else { TimeoutKind::Hard };
-                let live: Vec<ClockEntry> = table.entries_at(now).copied().collect();
-                let fresh = !live.iter().any(|e| e.rule == rule);
-                let evicted = table.install(rule, ttl, tk, now);
-                if fresh && live.len() == capacity {
-                    prop_assert_eq!(
-                        evicted,
-                        Some(ref_victim_clock(&live, now, policy)),
-                        "policy {}",
-                        policy
-                    );
-                } else {
-                    prop_assert_eq!(evicted, None, "policy {}", policy);
-                }
-            }
-        }
-    }
-
-    /// The slab-backed `FlowStore` replicates the reference
-    /// `ClockTable` observation-for-observation under **every** policy:
-    /// lookup results, install return values (including the policy's
-    /// victim choice and tie-breaks), live counts, and the
-    /// recency-ordered rule list.
-    #[test]
-    fn flow_store_matches_clock_table_under_every_policy(
-        flow_sets in vec(btree_set(0u32..(UNIVERSE as u32), 1..=3), 1..=6),
-        capacity in 1usize..=4,
         ops in vec((0u8..4, 0u32..64, 0.0f64..1.0), 1..120),
     ) {
-        let timeouts = [4u32];
-        let rules = rule_set(&flow_sets, &timeouts);
-        let cover = CoverIndex::build(&rules);
+        let rules = rule_set(&flow_sets, &[4]);
         for policy in PolicyKind::all() {
-            let mut store = FlowStore::with_policy(capacity, rules.len(), policy);
             let mut table = ClockTable::with_policy(capacity, policy);
             let mut now = 0.0f64;
             for &(kind, sel, a) in &ops {
                 now += a * 1.5;
-                if kind % 4 < 2 {
+                let live: Vec<ClockEntry> = table.entries_at(now).copied().collect();
+                let (front, evicted) = if kind % 4 < 2 {
                     let f = FlowId(sel % UNIVERSE as u32);
+                    let hit = live
+                        .iter()
+                        .filter(|e| rules.rule(e.rule).covers_flow(f))
+                        .min_by_key(|e| e.rule.0)
+                        .copied();
                     prop_assert_eq!(
-                        store.lookup(f, now, &cover),
                         table.lookup(f, now, &rules),
+                        hit.map(|e| e.rule),
                         "policy {}",
                         policy
                     );
+                    let front = hit.map(|e| match e.kind {
+                        TimeoutKind::Idle => ClockEntry { expiry: now + e.ttl, ..e },
+                        TimeoutKind::Hard => e,
+                    });
+                    (front, None)
                 } else {
                     let rule = RuleId(sel as usize % rules.len());
                     let ttl = 0.1 + f64::from(sel % 8) * 0.4;
                     let tk = if sel % 16 < 8 { TimeoutKind::Idle } else { TimeoutKind::Hard };
-                    prop_assert_eq!(
-                        store.install(rule, ttl, tk, now),
-                        table.install(rule, ttl, tk, now),
-                        "policy {}",
-                        policy
-                    );
-                }
-                prop_assert_eq!(store.len_at(now), table.len_at(now), "policy {}", policy);
-                prop_assert_eq!(
-                    store.cached_rules_at(now),
-                    table.cached_rules_at(now),
-                    "policy {}",
-                    policy
-                );
+                    let fresh = !live.iter().any(|e| e.rule == rule);
+                    let evicted = table.install(rule, ttl, tk, now);
+                    if fresh && live.len() == capacity {
+                        prop_assert_eq!(
+                            evicted,
+                            Some(ref_victim_clock(&live, now, policy)),
+                            "policy {}",
+                            policy
+                        );
+                    } else {
+                        prop_assert_eq!(evicted, None, "policy {}", policy);
+                    }
+                    (Some(ClockEntry { rule, expiry: now + ttl, ttl, kind: tk }), evicted)
+                };
+                let moved = front.map(|e| e.rule);
+                let want: Vec<ClockEntry> = front
+                    .into_iter()
+                    .chain(
+                        live.iter()
+                            .filter(|e| Some(e.rule) != moved && Some(e.rule) != evicted)
+                            .copied(),
+                    )
+                    .collect();
+                let got: Vec<ClockEntry> = table.entries_at(now).copied().collect();
+                prop_assert_eq!(got, want, "policy {}", policy);
             }
         }
     }

@@ -270,9 +270,10 @@ fn tournament_fault_batches_pinned() {
     // probes time out and retry — paths the fault-free batches above
     // never take. The pins come from the simulator that tracked
     // in-flight queries in a per-switch set and parked packets in an
-    // ordered map, with a timing-wheel event queue, so they also pin
-    // that the flat parked-packet table and the run-plus-heap queue
-    // change no result.
+    // ordered map, with a timing-wheel event queue and a slab flow
+    // store, so they also pin that the flat parked-packet table, the
+    // run-plus-heap queue and the `ClockTable` switch tables change no
+    // result.
     let sc = tournament_scenario();
     let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
     let kinds = TOURNAMENT_KINDS;
