@@ -22,10 +22,10 @@ pub enum AttackerKind {
     Random,
     /// Issues the plan's non-adaptive multi-probe sequence and classifies
     /// with the §V-B decision tree (requires
-    /// [`plan_attack_with`](crate::plan_attack_with)).
+    /// [`plan_attack_full`](crate::plan_attack_full)).
     MultiProbe,
     /// Follows the plan's adaptive probing policy (extension; requires
-    /// [`plan_attack_with`](crate::plan_attack_with)).
+    /// [`plan_attack_full`](crate::plan_attack_full)).
     Adaptive,
 }
 
@@ -98,7 +98,7 @@ impl Attacker {
     /// Panics if `kind` is [`AttackerKind::MultiProbe`] or
     /// [`AttackerKind::Adaptive`] but the plan was built without the
     /// corresponding tree (use
-    /// [`plan_attack_with`](crate::plan_attack_with)).
+    /// [`plan_attack_full`](crate::plan_attack_full)).
     #[must_use]
     pub fn from_plan(kind: AttackerKind, plan: &AttackPlan, target: FlowId) -> Self {
         match kind {
@@ -122,12 +122,12 @@ impl Attacker {
             AttackerKind::MultiProbe => Attacker::Tree(
                 plan.multi
                     .clone()
-                    .expect("plan lacks a multi-probe tree; use plan_attack_with"),
+                    .expect("plan lacks a multi-probe tree; use plan_attack_full"),
             ),
             AttackerKind::Adaptive => Attacker::Adaptive(
                 plan.adaptive
                     .clone()
-                    .expect("plan lacks an adaptive policy; use plan_attack_with"),
+                    .expect("plan lacks an adaptive policy; use plan_attack_full"),
             ),
         }
     }

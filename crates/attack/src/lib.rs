@@ -17,6 +17,14 @@
 //! * **random** — answers from the prior alone, without probing;
 //! * **tree** — issues a multi-probe sequence and classifies via the §V-B
 //!   decision tree.
+//!
+//! Each engine has one entry point. [`plan_attack_full`] plans (with
+//! [`plan_attack`] as the paper's default shorthand), a [`TrialRun`]
+//! runs a batch of trials, and [`sweep::sweep`] re-plans and re-runs
+//! across one swept parameter. Every parallel fan-out goes through
+//! [`recon_core::exec::map_indexed`], so the [`ExecPolicy`] argument
+//! changes wall time, never results. No function here reads
+//! [`THREADS_ENV_VAR`]; callers pass their policy explicitly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,17 +39,13 @@ mod trial;
 
 pub use attacker::{Attacker, AttackerKind};
 pub use calibrate::{calibrate_threshold, CalibratedThreshold, DRIFT_LIMIT};
-pub use plan::{
-    plan_attack, plan_attack_assuming, plan_attack_full, plan_attack_policy, plan_attack_with,
-    plan_attack_with_policy, AttackPlan, PlanError,
-};
+pub use plan::{plan_attack, plan_attack_full, AttackPlan, PlanError};
 pub use recon_core::exec::{ExecPolicy, RunStats, THREADS_ENV_VAR};
 pub use robust::{
     robust_probe, FaultCounters, ProbePolicy, RobustObservation, RobustState, RttWindow, Verdict,
 };
 pub use timing::{measure_latency, LatencyStats, LatencyTable};
 pub use trial::{
-    run_trials, run_trials_policy, run_trials_recorded, run_trials_robust_policy,
-    run_trials_traced, run_trials_with, run_trials_with_policy, scenario_net_config, Accuracy,
-    TrialReport,
+    run_trials_robust_policy, run_trials_with_policy, scenario_net_config, Accuracy, TrialReport,
+    TrialRun,
 };

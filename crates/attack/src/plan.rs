@@ -27,10 +27,10 @@ pub struct AttackPlan {
     /// Closed-form Poisson prior `e^{-λ_f̂ T}`.
     pub p_absent_poisson: f64,
     /// Non-adaptive multi-probe decision tree (§V-B), when requested via
-    /// [`plan_attack_with`].
+    /// [`plan_attack_full`].
     pub multi: Option<DecisionTree>,
     /// Adaptive probing policy (extension), when requested via
-    /// [`plan_attack_with`].
+    /// [`plan_attack_full`].
     pub adaptive: Option<AdaptiveTree>,
 }
 
@@ -73,7 +73,11 @@ impl From<ModelError> for PlanError {
     }
 }
 
-/// Builds the compact model for `scenario` and selects the probes.
+/// Builds the compact model for `scenario` and selects the probes: the
+/// paper's attacker, assuming SRT eviction, with no multi-probe or
+/// adaptive tree, scoring candidates serially. It is
+/// `plan_attack_full(scenario, evaluator, 0, 0, ExecPolicy::Serial,
+/// PolicyKind::Srt)`.
 ///
 /// # Errors
 ///
@@ -83,89 +87,25 @@ pub fn plan_attack(
     scenario: &NetworkScenario,
     evaluator: Evaluator,
 ) -> Result<AttackPlan, PlanError> {
-    plan_attack_with(scenario, evaluator, 0, 0)
-}
-
-/// [`plan_attack`] with candidate-probe scoring scheduled under `policy`
-/// (bit-identical to serial — the planner's determinism contract).
-///
-/// # Errors
-///
-/// [`PlanError::Model`] if the model cannot be built.
-pub fn plan_attack_policy(
-    scenario: &NetworkScenario,
-    evaluator: Evaluator,
-    policy: ExecPolicy,
-) -> Result<AttackPlan, PlanError> {
-    plan_attack_with_policy(scenario, evaluator, 0, 0, policy)
-}
-
-/// Like [`plan_attack`], additionally preparing a non-adaptive multi-probe
-/// decision tree over `multi_probes` greedily chosen probes (0 = skip) and
-/// an adaptive policy of depth `adaptive_depth` (0 = skip).
-///
-/// # Errors
-///
-/// [`PlanError::Model`] if the model cannot be built.
-pub fn plan_attack_with(
-    scenario: &NetworkScenario,
-    evaluator: Evaluator,
-    multi_probes: usize,
-    adaptive_depth: usize,
-) -> Result<AttackPlan, PlanError> {
-    plan_attack_with_policy(
-        scenario,
-        evaluator,
-        multi_probes,
-        adaptive_depth,
-        ExecPolicy::Serial,
-    )
-}
-
-/// The planning entry point with multi-probe options *and* execution
-/// policy, assuming the switch evicts per [`PolicyKind::Srt`] (the
-/// paper's assumption).
-///
-/// # Errors
-///
-/// [`PlanError::Model`] if the model cannot be built.
-pub fn plan_attack_with_policy(
-    scenario: &NetworkScenario,
-    evaluator: Evaluator,
-    multi_probes: usize,
-    adaptive_depth: usize,
-    policy: ExecPolicy,
-) -> Result<AttackPlan, PlanError> {
     plan_attack_full(
         scenario,
         evaluator,
-        multi_probes,
-        adaptive_depth,
-        policy,
+        0,
+        0,
+        ExecPolicy::Serial,
         PolicyKind::Srt,
     )
 }
 
-/// [`plan_attack`] with an explicit assumption about the switch's cache
-/// eviction policy: the attacker's model — and therefore its probe
-/// selection and belief updates — is built against `cache_policy`. When
-/// the simulated switch actually runs a different policy, the attacker
-/// plans against a mismatched model (the `defense_tournament` axis).
-///
-/// # Errors
-///
-/// [`PlanError::Model`] if the model cannot be built.
-pub fn plan_attack_assuming(
-    scenario: &NetworkScenario,
-    evaluator: Evaluator,
-    cache_policy: PolicyKind,
-) -> Result<AttackPlan, PlanError> {
-    plan_attack_full(scenario, evaluator, 0, 0, ExecPolicy::Serial, cache_policy)
-}
-
-/// The full planning entry point: multi-probe options, execution policy,
-/// *and* assumed cache eviction policy. All other `plan_attack*` entry
-/// points delegate here.
+/// The planning entry point. Besides the plan [`plan_attack`] makes, it
+/// prepares a non-adaptive multi-probe decision tree over `multi_probes`
+/// greedily chosen probes (0 = skip) and an adaptive policy of depth
+/// `adaptive_depth` (0 = skip). Candidate probes are scored under
+/// `policy`, bit-identically to serial (the planner's determinism
+/// contract). The attacker's model — and therefore its probe selection
+/// and belief updates — is built against `cache_policy`: when the
+/// simulated switch runs a different policy, the attacker plans against
+/// a mismatched model (the `defense_tournament` axis).
 ///
 /// # Errors
 ///
@@ -261,11 +201,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sc = small_sampler().sample_forced((0.3, 0.7), &mut rng);
         let default = plan_attack(&sc, Evaluator::mean_field()).unwrap();
-        let srt = plan_attack_assuming(&sc, Evaluator::mean_field(), PolicyKind::Srt).unwrap();
-        assert_eq!(default, srt);
+        let assuming = |policy| {
+            plan_attack_full(
+                &sc,
+                Evaluator::mean_field(),
+                0,
+                0,
+                ExecPolicy::Serial,
+                policy,
+            )
+            .unwrap()
+        };
+        assert_eq!(default, assuming(PolicyKind::Srt));
         for policy in [PolicyKind::Lru, PolicyKind::Fdrc] {
-            let p = plan_attack_assuming(&sc, Evaluator::mean_field(), policy).unwrap();
-            let q = plan_attack_assuming(&sc, Evaluator::mean_field(), policy).unwrap();
+            let p = assuming(policy);
+            let q = assuming(policy);
             assert_eq!(p, q, "{policy}: planning must stay deterministic");
         }
     }

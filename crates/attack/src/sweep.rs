@@ -7,10 +7,9 @@
 //! and re-run trials across a swept parameter, keeping everything else
 //! fixed — the engine behind the `sweep_parameters` experiment.
 
-use crate::{plan_attack, run_trials_policy, AttackerKind, ExecPolicy, PlanError};
+use crate::{plan_attack, scenario_net_config, AttackerKind, ExecPolicy, PlanError, TrialRun};
+use recon_core::exec::map_indexed;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use traffic::NetworkScenario;
 
 /// Which scenario parameter to sweep.
@@ -89,41 +88,18 @@ pub struct SweepPoint {
 /// Sweeps `parameter` over `values` for one scenario, replanning and
 /// re-running `trials` trials at each point.
 ///
-/// # Errors
-///
-/// Propagates the first [`PlanError`] encountered.
-pub fn sweep(
-    scenario: &NetworkScenario,
-    parameter: SweepParameter,
-    values: &[f64],
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, PlanError> {
-    sweep_policy(
-        scenario,
-        parameter,
-        values,
-        kinds,
-        trials,
-        seed,
-        ExecPolicy::from_env(),
-    )
-}
-
-/// [`sweep`] under an explicit [`ExecPolicy`].
-///
-/// Sweep points are the outer level of parallelism: each point replans
-/// and re-runs its trials as one unit of work, with the trials inside a
-/// point run serially (so a parallel sweep never oversubscribes the
-/// machine). Results are returned in value order and are bit-identical
-/// to a serial sweep at the same seed.
+/// Sweep points are the unit of parallelism under `policy`: each point
+/// replans and re-runs its trials as one task of
+/// [`map_indexed`], with the trials inside a point run serially (so a
+/// parallel sweep never oversubscribes the machine). A point's trial
+/// seed depends only on its index, so results are returned in value
+/// order and are bit-identical to a serial sweep at the same seed.
 ///
 /// # Errors
 ///
 /// Propagates the [`PlanError`] of the *lowest-indexed* failing point —
 /// the same one a serial sweep reports.
-pub fn sweep_policy(
+pub fn sweep(
     scenario: &NetworkScenario,
     parameter: SweepParameter,
     values: &[f64],
@@ -132,56 +108,29 @@ pub fn sweep_policy(
     seed: u64,
     policy: ExecPolicy,
 ) -> Result<Vec<SweepPoint>, PlanError> {
-    let threads = match policy {
-        ExecPolicy::Serial => 1,
-        ExecPolicy::Parallel { threads } => threads.clamp(1, values.len().max(1)),
-    };
-    // One sweep point: replan and re-run trials. The point's seed depends
-    // only on its index, so scheduling order cannot affect results.
-    let run_point = |i: usize, v: f64| -> Result<SweepPoint, PlanError> {
+    map_indexed(policy, values.len(), |i| {
+        let v = values[i];
         let sc = parameter.apply(scenario, v);
         let plan = plan_attack(&sc, recon_core::useq::Evaluator::mean_field())?;
-        let report = run_trials_policy(
-            &sc,
-            &plan,
+        let report = TrialRun {
+            scenario: &sc,
+            plan: &plan,
             kinds,
             trials,
-            seed ^ (i as u64) << 8,
-            ExecPolicy::Serial,
-        );
+            seed: seed ^ (i as u64) << 8,
+            net: &scenario_net_config(&sc),
+            robust: None,
+        }
+        .run(ExecPolicy::Serial);
         Ok(SweepPoint {
             value: v,
             accuracy: kinds.iter().map(|&k| report.accuracy(k)).collect(),
             answer_rate: kinds.iter().map(|&k| report.answer_rate(k)).collect(),
             info_gain: plan.optimal.info_gain,
         })
-    };
-    if threads <= 1 {
-        return values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| run_point(i, v))
-            .collect();
-    }
-    let slots: Mutex<Vec<Option<Result<SweepPoint, PlanError>>>> =
-        Mutex::new((0..values.len()).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&v) = values.get(i) else { break };
-                let point = run_point(i, v);
-                slots.lock().expect("sweep slots poisoned")[i] = Some(point);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("sweep slots poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every sweep point computed"))
-        .collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -243,6 +192,7 @@ mod tests {
             &[AttackerKind::Model],
             10,
             3,
+            ExecPolicy::Serial,
         )
         .unwrap();
         assert_eq!(points.len(), 2);
@@ -258,7 +208,7 @@ mod tests {
         let sc = scenario();
         let values = [1.0, 2.0, 3.0, 4.0];
         let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let serial = sweep_policy(
+        let serial = sweep(
             &sc,
             SweepParameter::Capacity,
             &values,
@@ -269,7 +219,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 8] {
-            let parallel = sweep_policy(
+            let parallel = sweep(
                 &sc,
                 SweepParameter::Capacity,
                 &values,

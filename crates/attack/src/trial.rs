@@ -3,9 +3,9 @@
 //! Trials are mutually independent by construction: every RNG stream is
 //! derived from `(seed, trial index, attacker index)` alone, and results
 //! reduce through [`Accuracy::merge`] — unsigned addition, which is
-//! commutative and associative. The engine therefore executes trials
-//! under any [`ExecPolicy`] with bit-identical output; see `DESIGN.md`
-//! ("Determinism contract").
+//! commutative and associative. The engine, [`TrialRun`], therefore
+//! executes trials under any [`ExecPolicy`] with bit-identical output;
+//! see `DESIGN.md` ("Determinism contract").
 
 use crate::attacker::{Attacker, AttackerKind};
 use crate::plan::AttackPlan;
@@ -17,8 +17,8 @@ use obs::trace::{probe_ctx, TraceEv};
 use obs::{metrics, FlightRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use recon_core::exec::map_indexed;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use traffic::{poisson, NetworkScenario};
 
 /// Salt for the per-attacker decision stream inside one trial. The value
@@ -139,7 +139,7 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn accuracy(&self, kind: AttackerKind) -> f64 {
-        self.entry(kind).accuracy()
+        self.entry_for(kind).accuracy()
     }
 
     /// The answer rate of one attacker kind.
@@ -149,7 +149,7 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn answer_rate(&self, kind: AttackerKind) -> f64 {
-        self.entry(kind).answer_rate()
+        self.entry_for(kind).answer_rate()
     }
 
     /// The full confusion matrix of one attacker kind.
@@ -159,7 +159,7 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn entry_for(&self, kind: AttackerKind) -> &Accuracy {
-        self.entry(kind)
+        &self.by_attacker[self.index(kind)].1
     }
 
     /// The measurement-fault tallies of one attacker kind (all zeros
@@ -170,12 +170,7 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn fault_counters(&self, kind: AttackerKind) -> &FaultCounters {
-        let i = self
-            .by_attacker
-            .iter()
-            .position(|(k, _)| *k == kind)
-            .expect("attacker kind not in report");
-        &self.fault_counters[i]
+        &self.fault_counters[self.index(kind)]
     }
 
     /// Total simulator-injected faults of one attacker kind across the
@@ -186,14 +181,7 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn sim_faults(&self, kind: AttackerKind) -> &FaultStats {
-        let i = self
-            .by_attacker
-            .iter()
-            .position(|(k, _)| *k == kind)
-            // detlint::allow(D4): same caller contract as fault_counters —
-            // asking for a kind outside the batch is a programming error
-            .expect("attacker kind not in report");
-        &self.sim_faults[i]
+        &self.sim_faults[self.index(kind)]
     }
 
     /// Ingress-switch cache counters of one attacker kind, summed over
@@ -204,21 +192,15 @@ impl TrialReport {
     /// Panics if `kind` was not part of the batch.
     #[must_use]
     pub fn cache_stats(&self, kind: AttackerKind) -> &SwitchStats {
-        let i = self
-            .by_attacker
-            .iter()
-            .position(|(k, _)| *k == kind)
-            // detlint::allow(D4): same caller contract as fault_counters —
-            // asking for a kind outside the batch is a programming error
-            .expect("attacker kind not in report");
-        &self.cache_stats[i]
+        &self.cache_stats[self.index(kind)]
     }
 
-    fn entry(&self, kind: AttackerKind) -> &Accuracy {
+    /// The position of `kind` in the batch, which every per-attacker
+    /// vector of the report shares.
+    fn index(&self, kind: AttackerKind) -> usize {
         self.by_attacker
             .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, a)| a)
+            .position(|(k, _)| *k == kind)
             .expect("attacker kind not in report")
     }
 }
@@ -230,73 +212,279 @@ pub fn scenario_net_config(scenario: &NetworkScenario) -> NetConfig {
     NetConfig::eval_topology(scenario.rules.clone(), scenario.capacity, scenario.delta)
 }
 
-/// Runs `trials` independent trials of every attacker in `kinds` on the
-/// scenario, regenerating the Poisson traffic each trial (as the paper
-/// does: "each test … was performed 100 times, randomly generating the
-/// network packets every time").
+/// One batch of trials: `trials` independent trials of every attacker in
+/// `kinds` on `scenario`, regenerating the Poisson traffic each trial (as
+/// the paper does: "each test … was performed 100 times, randomly
+/// generating the network packets every time").
 ///
-/// Within a trial, every attacker observes the *same* traffic realization:
-/// each gets a fresh simulation fed the same schedule, so earlier
-/// attackers' probes cannot pollute later attackers' switch state.
-#[must_use]
-pub fn run_trials(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-) -> TrialReport {
-    run_trials_policy(scenario, plan, kinds, trials, seed, ExecPolicy::from_env())
+/// The fields are exactly the inputs the [`TrialReport`] is a function
+/// of; [`TrialRun::run`] and [`TrialRun::run_observed`] only choose how
+/// the trials are scheduled and observed. Within a trial, every attacker
+/// observes the *same* traffic realization: each gets a fresh simulation
+/// fed the same schedule, so earlier attackers' probes cannot pollute
+/// later attackers' switch state.
+#[derive(Debug, Clone, Copy)]
+pub struct TrialRun<'a> {
+    /// The sampled configuration: rules, rates, target and window.
+    pub scenario: &'a NetworkScenario,
+    /// The §V probe selection every model-driven attacker follows.
+    pub plan: &'a AttackPlan,
+    /// The attackers to run, in report order.
+    pub kinds: &'a [AttackerKind],
+    /// How many trials to run.
+    pub trials: usize,
+    /// The root of every per-trial RNG stream.
+    pub seed: u64,
+    /// The simulated network: usually [`scenario_net_config`], or one
+    /// with defenses, faults, another eviction policy or another fabric.
+    pub net: &'a NetConfig,
+    /// `Some` routes the attackers' measurements through the robust
+    /// probe loop (timeouts, retries, outlier rejection — see
+    /// [`crate::robust`]): the entry point for fault-injected networks,
+    /// where attackers degrade to [`Verdict::Inconclusive`] instead of
+    /// hanging or silently misclassifying, and the report's
+    /// `fault_counters` tally what was absorbed. On a fault-free `net`
+    /// the accuracies match `None`'s.
+    pub robust: Option<&'a ProbePolicy>,
 }
 
-/// [`run_trials`] against an explicit network configuration — used by the
-/// countermeasure experiments (§VII-B) to enable defenses.
-#[must_use]
-pub fn run_trials_with(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    net: &NetConfig,
-) -> TrialReport {
-    run_trials_with_policy(
-        scenario,
-        plan,
-        kinds,
-        trials,
-        seed,
-        net,
-        ExecPolicy::from_env(),
-    )
+impl TrialRun<'_> {
+    /// Runs the batch under `policy`, which changes scheduling, never
+    /// results.
+    #[must_use]
+    pub fn run(&self, policy: ExecPolicy) -> TrialReport {
+        self.run_observed(
+            policy,
+            &mut Recorder::disabled(),
+            0,
+            &mut FlightRecorder::disabled(),
+        )
+    }
+
+    /// [`TrialRun::run`] with observers attached. `recorder` collects
+    /// probe-RTT hit/miss histograms, verdict and robust-loop counters,
+    /// injected fault totals and cache counters. `flight` collects every
+    /// probe's event chain (inject → miss → packet-in → install →
+    /// deliver, plus injected faults, retries, outlier rejections and the
+    /// final verdicts), stamped with a [`ProbeId`](obs::trace::ProbeId)
+    /// whose context packs `(unit, trial, attacker)` via [`probe_ctx`] —
+    /// `unit` names this batch within a larger job (0 when standalone).
+    ///
+    /// Observation never perturbs results: the report — and every CSV
+    /// derived from it — is byte-identical whether the observers are
+    /// enabled or disabled, under any `policy`. Worker observers merge by
+    /// unsigned addition and top-key retention, so the merged metrics and
+    /// flight contents are themselves independent of the schedule.
+    #[must_use]
+    pub fn run_observed(
+        &self,
+        policy: ExecPolicy,
+        recorder: &mut Recorder,
+        unit: usize,
+        flight: &mut FlightRecorder,
+    ) -> TrialReport {
+        let threads = policy.effective_threads(self.trials);
+        let tally = if threads <= 1 {
+            self.run_range(0..self.trials, recorder, unit, flight)
+        } else {
+            // Chunks several times smaller than a fair share keep workers
+            // busy when trial costs vary, without one task per trial.
+            let chunk = (self.trials / (threads * 4)).max(1);
+            let parts = map_indexed(policy, self.trials.div_ceil(chunk), |c| {
+                let (mut rec, mut fl) = (recorder.fork(), flight.fork());
+                let range = c * chunk..((c + 1) * chunk).min(self.trials);
+                let part = self.run_range(range, &mut rec, unit, &mut fl);
+                (part, rec, fl)
+            });
+            let mut tally = Tally::new(self.kinds.len());
+            for (part, rec, fl) in parts {
+                tally.merge(&part);
+                recorder.merge(rec);
+                flight.merge(fl);
+            }
+            tally
+        };
+        if recorder.is_enabled() {
+            self.record_totals(&tally, recorder);
+        }
+        TrialReport {
+            by_attacker: self.kinds.iter().copied().zip(tally.accs).collect(),
+            base_rate_present: tally.present as f64 / self.trials.max(1) as f64,
+            fault_counters: tally.counters,
+            sim_faults: tally.sim_faults,
+            cache_stats: tally.cache_stats,
+        }
+    }
+
+    /// Runs a contiguous range of trials on the calling thread.
+    fn run_range(
+        &self,
+        range: std::ops::Range<usize>,
+        recorder: &mut Recorder,
+        unit: usize,
+        flight: &mut FlightRecorder,
+    ) -> Tally {
+        let mut tally = Tally::new(self.kinds.len());
+        for trial in range {
+            self.run_trial(trial, &mut tally, recorder, unit, flight);
+        }
+        tally
+    }
+
+    /// One independent trial: regenerates the traffic realization for
+    /// `trial`, replays it once per attacker, and tallies each attacker's
+    /// verdict. Every RNG stream is derived from `(seed, trial, attacker
+    /// index)` — nothing else — which is what makes the engine's
+    /// scheduling freedom sound.
+    fn run_trial(
+        &self,
+        trial: usize,
+        tally: &mut Tally,
+        recorder: &mut Recorder,
+        unit: usize,
+        flight: &mut FlightRecorder,
+    ) {
+        let (scenario, seed) = (self.scenario, self.seed);
+        let mut traffic_rng =
+            StdRng::seed_from_u64(seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let schedule = poisson::schedule(
+            &scenario.lambdas,
+            0.0,
+            scenario.window_secs,
+            &mut traffic_rng,
+        );
+        let truth = schedule.iter().any(|&(f, _)| f == scenario.target);
+        tally.present += u64::from(truth);
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            // Each attacker gets a fresh simulation fed the same schedule, so
+            // earlier attackers' probes cannot pollute later attackers' state.
+            let mut sim = Simulation::new(self.net, seed ^ ((trial as u64) << 20) ^ (i as u64 + 1));
+            if recorder.is_enabled() {
+                sim.attach_recorder(recorder.fork());
+            }
+            if flight.is_enabled() {
+                sim.attach_flight(flight.fork(), probe_ctx(unit, trial, i));
+            }
+            for &(f, t) in &schedule {
+                sim.schedule_flow(f, t);
+            }
+            sim.run_until(scenario.window_secs);
+            let attacker = Attacker::from_plan(kind, self.plan, scenario.target);
+            let mut decide_rng =
+                StdRng::seed_from_u64(seed ^ DECIDE_STREAM_SALT ^ ((trial as u64) << 8) ^ i as u64);
+            let verdict = match self.robust {
+                None => Verdict::from_present(attacker.decide(&mut sim, &mut decide_rng)),
+                Some(probe_policy) => {
+                    let mut state = RobustState::new(probe_policy);
+                    let v =
+                        attacker.decide_robust(&mut sim, &mut decide_rng, probe_policy, &mut state);
+                    tally.counters[i].merge(&state.counters);
+                    v
+                }
+            };
+            tally.accs[i].add_verdict(truth, verdict);
+            tally.sim_faults[i].merge(&sim.fault_stats());
+            tally.cache_stats[i].merge(&sim.ingress_stats());
+            recorder.merge(sim.take_recorder());
+            if flight.is_enabled() {
+                let now = sim.now();
+                sim.flight_mut().log(
+                    now,
+                    None,
+                    TraceEv::Verdict {
+                        verdict: verdict.label(),
+                        attacker: kind.name(),
+                    },
+                );
+                flight.merge(sim.take_flight());
+            }
+        }
+    }
+
+    /// Adds the batch's totals to `recorder`: trials, verdicts, answer
+    /// counts per attacker, robust-loop counters, injected faults and the
+    /// ingress cache counters under the network's eviction policy.
+    fn record_totals(&self, tally: &Tally, recorder: &mut Recorder) {
+        recorder.add(metrics::TRIALS, self.trials as u64);
+        for (kind, acc) in self.kinds.iter().zip(&tally.accs) {
+            recorder.add(metrics::VERDICT_PRESENT, acc.tp + acc.fp);
+            recorder.add(metrics::VERDICT_ABSENT, acc.tn + acc.fn_);
+            recorder.add(metrics::VERDICT_INCONCLUSIVE, acc.inconclusive);
+            recorder.add_with_suffix(metrics::ANSWERED_PREFIX, kind.name(), acc.n());
+            recorder.add_with_suffix(metrics::INCONCLUSIVE_PREFIX, kind.name(), acc.inconclusive);
+        }
+        for c in &tally.counters {
+            recorder.add(metrics::ROBUST_PROBES, c.probes);
+            recorder.add(metrics::ROBUST_TIMEOUTS, c.timeouts);
+            recorder.add(metrics::ROBUST_RETRIES, c.retries);
+            recorder.add(metrics::ROBUST_OUTLIERS, c.outliers);
+            recorder.add(metrics::ROBUST_RECALIBRATIONS, c.recalibrations);
+        }
+        let mut faults = FaultStats::default();
+        for f in &tally.sim_faults {
+            faults.merge(f);
+        }
+        faults.record_into(recorder);
+        let mut cache = SwitchStats::default();
+        for s in &tally.cache_stats {
+            cache.merge(s);
+        }
+        let policy_name = self.net.policy.name();
+        recorder.add_with_suffix(metrics::CACHE_HITS_PREFIX, policy_name, cache.hits);
+        recorder.add_with_suffix(metrics::CACHE_MISSES_PREFIX, policy_name, cache.misses);
+        recorder.add_with_suffix(
+            metrics::CACHE_EVICTIONS_PREFIX,
+            policy_name,
+            cache.evictions,
+        );
+        recorder.add_with_suffix(metrics::CACHE_INSTALLS_PREFIX, policy_name, cache.installs);
+    }
 }
 
-/// [`run_trials`] under an explicit [`ExecPolicy`].
-#[must_use]
-pub fn run_trials_policy(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    policy: ExecPolicy,
-) -> TrialReport {
-    run_trials_with_policy(
-        scenario,
-        plan,
-        kinds,
-        trials,
-        seed,
-        &scenario_net_config(scenario),
-        policy,
-    )
+/// What a range of trials accumulates: per attacker (parallel to the
+/// batch's `kinds`) its confusion matrix, measurement-fault tallies,
+/// injected-fault totals and ingress cache counters, plus the count of
+/// trials in which the target occurred. Merging is unsigned addition, so
+/// the totals do not depend on how the trials were split into ranges.
+struct Tally {
+    accs: Vec<Accuracy>,
+    counters: Vec<FaultCounters>,
+    sim_faults: Vec<FaultStats>,
+    cache_stats: Vec<SwitchStats>,
+    present: u64,
 }
 
-/// The full engine: explicit network configuration *and* execution
-/// policy. All other `run_trials*` entry points delegate here.
-///
-/// The report is a pure function of `(scenario, plan, kinds, trials,
-/// seed, net)` — `policy` changes scheduling, never results.
+impl Tally {
+    fn new(attackers: usize) -> Self {
+        Tally {
+            accs: vec![Accuracy::default(); attackers],
+            counters: vec![FaultCounters::default(); attackers],
+            sim_faults: vec![FaultStats::default(); attackers],
+            cache_stats: vec![SwitchStats::default(); attackers],
+            present: 0,
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        for (a, b) in self.accs.iter_mut().zip(&other.accs) {
+            a.merge(b);
+        }
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            a.merge(b);
+        }
+        for (a, b) in self.sim_faults.iter_mut().zip(&other.sim_faults) {
+            a.merge(b);
+        }
+        for (a, b) in self.cache_stats.iter_mut().zip(&other.cache_stats) {
+            a.merge(b);
+        }
+        self.present += other.present;
+    }
+}
+
+/// [`TrialRun::run`] spelled positionally, kept only because the
+/// benchmark package (`flowbench/`) calls it; workspace code builds a
+/// [`TrialRun`].
 #[must_use]
 pub fn run_trials_with_policy(
     scenario: &NetworkScenario,
@@ -307,29 +495,21 @@ pub fn run_trials_with_policy(
     net: &NetConfig,
     policy: ExecPolicy,
 ) -> TrialReport {
-    run_trials_engine(
+    TrialRun {
         scenario,
         plan,
         kinds,
         trials,
         seed,
         net,
-        policy,
-        None,
-        &mut Recorder::disabled(),
-        0,
-        &mut FlightRecorder::disabled(),
-    )
+        robust: None,
+    }
+    .run(policy)
 }
 
-/// [`run_trials_with_policy`] with the attackers' measurements routed
-/// through the robust probe loop (timeouts, retries, outlier rejection
-/// — see [`crate::robust`]). This is the entry point for fault-injected
-/// configurations: attackers degrade to [`Verdict::Inconclusive`]
-/// instead of hanging or silently misclassifying, and the report's
-/// `fault_counters` tally what was absorbed.
-///
-/// On a fault-free `net` the accuracies match the non-robust engine.
+/// [`TrialRun::run`] through the robust probe loop, spelled
+/// positionally; kept only because the benchmark package (`flowbench/`)
+/// calls it. Workspace code builds a [`TrialRun`].
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn run_trials_robust_policy(
@@ -342,447 +522,16 @@ pub fn run_trials_robust_policy(
     policy: ExecPolicy,
     probe_policy: &ProbePolicy,
 ) -> TrialReport {
-    run_trials_engine(
+    TrialRun {
         scenario,
         plan,
         kinds,
         trials,
         seed,
         net,
-        policy,
-        Some(probe_policy),
-        &mut Recorder::disabled(),
-        0,
-        &mut FlightRecorder::disabled(),
-    )
-}
-
-/// The full engine with an explicit metric [`Recorder`]: probe-RTT
-/// hit/miss histograms, verdict and robust-loop counters, and injected
-/// fault totals are collected into `recorder` as the trials run.
-///
-/// Recording is observation only. The report — and therefore every CSV
-/// derived from it — is byte-identical whether `recorder` is enabled or
-/// [`Recorder::disabled`], under any `policy` (worker recorders merge by
-/// unsigned addition, the same contract as [`Accuracy::merge`]).
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_trials_recorded(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    net: &NetConfig,
-    policy: ExecPolicy,
-    robust: Option<&ProbePolicy>,
-    recorder: &mut Recorder,
-) -> TrialReport {
-    run_trials_engine(
-        scenario,
-        plan,
-        kinds,
-        trials,
-        seed,
-        net,
-        policy,
-        robust,
-        recorder,
-        0,
-        &mut FlightRecorder::disabled(),
-    )
-}
-
-/// [`run_trials_recorded`] with a causal [`FlightRecorder`] attached:
-/// every probe's event chain (inject → miss → packet-in → install →
-/// deliver, plus injected faults, retries, outlier rejections and the
-/// final verdicts) is stamped with a
-/// [`ProbeId`](obs::trace::ProbeId) whose context packs `(unit, trial,
-/// attacker)` via [`probe_ctx`] — `unit` names this batch within a
-/// larger job (0 when standalone).
-///
-/// Tracing is observation only, under the same contract as the metric
-/// recorder: the report is byte-identical whether `flight` is enabled
-/// or [`FlightRecorder::disabled`], under any `policy`, and the merged
-/// flight contents are themselves independent of the execution
-/// schedule and merge order.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_trials_traced(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    net: &NetConfig,
-    policy: ExecPolicy,
-    robust: Option<&ProbePolicy>,
-    recorder: &mut Recorder,
-    unit: usize,
-    flight: &mut FlightRecorder,
-) -> TrialReport {
-    run_trials_engine(
-        scenario, plan, kinds, trials, seed, net, policy, robust, recorder, unit, flight,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_trials_engine(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    net: &NetConfig,
-    policy: ExecPolicy,
-    robust: Option<&ProbePolicy>,
-    recorder: &mut Recorder,
-    unit: usize,
-    flight: &mut FlightRecorder,
-) -> TrialReport {
-    let threads = policy.effective_threads(trials);
-    let (accs, counters, sim_faults, cache_stats, present) = if threads <= 1 {
-        run_trial_range(
-            scenario,
-            plan,
-            kinds,
-            seed,
-            net,
-            robust,
-            0..trials,
-            recorder,
-            unit,
-            flight,
-        )
-    } else {
-        run_trials_parallel(
-            scenario, plan, kinds, trials, seed, net, robust, threads, recorder, unit, flight,
-        )
-    };
-    if recorder.is_enabled() {
-        recorder.add(metrics::TRIALS, trials as u64);
-        for (kind, acc) in kinds.iter().zip(&accs) {
-            recorder.add(metrics::VERDICT_PRESENT, acc.tp + acc.fp);
-            recorder.add(metrics::VERDICT_ABSENT, acc.tn + acc.fn_);
-            recorder.add(metrics::VERDICT_INCONCLUSIVE, acc.inconclusive);
-            recorder.add_with_suffix(metrics::ANSWERED_PREFIX, kind.name(), acc.n());
-            recorder.add_with_suffix(metrics::INCONCLUSIVE_PREFIX, kind.name(), acc.inconclusive);
-        }
-        for c in &counters {
-            recorder.add(metrics::ROBUST_PROBES, c.probes);
-            recorder.add(metrics::ROBUST_TIMEOUTS, c.timeouts);
-            recorder.add(metrics::ROBUST_RETRIES, c.retries);
-            recorder.add(metrics::ROBUST_OUTLIERS, c.outliers);
-            recorder.add(metrics::ROBUST_RECALIBRATIONS, c.recalibrations);
-        }
-        let mut total = FaultStats::default();
-        for f in &sim_faults {
-            total.merge(f);
-        }
-        total.record_into(recorder);
-        let mut cache_total = SwitchStats::default();
-        for s in &cache_stats {
-            cache_total.merge(s);
-        }
-        let policy_name = net.policy.name();
-        recorder.add_with_suffix(metrics::CACHE_HITS_PREFIX, policy_name, cache_total.hits);
-        recorder.add_with_suffix(
-            metrics::CACHE_MISSES_PREFIX,
-            policy_name,
-            cache_total.misses,
-        );
-        recorder.add_with_suffix(
-            metrics::CACHE_EVICTIONS_PREFIX,
-            policy_name,
-            cache_total.evictions,
-        );
-        recorder.add_with_suffix(
-            metrics::CACHE_INSTALLS_PREFIX,
-            policy_name,
-            cache_total.installs,
-        );
+        robust: Some(probe_policy),
     }
-    TrialReport {
-        by_attacker: kinds.iter().copied().zip(accs).collect(),
-        base_rate_present: present as f64 / trials.max(1) as f64,
-        fault_counters: counters,
-        sim_faults,
-        cache_stats,
-    }
-}
-
-/// Per-attacker accumulators of one worker (or the serial path):
-/// confusion matrices, measurement-fault tallies, injected-fault totals,
-/// ingress cache counters, and the count of target-present trials.
-type TrialAccumulators = (
-    Vec<Accuracy>,
-    Vec<FaultCounters>,
-    Vec<FaultStats>,
-    Vec<SwitchStats>,
-    u64,
-);
-
-/// One independent trial: regenerates the traffic realization for
-/// `trial`, replays it once per attacker, and collects each attacker's
-/// answer. Every RNG stream is derived from `(seed, trial, attacker
-/// index)` — nothing else — which is what makes the engine's scheduling
-/// freedom sound.
-#[allow(clippy::too_many_arguments)]
-fn run_one_trial(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    seed: u64,
-    net: &NetConfig,
-    robust: Option<&ProbePolicy>,
-    trial: usize,
-    answers: &mut Vec<Verdict>,
-    counters: &mut [FaultCounters],
-    sim_faults: &mut [FaultStats],
-    cache_stats: &mut [SwitchStats],
-    recorder: &mut Recorder,
-    unit: usize,
-    flight: &mut FlightRecorder,
-) -> bool {
-    let mut traffic_rng =
-        StdRng::seed_from_u64(seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let schedule = poisson::schedule(
-        &scenario.lambdas,
-        0.0,
-        scenario.window_secs,
-        &mut traffic_rng,
-    );
-    let truth = schedule.iter().any(|&(f, _)| f == scenario.target);
-    answers.clear();
-    for (i, &kind) in kinds.iter().enumerate() {
-        // Each attacker gets a fresh simulation fed the same schedule, so
-        // earlier attackers' probes cannot pollute later attackers' state.
-        let mut sim = Simulation::new(net, seed ^ ((trial as u64) << 20) ^ (i as u64 + 1));
-        if recorder.is_enabled() {
-            sim.attach_recorder(recorder.fork());
-        }
-        if flight.is_enabled() {
-            sim.attach_flight(flight.fork(), probe_ctx(unit, trial, i));
-        }
-        for &(f, t) in &schedule {
-            sim.schedule_flow(f, t);
-        }
-        sim.run_until(scenario.window_secs);
-        let attacker = Attacker::from_plan(kind, plan, scenario.target);
-        let mut decide_rng =
-            StdRng::seed_from_u64(seed ^ DECIDE_STREAM_SALT ^ ((trial as u64) << 8) ^ i as u64);
-        let verdict = match robust {
-            None => Verdict::from_present(attacker.decide(&mut sim, &mut decide_rng)),
-            Some(probe_policy) => {
-                let mut state = RobustState::new(probe_policy);
-                let v = attacker.decide_robust(&mut sim, &mut decide_rng, probe_policy, &mut state);
-                counters[i].merge(&state.counters);
-                v
-            }
-        };
-        sim_faults[i].merge(&sim.fault_stats());
-        cache_stats[i].merge(&sim.ingress_stats());
-        recorder.merge(sim.take_recorder());
-        if flight.is_enabled() {
-            let now = sim.now();
-            sim.flight_mut().log(
-                now,
-                None,
-                TraceEv::Verdict {
-                    verdict: verdict.label(),
-                    attacker: kind.name(),
-                },
-            );
-            flight.merge(sim.take_flight());
-        }
-        answers.push(verdict);
-    }
-    truth
-}
-
-/// Runs a contiguous range of trials on the calling thread, returning
-/// per-attacker accumulators, fault tallies, and the count of trials
-/// where the target was genuinely present.
-#[allow(clippy::too_many_arguments)]
-fn run_trial_range(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    seed: u64,
-    net: &NetConfig,
-    robust: Option<&ProbePolicy>,
-    range: std::ops::Range<usize>,
-    recorder: &mut Recorder,
-    unit: usize,
-    flight: &mut FlightRecorder,
-) -> TrialAccumulators {
-    let mut accs = vec![Accuracy::default(); kinds.len()];
-    let mut counters = vec![FaultCounters::default(); kinds.len()];
-    let mut sim_faults = vec![FaultStats::default(); kinds.len()];
-    let mut cache_stats = vec![SwitchStats::default(); kinds.len()];
-    let mut present = 0u64;
-    let mut answers = Vec::with_capacity(kinds.len());
-    for trial in range {
-        let truth = run_one_trial(
-            scenario,
-            plan,
-            kinds,
-            seed,
-            net,
-            robust,
-            trial,
-            &mut answers,
-            &mut counters,
-            &mut sim_faults,
-            &mut cache_stats,
-            recorder,
-            unit,
-            flight,
-        );
-        if truth {
-            present += 1;
-        }
-        for (acc, &verdict) in accs.iter_mut().zip(&answers) {
-            acc.add_verdict(truth, verdict);
-        }
-    }
-    (accs, counters, sim_faults, cache_stats, present)
-}
-
-/// Distributes trials over `threads` scoped workers. Workers claim fixed
-/// chunks of the trial index space from a shared cursor and accumulate
-/// locally; the main thread merges worker results. Because merging is
-/// unsigned addition, the outcome is independent of which worker ran
-/// which chunk — bit-identical to the serial path.
-#[allow(clippy::too_many_arguments)]
-fn run_trials_parallel(
-    scenario: &NetworkScenario,
-    plan: &AttackPlan,
-    kinds: &[AttackerKind],
-    trials: usize,
-    seed: u64,
-    net: &NetConfig,
-    robust: Option<&ProbePolicy>,
-    threads: usize,
-    recorder: &mut Recorder,
-    unit: usize,
-    flight: &mut FlightRecorder,
-) -> TrialAccumulators {
-    // Chunks several times smaller than a fair share keep workers busy
-    // when trial costs vary, without contending on the cursor per trial.
-    let chunk = (trials / (threads * 4)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let record = recorder.is_enabled();
-    let (trace, trace_capacity) = (flight.is_enabled(), flight.capacity());
-    let mut accs = vec![Accuracy::default(); kinds.len()];
-    let mut counters = vec![FaultCounters::default(); kinds.len()];
-    let mut sim_faults = vec![FaultStats::default(); kinds.len()];
-    let mut cache_stats = vec![SwitchStats::default(); kinds.len()];
-    let mut present = 0u64;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = vec![Accuracy::default(); kinds.len()];
-                    let mut local_counters = vec![FaultCounters::default(); kinds.len()];
-                    let mut local_faults = vec![FaultStats::default(); kinds.len()];
-                    let mut local_cache = vec![SwitchStats::default(); kinds.len()];
-                    // Each worker records into its own recorder; the
-                    // merges below are commutative, so the metrics are
-                    // independent of chunk assignment — like the results.
-                    let mut local_recorder = if record {
-                        Recorder::enabled()
-                    } else {
-                        Recorder::disabled()
-                    };
-                    // Flight records are keyed `(ctx, seq)` — a pure
-                    // function of (unit, trial, attacker) — so worker
-                    // merges commute exactly like the counters above.
-                    let mut local_flight = if trace {
-                        FlightRecorder::with_capacity(trace_capacity)
-                    } else {
-                        FlightRecorder::disabled()
-                    };
-                    let mut local_present = 0u64;
-                    let mut answers = Vec::with_capacity(kinds.len());
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= trials {
-                            break;
-                        }
-                        let end = (start + chunk).min(trials);
-                        for trial in start..end {
-                            let truth = run_one_trial(
-                                scenario,
-                                plan,
-                                kinds,
-                                seed,
-                                net,
-                                robust,
-                                trial,
-                                &mut answers,
-                                &mut local_counters,
-                                &mut local_faults,
-                                &mut local_cache,
-                                &mut local_recorder,
-                                unit,
-                                &mut local_flight,
-                            );
-                            if truth {
-                                local_present += 1;
-                            }
-                            for (acc, &verdict) in local.iter_mut().zip(&answers) {
-                                acc.add_verdict(truth, verdict);
-                            }
-                        }
-                    }
-                    (
-                        local,
-                        local_counters,
-                        local_faults,
-                        local_cache,
-                        local_recorder,
-                        local_flight,
-                        local_present,
-                    )
-                })
-            })
-            .collect();
-        for worker in workers {
-            // Re-raise a worker panic with its original payload instead of
-            // replacing it: the job supervisor's `catch_unwind` one layer
-            // up reports that payload in `WorkerFailure::Panic`, so the
-            // root cause must survive the thread boundary.
-            let (
-                local,
-                local_counters,
-                local_faults,
-                local_cache,
-                local_recorder,
-                local_flight,
-                local_present,
-            ) = match worker.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            for (acc, l) in accs.iter_mut().zip(&local) {
-                acc.merge(l);
-            }
-            for (c, l) in counters.iter_mut().zip(&local_counters) {
-                c.merge(l);
-            }
-            for (f, l) in sim_faults.iter_mut().zip(&local_faults) {
-                f.merge(l);
-            }
-            for (s, l) in cache_stats.iter_mut().zip(&local_cache) {
-                s.merge(l);
-            }
-            recorder.merge(local_recorder);
-            flight.merge(local_flight);
-            present += local_present;
-        }
-    });
-    (accs, counters, sim_faults, cache_stats, present)
+    .run(policy)
 }
 
 #[cfg(test)]
@@ -793,6 +542,26 @@ mod tests {
     use rand::SeedableRng;
     use recon_core::useq::Evaluator;
     use traffic::ScenarioSampler;
+
+    /// A plain batch on the scenario's own network, run serially.
+    fn run_plain(
+        sc: &NetworkScenario,
+        plan: &AttackPlan,
+        kinds: &[AttackerKind],
+        trials: usize,
+        seed: u64,
+    ) -> TrialReport {
+        TrialRun {
+            scenario: sc,
+            plan,
+            kinds,
+            trials,
+            seed,
+            net: &scenario_net_config(sc),
+            robust: None,
+        }
+        .run(ExecPolicy::Serial)
+    }
 
     fn scenario(seed: u64, absence: (f64, f64)) -> NetworkScenario {
         let sampler = ScenarioSampler {
@@ -829,8 +598,8 @@ mod tests {
         let sc = scenario(1, (0.3, 0.7));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
         let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let r1 = run_trials(&sc, &plan, &kinds, 10, 99);
-        let r2 = run_trials(&sc, &plan, &kinds, 10, 99);
+        let r1 = run_plain(&sc, &plan, &kinds, 10, 99);
+        let r2 = run_plain(&sc, &plan, &kinds, 10, 99);
         assert_eq!(r1, r2);
     }
 
@@ -838,7 +607,7 @@ mod tests {
     fn base_rate_tracks_absence_probability() {
         let sc = scenario(2, (0.45, 0.55));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
-        let r = run_trials(&sc, &plan, &[AttackerKind::Random], 300, 7);
+        let r = run_plain(&sc, &plan, &[AttackerKind::Random], 300, 7);
         // Absence ≈ 0.5 → presence ≈ 0.5.
         assert!(
             (r.base_rate_present - 0.5).abs() < 0.15,
@@ -853,7 +622,7 @@ mod tests {
         // usually cached, and probing it answers well above 50%.
         let sc = scenario(3, (0.05, 0.15));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
-        let r = run_trials(
+        let r = run_plain(
             &sc,
             &plan,
             &[AttackerKind::Naive, AttackerKind::Random],
@@ -873,10 +642,19 @@ mod tests {
             AttackerKind::Model,
             AttackerKind::Random,
         ];
-        let serial = run_trials_policy(&sc, &plan, &kinds, 17, 42, ExecPolicy::Serial);
+        let net = scenario_net_config(&sc);
+        let run = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 17,
+            seed: 42,
+            net: &net,
+            robust: None,
+        };
+        let serial = run.run(ExecPolicy::Serial);
         for threads in [2, 3, 8, 32] {
-            let parallel =
-                run_trials_policy(&sc, &plan, &kinds, 17, 42, ExecPolicy::Parallel { threads });
+            let parallel = run.run(ExecPolicy::Parallel { threads });
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -885,14 +663,16 @@ mod tests {
     fn zero_trials_is_well_defined() {
         let sc = scenario(6, (0.3, 0.7));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
-        let r = run_trials_policy(
-            &sc,
-            &plan,
-            &[AttackerKind::Naive],
-            0,
-            1,
-            ExecPolicy::Parallel { threads: 4 },
-        );
+        let r = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &[AttackerKind::Naive],
+            trials: 0,
+            seed: 1,
+            net: &scenario_net_config(&sc),
+            robust: None,
+        }
+        .run(ExecPolicy::Parallel { threads: 4 });
         assert_eq!(r.by_attacker[0].1.n(), 0);
         assert_eq!(r.base_rate_present, 0.0);
     }
@@ -902,7 +682,7 @@ mod tests {
     fn missing_kind_panics() {
         let sc = scenario(4, (0.3, 0.7));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
-        let r = run_trials(&sc, &plan, &[AttackerKind::Naive], 2, 1);
+        let r = run_plain(&sc, &plan, &[AttackerKind::Naive], 2, 1);
         let _ = r.accuracy(AttackerKind::Model);
     }
 
@@ -930,7 +710,7 @@ mod tests {
         let sc = scenario(1, (0.3, 0.7));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
         let kinds = [AttackerKind::Naive, AttackerKind::Random];
-        let r = run_trials(&sc, &plan, &kinds, 5, 3);
+        let r = run_plain(&sc, &plan, &kinds, 5, 3);
         assert_eq!(r.fault_counters.len(), kinds.len());
         assert!(r.fault_counters.iter().all(FaultCounters::is_zero));
         for (k, a) in &r.by_attacker {
@@ -949,17 +729,21 @@ mod tests {
             AttackerKind::Random,
         ];
         let net = scenario_net_config(&sc);
-        let plain = run_trials_with_policy(&sc, &plan, &kinds, 15, 5, &net, ExecPolicy::Serial);
-        let robust = run_trials_robust_policy(
-            &sc,
-            &plan,
-            &kinds,
-            15,
-            5,
-            &net,
-            ExecPolicy::Serial,
-            &ProbePolicy::default(),
-        );
+        let plain = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 15,
+            seed: 5,
+            net: &net,
+            robust: None,
+        };
+        let robust = TrialRun {
+            robust: Some(&ProbePolicy::default()),
+            ..plain
+        }
+        .run(ExecPolicy::Serial);
+        let plain = plain.run(ExecPolicy::Serial);
         // Same measurements, same verdicts — only the probe/no-fault
         // counters differ.
         assert_eq!(plain.by_attacker, robust.by_attacker);
@@ -977,20 +761,18 @@ mod tests {
         let kinds = [AttackerKind::Naive, AttackerKind::Model];
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(0.1);
-        let probe = ProbePolicy::default();
-        let serial =
-            run_trials_robust_policy(&sc, &plan, &kinds, 16, 21, &net, ExecPolicy::Serial, &probe);
+        let run = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 16,
+            seed: 21,
+            net: &net,
+            robust: Some(&ProbePolicy::default()),
+        };
+        let serial = run.run(ExecPolicy::Serial);
         for threads in [2, 8] {
-            let parallel = run_trials_robust_policy(
-                &sc,
-                &plan,
-                &kinds,
-                16,
-                21,
-                &net,
-                ExecPolicy::Parallel { threads },
-                &probe,
-            );
+            let parallel = run.run(ExecPolicy::Parallel { threads });
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -1003,20 +785,20 @@ mod tests {
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(0.1);
         let probe = ProbePolicy::default();
+        let run = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 12,
+            seed: 17,
+            net: &net,
+            robust: Some(&probe),
+        };
         for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 8 }] {
-            let plain = run_trials_robust_policy(&sc, &plan, &kinds, 12, 17, &net, policy, &probe);
+            let plain = run.run(policy);
             let mut recorder = Recorder::enabled();
-            let recorded = run_trials_recorded(
-                &sc,
-                &plan,
-                &kinds,
-                12,
-                17,
-                &net,
-                policy,
-                Some(&probe),
-                &mut recorder,
-            );
+            let recorded =
+                run.run_observed(policy, &mut recorder, 0, &mut FlightRecorder::disabled());
             assert_eq!(plain, recorded, "recording must not change results");
             assert_eq!(recorder.counter(metrics::TRIALS), 12);
             let answered: u64 = kinds
@@ -1052,6 +834,15 @@ mod tests {
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(0.1);
         let probe = ProbePolicy::default();
+        let run = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 8,
+            seed: 17,
+            net: &net,
+            robust: Some(&probe),
+        };
         let mut reference: Option<FlightRecorder> = None;
         for threads in [1, 2, 8] {
             let policy = if threads == 1 {
@@ -1059,21 +850,9 @@ mod tests {
             } else {
                 ExecPolicy::Parallel { threads }
             };
-            let plain = run_trials_robust_policy(&sc, &plan, &kinds, 8, 17, &net, policy, &probe);
+            let plain = run.run(policy);
             let mut flight = FlightRecorder::enabled();
-            let traced = run_trials_traced(
-                &sc,
-                &plan,
-                &kinds,
-                8,
-                17,
-                &net,
-                policy,
-                Some(&probe),
-                &mut Recorder::disabled(),
-                3,
-                &mut flight,
-            );
+            let traced = run.run_observed(policy, &mut Recorder::disabled(), 3, &mut flight);
             assert_eq!(
                 plain, traced,
                 "threads={threads}: tracing must not change results"
@@ -1101,7 +880,16 @@ mod tests {
         let total_of = |name: &str| {
             let mut net = scenario_net_config(&sc);
             net.set_policy_by_name(name).unwrap();
-            let r = run_trials_with(&sc, &plan, &kinds, 10, 3, &net);
+            let r = TrialRun {
+                scenario: &sc,
+                plan: &plan,
+                kinds: &kinds,
+                trials: 10,
+                seed: 3,
+                net: &net,
+                robust: None,
+            }
+            .run(ExecPolicy::Serial);
             let s = *r.cache_stats(AttackerKind::Naive);
             assert!(s.hits + s.misses > 0, "{name}: lookups must be counted");
             s.hits + s.misses + s.uncovered
@@ -1118,23 +906,23 @@ mod tests {
         let sc = scenario(11, (0.3, 0.7));
         let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
         let kinds = [AttackerKind::Naive];
-        let clean = run_trials(&sc, &plan, &kinds, 5, 3);
+        let clean = run_plain(&sc, &plan, &kinds, 5, 3);
         assert_eq!(
             clean.sim_faults(AttackerKind::Naive),
             &FaultStats::default()
         );
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(0.25);
-        let faulty = run_trials_robust_policy(
-            &sc,
-            &plan,
-            &kinds,
-            30,
-            13,
-            &net,
-            ExecPolicy::Serial,
-            &ProbePolicy::default(),
-        );
+        let faulty = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 30,
+            seed: 13,
+            net: &net,
+            robust: Some(&ProbePolicy::default()),
+        }
+        .run(ExecPolicy::Serial);
         let f = faulty.sim_faults(AttackerKind::Naive);
         assert!(
             f.packets_dropped + f.packet_ins_lost + f.flow_mods_lost > 0,
@@ -1149,16 +937,16 @@ mod tests {
         let kinds = [AttackerKind::Naive];
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(0.25);
-        let r = run_trials_robust_policy(
-            &sc,
-            &plan,
-            &kinds,
-            60,
-            13,
-            &net,
-            ExecPolicy::Serial,
-            &ProbePolicy::default(),
-        );
+        let r = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 60,
+            seed: 13,
+            net: &net,
+            robust: Some(&ProbePolicy::default()),
+        }
+        .run(ExecPolicy::Serial);
         let acc = &r.by_attacker[0].1;
         assert_eq!(acc.total(), 60, "every trial is accounted for");
         let c = &r.fault_counters[0];

@@ -1,7 +1,7 @@
 //! Benchmarks for the discrete-event network simulator (T1's measurement
 //! engine): probe latency, traffic replay throughput, and full trial cost.
 
-use attack::{plan_attack, run_trials, AttackerKind};
+use attack::{plan_attack, AttackerKind, ExecPolicy, TrialRun};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowspace::FlowId;
 use netsim::Simulation;
@@ -44,17 +44,20 @@ fn bench_simulator(c: &mut Criterion) {
     let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
     g.bench_function("ten_trials_three_attackers", |b| {
         b.iter(|| {
-            run_trials(
-                &sc,
-                &plan,
-                &[
+            TrialRun {
+                scenario: &sc,
+                plan: &plan,
+                kinds: &[
                     AttackerKind::Naive,
                     AttackerKind::Model,
                     AttackerKind::Random,
                 ],
-                10,
-                3,
-            )
+                trials: 10,
+                seed: 3,
+                net: &net,
+                robust: None,
+            }
+            .run(ExecPolicy::auto())
         });
     });
     g.finish();

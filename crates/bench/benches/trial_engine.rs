@@ -6,10 +6,7 @@
 //!
 //! Baseline numbers are recorded in `results/bench_trial_engine.txt`.
 
-use attack::{
-    plan_attack, run_trials_policy, run_trials_recorded, run_trials_traced, scenario_net_config,
-    AttackerKind, ExecPolicy,
-};
+use attack::{plan_attack, scenario_net_config, AttackerKind, ExecPolicy, TrialRun};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recon_bench::paper_scale_scenario;
 use recon_core::useq::Evaluator;
@@ -23,25 +20,33 @@ fn bench_trial_engine(c: &mut Criterion) {
         AttackerKind::Random,
     ];
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let net = scenario_net_config(&sc);
+    let batch = |trials| TrialRun {
+        scenario: &sc,
+        plan: &plan,
+        kinds: &kinds,
+        trials,
+        seed: 3,
+        net: &net,
+        robust: None,
+    };
 
     let mut g = c.benchmark_group("trial_engine");
     g.sample_size(10);
     for &trials in &[100usize, 1000] {
         g.bench_with_input(BenchmarkId::new("serial", trials), &trials, |b, &n| {
-            b.iter(|| run_trials_policy(&sc, &plan, &kinds, n, 3, ExecPolicy::Serial));
+            b.iter(|| batch(n).run(ExecPolicy::Serial));
         });
         for &threads in &[2usize, 4] {
             let label = format!("parallel{threads}");
             g.bench_with_input(BenchmarkId::new(&label, trials), &trials, |b, &n| {
-                b.iter(|| {
-                    run_trials_policy(&sc, &plan, &kinds, n, 3, ExecPolicy::Parallel { threads })
-                });
+                b.iter(|| batch(n).run(ExecPolicy::Parallel { threads }));
             });
         }
         let auto = ExecPolicy::auto();
         let label = format!("auto_{available}cores");
         g.bench_with_input(BenchmarkId::new(&label, trials), &trials, |b, &n| {
-            b.iter(|| run_trials_policy(&sc, &plan, &kinds, n, 3, auto));
+            b.iter(|| batch(n).run(auto));
         });
         // Supervision overhead: the crash-safe job layer with
         // checkpointing off (one worker thread + channel per unit) must
@@ -57,7 +62,16 @@ fn bench_trial_engine(c: &mut Criterion) {
                     let plan = std::sync::Arc::clone(&plan_arc);
                     let spec = jobs::JobSpec::new("bench_supervised", 1, 0);
                     jobs::run_units(&spec, move |_unit, _rec| {
-                        run_trials_policy(&sc, &plan, &kinds, n, 3, ExecPolicy::Serial)
+                        TrialRun {
+                            scenario: &sc,
+                            plan: &plan,
+                            kinds: &kinds,
+                            trials: n,
+                            seed: 3,
+                            net: &scenario_net_config(&sc),
+                            robust: None,
+                        }
+                        .run(ExecPolicy::Serial)
                     })
                     .expect("supervised bench job")
                 });
@@ -65,7 +79,6 @@ fn bench_trial_engine(c: &mut Criterion) {
         );
         // Observability overhead: a disabled recorder must be free
         // (within noise of `serial`); enabled shows the metrics cost.
-        let net = scenario_net_config(&sc);
         for (label, enabled) in [("serial_obs_off", false), ("serial_obs_on", true)] {
             g.bench_with_input(BenchmarkId::new(label, trials), &trials, |b, &n| {
                 b.iter(|| {
@@ -74,16 +87,11 @@ fn bench_trial_engine(c: &mut Criterion) {
                     } else {
                         obs::Recorder::disabled()
                     };
-                    run_trials_recorded(
-                        &sc,
-                        &plan,
-                        &kinds,
-                        n,
-                        3,
-                        &net,
+                    batch(n).run_observed(
                         ExecPolicy::Serial,
-                        None,
                         &mut rec,
+                        0,
+                        &mut obs::FlightRecorder::disabled(),
                     )
                 });
             });
@@ -99,15 +107,8 @@ fn bench_trial_engine(c: &mut Criterion) {
                     } else {
                         obs::FlightRecorder::disabled()
                     };
-                    run_trials_traced(
-                        &sc,
-                        &plan,
-                        &kinds,
-                        n,
-                        3,
-                        &net,
+                    batch(n).run_observed(
                         ExecPolicy::Serial,
-                        None,
                         &mut obs::Recorder::disabled(),
                         0,
                         &mut flight,

@@ -1,5 +1,6 @@
 //! Execution policy, run statistics, and the deterministic fan-out helper
-//! shared by the trial engine and the probe-evaluation engine.
+//! shared by the trial engine, the sweeps and the probe-evaluation
+//! engine.
 //!
 //! Monte-Carlo evaluation (§VI) runs hundreds of independent trials per
 //! configuration, and probe selection (§V) scores dozens of independent
@@ -121,7 +122,9 @@ impl fmt::Display for ExecPolicy {
 }
 
 /// Evaluates `f(0), f(1), …, f(n - 1)` under `policy` and returns the
-/// results in index order.
+/// results in index order. This is the crate family's one thread pool:
+/// probe scoring, the trial engine's chunks and sweep points all fan out
+/// through it.
 ///
 /// Each invocation of `f` must be a pure function of its index — workers
 /// pull indices from a shared cursor, so the *schedule* is
@@ -130,6 +133,12 @@ impl fmt::Display for ExecPolicy {
 /// (tie-breaking argmax folds, first-error-wins scans) therefore stays
 /// with the caller, running serially over this index-ordered output —
 /// that is what keeps parallel runs bit-identical to serial ones.
+///
+/// # Panics
+///
+/// If `f` panics on a worker, every worker is joined and the first
+/// worker's panic resumes on the calling thread with its original
+/// payload.
 pub fn map_indexed<T, F>(policy: ExecPolicy, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -142,21 +151,36 @@ where
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                // A poisoned lock only means another worker panicked
-                // mid-store; that panic propagates when the scope joins,
-                // so writing through the poison is sound — and keeps
-                // this hot path free of panic branches.
-                slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(value);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let value = f(i);
+                    // A poisoned lock only means another worker panicked
+                    // mid-store; that panic is re-raised below, so
+                    // writing through the poison is sound — and keeps
+                    // this hot path free of panic branches.
+                    slots
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(value);
+                })
+            })
+            .collect();
+        // Join every worker first, then re-raise the first panic with its
+        // original payload: the job supervisor's `catch_unwind` one layer
+        // up reports that payload in `WorkerFailure::Panic`, so the root
+        // cause must survive the thread boundary.
+        let mut panicked = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
     slots
@@ -170,7 +194,7 @@ where
 /// Wall-clock accounting for one batch of trials.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
-    /// Trials executed (summed over every `run_trials` call measured).
+    /// Trials executed (summed over every batch measured).
     pub trials: u64,
     /// Worker threads the policy scheduled on.
     pub threads: usize,
@@ -287,6 +311,22 @@ mod tests {
         assert!(empty.is_empty());
         let few = map_indexed(ExecPolicy::Parallel { threads: 8 }, 2, |i| i * 3);
         assert_eq!(few, vec![0, 3]);
+    }
+
+    #[test]
+    fn map_indexed_reraises_the_worker_panic_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            map_indexed(ExecPolicy::Parallel { threads: 4 }, 16, |i| {
+                assert!(i != 7, "item {i} failed");
+                i
+            })
+        });
+        let payload = caught.expect_err("the worker panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("item 7 failed"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run before choosing `--configs`/`--trials` for the figure binaries.
 
-use attack::{plan_attack, run_trials_policy, AttackerKind};
+use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::sampler_for;
 use experiments::ExpOpts;
 use rand::rngs::StdRng;
@@ -66,18 +66,20 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let report = run_trials_policy(
-        &scenario,
-        &plan,
-        &[
+    let report = TrialRun {
+        scenario: &scenario,
+        plan: &plan,
+        kinds: &[
             AttackerKind::Naive,
             AttackerKind::Model,
             AttackerKind::Random,
         ],
-        opts.trials,
-        opts.seed,
-        opts.policy,
-    );
+        trials: opts.trials,
+        seed: opts.seed,
+        net: &scenario_net_config(&scenario),
+        robust: None,
+    }
+    .run(opts.policy);
     println!("{} trials x 3 attackers: {:?}", opts.trials, t1.elapsed());
     for (k, acc) in &report.by_attacker {
         println!("  {:<18} accuracy {:.3}", k.name(), acc.accuracy());

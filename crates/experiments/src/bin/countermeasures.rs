@@ -5,13 +5,12 @@
 //! Expected shape: both defenses push every probing attacker down to (or
 //! below) the prior-only random attacker's accuracy.
 
-use attack::{plan_attack, run_trials_with_policy, scenario_net_config, AttackerKind};
-use experiments::harness::{mean, sampler_for, write_csv, RunManifest};
+use attack::{scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use experiments::{ascii_bars, ExpOpts};
 use netsim::{Defense, NetConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recon_core::useq::Evaluator;
 
 fn with_defense(base: &NetConfig, defense: Defense) -> NetConfig {
     let mut c = base.clone();
@@ -24,8 +23,6 @@ fn main() {
     opts.forbid_checkpointing("countermeasures");
     let manifest = RunManifest::begin("countermeasures");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -64,30 +61,28 @@ fn main() {
 
     // Accuracy[defense][attacker], averaged over detector-feasible configs.
     let mut acc = vec![vec![Vec::new(); kinds.len()]; defenses.len()];
-    let mut found = 0usize;
-    let mut attempts = 0usize;
-    while found < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.05, 0.95), &mut rng);
-        let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) else {
-            continue;
-        };
-        if !plan.is_detector() {
-            continue;
-        }
-        found += 1;
-        let base = scenario_net_config(&sc);
+    let configs = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| detector_plan(sc, opts.policy),
+    );
+    let found = configs.len();
+    for (i, (sc, plan)) in configs.iter().enumerate() {
+        let base = scenario_net_config(sc);
         for (d, (_, defense)) in defenses.iter().enumerate() {
-            let net = with_defense(&base, *defense);
-            let report = run_trials_with_policy(
-                &sc,
-                &plan,
-                &kinds,
-                opts.trials,
-                opts.seed ^ found as u64,
-                &net,
-                opts.policy,
-            );
+            let report = TrialRun {
+                scenario: sc,
+                plan,
+                kinds: &kinds,
+                trials: opts.trials,
+                seed: opts.seed ^ (i + 1) as u64,
+                net: &with_defense(&base, *defense),
+                robust: None,
+            }
+            .run(opts.policy);
             for (k, kind) in kinds.iter().enumerate() {
                 acc[d][k].push(report.accuracy(*kind));
             }

@@ -6,12 +6,12 @@
 //! Expected shape: each merge round lowers leakage and drags the model
 //! attacker toward the random baseline, at the cost of coarser forwarding.
 
-use attack::{plan_attack, run_trials_policy, AttackerKind};
-use experiments::harness::{mean, sampler_for, write_csv, RunManifest};
+use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use experiments::ExpOpts;
 use flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use recon_core::leakage::measure_leakage;
 use recon_core::useq::Evaluator;
 use traffic::NetworkScenario;
@@ -36,8 +36,6 @@ fn main() {
     opts.forbid_checkpointing("defense_transform");
     let manifest = RunManifest::begin("defense_transform");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let rounds = 3usize;
     let kinds = [AttackerKind::Model, AttackerKind::Random];
 
@@ -45,19 +43,16 @@ fn main() {
     let mut leakage_mean = vec![Vec::new(); rounds + 1];
     let mut leakage_max = vec![Vec::new(); rounds + 1];
     let mut acc = vec![vec![Vec::new(); kinds.len()]; rounds + 1];
-    let mut found = 0usize;
-    let mut attempts = 0usize;
-    while found < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc0 = sampler.sample_forced((0.05, 0.95), &mut rng);
-        let Ok(plan0) = plan_attack(&sc0, Evaluator::mean_field()) else {
-            continue;
-        };
-        if !plan0.is_detector() {
-            continue;
-        }
-        found += 1;
-        let mut sc = sc0;
+    let configs = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| detector_plan(sc, opts.policy),
+    );
+    let found = configs.len();
+    for (i, (mut sc, _)) in configs.into_iter().enumerate() {
         for r in 0..=rounds {
             let rates = sc.rates();
             if let Ok(report) = measure_leakage(
@@ -71,14 +66,16 @@ fn main() {
                 leakage_max[r].push(report.max_info_gain());
             }
             if let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) {
-                let rep = run_trials_policy(
-                    &sc,
-                    &plan,
-                    &kinds,
-                    opts.trials,
-                    opts.seed ^ (found * 7 + r) as u64,
-                    opts.policy,
-                );
+                let rep = TrialRun {
+                    scenario: &sc,
+                    plan: &plan,
+                    kinds: &kinds,
+                    trials: opts.trials,
+                    seed: opts.seed ^ ((i + 1) * 7 + r) as u64,
+                    net: &scenario_net_config(&sc),
+                    robust: None,
+                }
+                .run(opts.policy);
                 for (k, kind) in kinds.iter().enumerate() {
                     acc[r][k].push(rep.accuracy(*kind));
                 }

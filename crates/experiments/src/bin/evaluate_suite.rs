@@ -6,7 +6,7 @@
 
 use attack::AttackerKind;
 use experiments::harness::{
-    collect_configs_observed, mean, write_csv, write_stats, ConfigClass, RunManifest,
+    collect_configs, mean, write_csv, write_stats, ConfigClass, RunManifest,
 };
 use experiments::{ascii_bars, ascii_cdf, ConfigOutcome, ExpOpts};
 use std::collections::BTreeMap;
@@ -35,7 +35,7 @@ fn main() {
         AttackerKind::RestrictedModel,
         AttackerKind::Random,
     ];
-    let (all, stats) = collect_configs_observed(
+    let (all, stats) = collect_configs(
         &opts,
         ConfigClass::DetectorFeasible,
         (0.05, 0.95),

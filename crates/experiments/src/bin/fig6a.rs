@@ -14,7 +14,7 @@
 
 use attack::AttackerKind;
 use experiments::harness::{
-    collect_configs_observed, mean, write_csv, write_stats, ConfigClass, RunManifest,
+    collect_configs, mean, write_csv, write_stats, ConfigClass, RunManifest,
 };
 use experiments::{ascii_bars, ConfigOutcome, ExpOpts};
 
@@ -25,7 +25,7 @@ fn main() {
     let mut recorder = opts.recorder();
     let bins: &[(f64, f64)] = &[(0.05, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 0.95)];
     let kinds = [AttackerKind::Naive, AttackerKind::Model];
-    let (outcomes, stats) = collect_configs_observed(
+    let (outcomes, stats) = collect_configs(
         &opts,
         ConfigClass::OptimalDiffersFromTarget,
         (0.05, 0.95),

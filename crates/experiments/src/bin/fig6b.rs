@@ -6,9 +6,7 @@
 //! ~5% of configurations.
 
 use attack::AttackerKind;
-use experiments::harness::{
-    collect_configs_observed, write_csv, write_stats, ConfigClass, RunManifest,
-};
+use experiments::harness::{collect_configs, write_csv, write_stats, ConfigClass, RunManifest};
 use experiments::{ascii_cdf, ExpOpts};
 
 fn main() {
@@ -17,7 +15,7 @@ fn main() {
     let manifest = RunManifest::begin("fig6b");
     let mut recorder = opts.recorder();
     let kinds = [AttackerKind::Naive, AttackerKind::Model];
-    let (outcomes, stats) = collect_configs_observed(
+    let (outcomes, stats) = collect_configs(
         &opts,
         ConfigClass::OptimalDiffersFromTarget,
         (0.05, 0.95),

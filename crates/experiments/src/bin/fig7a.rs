@@ -8,7 +8,7 @@
 
 use attack::AttackerKind;
 use experiments::harness::{
-    collect_configs_observed, mean, write_csv, write_stats, ConfigClass, RunManifest,
+    collect_configs, mean, write_csv, write_stats, ConfigClass, RunManifest,
 };
 use experiments::{ascii_bars, ExpOpts};
 use std::collections::BTreeMap;
@@ -23,7 +23,7 @@ fn main() {
         AttackerKind::RestrictedModel,
         AttackerKind::Random,
     ];
-    let (outcomes, stats) = collect_configs_observed(
+    let (outcomes, stats) = collect_configs(
         &opts,
         ConfigClass::DetectorFeasible,
         (0.05, 0.95),

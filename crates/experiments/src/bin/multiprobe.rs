@@ -2,11 +2,12 @@
 //! probes (§V-B) and adaptive probing (our extension of it) add over the
 //! single optimal probe?
 
-use attack::{plan_attack_with_policy, run_trials_policy, AttackerKind};
-use experiments::harness::{mean, sampler_for, write_csv, RunManifest};
+use attack::{plan_attack_full, scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{
+    mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use experiments::{ascii_bars, ExpOpts};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ftcache::PolicyKind;
 use recon_core::useq::Evaluator;
 
 fn main() {
@@ -14,8 +15,6 @@ fn main() {
     opts.forbid_checkpointing("multiprobe");
     let manifest = RunManifest::begin("multiprobe");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -25,32 +24,42 @@ fn main() {
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
     let mut ig_single = Vec::new();
     let mut ig_adaptive = Vec::new();
-    let mut found = 0usize;
-    let mut attempts = 0usize;
-    while found < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.05, 0.95), &mut rng);
-        // Three probes for the fixed sequence, depth-3 adaptive policy.
-        let Ok(plan) = plan_attack_with_policy(&sc, Evaluator::mean_field(), 3, 3, opts.policy)
-        else {
-            continue;
-        };
-        if !plan.optimal.is_detector() {
-            continue;
-        }
-        found += 1;
+    let configs = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| {
+            // Three probes for the fixed sequence, depth-3 adaptive policy.
+            plan_attack_full(
+                sc,
+                Evaluator::mean_field(),
+                3,
+                3,
+                opts.policy,
+                PolicyKind::Srt,
+            )
+            .ok()
+            .filter(attack::AttackPlan::is_detector)
+        },
+    );
+    let found = configs.len();
+    for (ci, (sc, plan)) in configs.iter().enumerate() {
         ig_single.push(plan.optimal.info_gain);
         if let Some(ref adaptive) = plan.adaptive {
             ig_adaptive.push(adaptive.expected_info_gain());
         }
-        let report = run_trials_policy(
-            &sc,
-            &plan,
-            &kinds,
-            opts.trials,
-            opts.seed ^ found as u64,
-            opts.policy,
-        );
+        let report = TrialRun {
+            scenario: sc,
+            plan,
+            kinds: &kinds,
+            trials: opts.trials,
+            seed: opts.seed ^ (ci + 1) as u64,
+            net: &scenario_net_config(sc),
+            robust: None,
+        }
+        .run(opts.policy);
         for (i, k) in kinds.iter().enumerate() {
             acc[i].push(report.accuracy(*k));
         }

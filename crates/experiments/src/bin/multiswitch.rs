@@ -8,20 +8,17 @@
 //! the attacker's reading of `Q_f` — the single-switch model no longer
 //! matches the network it is probing.
 
-use attack::{plan_attack, run_trials_with_policy, scenario_net_config, AttackerKind};
-use experiments::harness::{mean, sampler_for, write_csv, RunManifest};
+use attack::{scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use experiments::{ascii_bars, ExpOpts};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recon_core::useq::Evaluator;
 
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("multiswitch");
     let manifest = RunManifest::begin("multiswitch");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -30,30 +27,29 @@ fn main() {
     let fabrics: [(&str, bool); 2] = [("proactive-transit", false), ("reactive-transit", true)];
 
     let mut acc = vec![vec![Vec::new(); kinds.len()]; fabrics.len()];
-    let mut found = 0usize;
-    let mut attempts = 0usize;
-    while found < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.05, 0.95), &mut rng);
-        let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) else {
-            continue;
-        };
-        if !plan.is_detector() {
-            continue;
-        }
-        found += 1;
+    let configs = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| detector_plan(sc, opts.policy),
+    );
+    let found = configs.len();
+    for (i, (sc, plan)) in configs.iter().enumerate() {
         for (fi, (_, reactive)) in fabrics.iter().enumerate() {
-            let mut net = scenario_net_config(&sc);
+            let mut net = scenario_net_config(sc);
             net.transit_reactive = *reactive;
-            let report = run_trials_with_policy(
-                &sc,
-                &plan,
-                &kinds,
-                opts.trials,
-                opts.seed ^ (found * 3 + fi) as u64,
-                &net,
-                opts.policy,
-            );
+            let report = TrialRun {
+                scenario: sc,
+                plan,
+                kinds: &kinds,
+                trials: opts.trials,
+                seed: opts.seed ^ ((i + 1) * 3 + fi) as u64,
+                net: &net,
+                robust: None,
+            }
+            .run(opts.policy);
             for (k, kind) in kinds.iter().enumerate() {
                 acc[fi][k].push(report.accuracy(*kind));
             }

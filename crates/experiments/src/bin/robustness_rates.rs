@@ -6,11 +6,11 @@
 //! biased by ×½ / ×2, or replaced by the coarse per-rule split
 //! λ_f = λ_j / |rule_j| that §IV-A1 suggests as the realistic fallback?
 
-use attack::{plan_attack, run_trials_policy, AttackerKind};
-use experiments::harness::{mean, sampler_for, write_csv, RunManifest};
+use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use experiments::ExpOpts;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use recon_core::useq::Evaluator;
 use traffic::NetworkScenario;
 
@@ -30,8 +30,6 @@ fn main() {
     opts.forbid_checkpointing("robustness_rates");
     let manifest = RunManifest::begin("robustness_rates");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let variants: [RateVariant; 4] = [
         ("true-rates", |sc| sc.lambdas.clone()),
         ("half-rates", |sc| {
@@ -44,23 +42,22 @@ fn main() {
     ];
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
     let mut probe_agree = vec![0usize; variants.len()];
-    let mut found = 0usize;
-    let mut attempts = 0usize;
-    while found < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.05, 0.95), &mut rng);
-        let Ok(true_plan) = plan_attack(&sc, Evaluator::mean_field()) else {
-            continue;
-        };
-        if !true_plan.is_detector() {
-            continue;
-        }
-        found += 1;
+    let configs = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| detector_plan(sc, opts.policy),
+    );
+    let found = configs.len();
+    for (i, (sc, true_plan)) in configs.iter().enumerate() {
+        let net = scenario_net_config(sc);
         for (v, (_, estimate)) in variants.iter().enumerate() {
             // The attacker *plans* with its (possibly wrong) estimates but
             // the *network* runs the true rates.
             let believed = NetworkScenario {
-                lambdas: estimate(&sc),
+                lambdas: estimate(sc),
                 ..sc.clone()
             };
             let Ok(plan) = plan_attack(&believed, Evaluator::mean_field()) else {
@@ -69,14 +66,16 @@ fn main() {
             if plan.optimal.probe == true_plan.optimal.probe {
                 probe_agree[v] += 1;
             }
-            let report = run_trials_policy(
-                &sc, // true traffic
-                &plan,
-                &[AttackerKind::Model],
-                opts.trials,
-                opts.seed ^ (found * 31 + v) as u64,
-                opts.policy,
-            );
+            let report = TrialRun {
+                scenario: sc, // true traffic
+                plan: &plan,
+                kinds: &[AttackerKind::Model],
+                trials: opts.trials,
+                seed: opts.seed ^ ((i + 1) * 31 + v) as u64,
+                net: &net,
+                robust: None,
+            }
+            .run(opts.policy);
             acc[v].push(report.accuracy(AttackerKind::Model));
         }
     }

@@ -12,14 +12,12 @@
 //! different pods. Only deterministic columns are recorded, so the CSV
 //! is byte-reproducible across runs and thread counts.
 
-use attack::{plan_attack, run_trials_with_policy, AttackerKind};
-use experiments::harness::{sampler_for, write_csv, RunManifest};
+use attack::{AttackerKind, TrialRun};
+use experiments::harness::{detector_plan, sample_configs, sampler_for, write_csv, RunManifest};
 use experiments::ExpOpts;
 use flowspace::relevant::FlowRates;
 use flowspace::{FlowId, FlowSet, Rule, RuleSet, Timeout};
 use netsim::NetConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use recon_core::basic::BasicModel;
 use recon_core::compact::CompactModel;
 use recon_core::counts::{basic_state_count, compact_state_count};
@@ -104,15 +102,18 @@ fn main() {
         AttackerKind::Model,
         AttackerKind::Random,
     ];
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let (sc, plan) = loop {
-        let sc = sampler.sample_forced((0.05, 0.95), &mut rng);
-        if let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) {
-            if plan.is_detector() {
-                break (sc, plan);
-            }
-        }
+    // The first detector-feasible draw, however many draws it takes.
+    let feasible = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.05, 0.95),
+        1,
+        usize::MAX,
+        |sc| detector_plan(sc, opts.policy),
+    );
+    let Some((sc, plan)) = feasible.into_iter().next() else {
+        eprintln!("scalability: no detector-feasible configuration sampled");
+        std::process::exit(1);
     };
     println!("\nfat-tree fabrics (attack plan fixed, topology scaled):");
     println!("      k  switches  links  hops  naive   model  random");
@@ -123,15 +124,16 @@ fn main() {
             .topology
             .distance(net.ingress, net.server)
             .expect("pods are connected through the core");
-        let report = run_trials_with_policy(
-            &sc,
-            &plan,
-            &kinds,
-            opts.trials,
-            opts.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            &net,
-            opts.policy,
-        );
+        let report = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: opts.trials,
+            seed: opts.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            net: &net,
+            robust: None,
+        }
+        .run(opts.policy);
         let accs: Vec<f64> = kinds.iter().map(|kind| report.accuracy(*kind)).collect();
         let (switches, links) = (net.topology.len(), net.topology.link_count());
         println!(

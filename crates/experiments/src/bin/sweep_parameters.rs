@@ -6,21 +6,18 @@
 //! negatives from eviction); longer TTLs widen the observable window and
 //! raise hit-side information; longer windows dilute it.
 
-use attack::sweep::{sweep_policy, SweepParameter};
-use attack::{plan_attack, AttackerKind, RunStats};
-use experiments::harness::{mean, sampler_for, write_csv, write_stats, RunManifest};
+use attack::sweep::{sweep, SweepParameter};
+use attack::{AttackerKind, RunStats};
+use experiments::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, write_stats, RunManifest,
+};
 use experiments::ExpOpts;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recon_core::useq::Evaluator;
 
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("sweep_parameters");
     let manifest = RunManifest::begin("sweep_parameters");
     let recorder = opts.recorder();
-    let sampler = sampler_for(&opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
     let kinds = [AttackerKind::Model, AttackerKind::Random];
     let sweeps: [(SweepParameter, Vec<f64>); 3] = [
         (
@@ -32,17 +29,14 @@ fn main() {
     ];
 
     // Collect a handful of detector-feasible scenarios once.
-    let mut scenarios = Vec::new();
-    let mut attempts = 0;
-    while scenarios.len() < opts.configs.min(12) && attempts < 600 {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.2, 0.9), &mut rng);
-        if let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) {
-            if plan.is_detector() {
-                scenarios.push(sc);
-            }
-        }
-    }
+    let scenarios = sample_configs(
+        &sampler_for(&opts),
+        opts.seed,
+        (0.2, 0.9),
+        opts.configs.min(12),
+        600,
+        |sc| detector_plan(sc, opts.policy),
+    );
     println!("{} scenarios\n", scenarios.len());
 
     let mut rows = Vec::new();
@@ -56,10 +50,10 @@ fn main() {
         // accuracy[value][kind] across scenarios.
         let mut acc = vec![vec![Vec::new(); kinds.len()]; values.len()];
         let mut gains = vec![Vec::new(); values.len()];
-        for (si, sc) in scenarios.iter().enumerate() {
+        for (si, (sc, _)) in scenarios.iter().enumerate() {
             let (result, stats) =
                 RunStats::measure(opts.policy, values.len() * opts.trials, || {
-                    sweep_policy(
+                    sweep(
                         sc,
                         *param,
                         values,

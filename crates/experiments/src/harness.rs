@@ -1,11 +1,18 @@
 //! Sampling, filtering and evaluating batches of network configurations.
+//!
+//! Every program samples through [`sample_configs`], the one loop that
+//! draws from a sampling stream, usually with [`detector_plan`] as the
+//! filter; [`collect_configs`] adds the trials for the Fig. 6/7
+//! programs. The rest is output plumbing: run manifests, stats
+//! sidecars and CSVs.
 
 use attack::{
-    plan_attack_policy, run_trials_recorded, scenario_net_config, AttackPlan, AttackerKind,
-    RunStats, TrialReport,
+    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, RunStats,
+    TrialReport, TrialRun,
 };
+use ftcache::PolicyKind;
 use obs::manifest::{detlint_budget, fnv1a, git_rev};
-use obs::{ManifestEntry, Recorder};
+use obs::{FlightRecorder, ManifestEntry, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
@@ -57,52 +64,73 @@ pub fn sampler_for(opts: &ExpOpts) -> ScenarioSampler {
     }
 }
 
-/// Samples configurations with target-absence probability in
-/// `absence_range`, keeps those matching `class`, evaluates each with
-/// `kinds` over `opts.trials` trials, and returns up to `count` outcomes.
+/// Sampling draws allowed per wanted configuration before a collection
+/// gives up and returns fewer, mirroring the paper's practice of
+/// discarding configurations on which no side-channel detector is
+/// possible.
+pub const ATTEMPTS_PER_CONFIG: usize = 60;
+
+/// Draws scenarios from `sampler`, with the target's absence probability
+/// forced into `absence`, until `count` are accepted or `max_attempts`
+/// draws are spent. Returns the accepted draws in draw order, each with
+/// what `accept` returned for it.
 ///
-/// Sampling gives up (returning fewer outcomes) after `60 × count`
-/// attempts, mirroring the paper's practice of discarding configurations
-/// on which no side-channel detector is possible.
+/// This is the one loop that draws from a program's sampling stream,
+/// `StdRng::seed_from_u64(seed)`. `accept` plans and filters (typically
+/// [`detector_plan`]) and never draws, so which configurations a program
+/// evaluates depends only on the sampler, the seed and the filter.
+pub fn sample_configs<P>(
+    sampler: &ScenarioSampler,
+    seed: u64,
+    absence: (f64, f64),
+    count: usize,
+    max_attempts: usize,
+    mut accept: impl FnMut(&NetworkScenario) -> Option<P>,
+) -> Vec<(NetworkScenario, P)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    let mut attempts = 0usize;
+    while out.len() < count && attempts < max_attempts {
+        attempts += 1;
+        let scenario = sampler.sample_forced(absence, &mut rng);
+        if let Some(p) = accept(&scenario) {
+            out.push((scenario, p));
+        }
+    }
+    out
+}
+
+/// The paper's §VI-B feasibility filter, the `accept` most programs
+/// sample with: the default plan ([`attack::plan_attack`]'s, with
+/// candidate probes scored under `policy`), kept when its optimal probe
+/// can act as a detector for the target.
+#[must_use]
+pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<AttackPlan> {
+    plan_attack_full(
+        scenario,
+        Evaluator::mean_field(),
+        0,
+        0,
+        policy,
+        PolicyKind::Srt,
+    )
+    .ok()
+    .filter(AttackPlan::is_detector)
+}
+
+/// Samples up to `count` configurations of `class` with target-absence
+/// probability in `absence_range` (giving up after
+/// [`ATTEMPTS_PER_CONFIG`] draws per configuration), then evaluates each
+/// with `kinds` over `opts.trials` trials. Also reports wall-clock
+/// [`RunStats`] for the whole collection, sampling and planning
+/// included.
+///
+/// With `recorder` enabled, probe RTT histograms, verdict and fault
+/// counters and the planner's span timings flow into it, and
+/// per-configuration progress is printed to stderr. The outcomes are
+/// byte-identical either way: recording never perturbs results.
 #[must_use]
 pub fn collect_configs(
-    opts: &ExpOpts,
-    class: ConfigClass,
-    absence_range: (f64, f64),
-    kinds: &[AttackerKind],
-    count: usize,
-) -> Vec<ConfigOutcome> {
-    collect_configs_timed(opts, class, absence_range, kinds, count).0
-}
-
-/// [`collect_configs`], additionally reporting wall-clock [`RunStats`]
-/// for the trials executed (sampling and planning time included — the
-/// trials dominate at any realistic trial count).
-#[must_use]
-pub fn collect_configs_timed(
-    opts: &ExpOpts,
-    class: ConfigClass,
-    absence_range: (f64, f64),
-    kinds: &[AttackerKind],
-    count: usize,
-) -> (Vec<ConfigOutcome>, RunStats) {
-    collect_configs_observed(
-        opts,
-        class,
-        absence_range,
-        kinds,
-        count,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`collect_configs_timed`] with metric collection: probe RTT
-/// histograms, verdict/fault counters and planner span timings flow
-/// into `recorder`, and per-config progress is printed to stderr when
-/// it is enabled. The outcomes are byte-identical to the unobserved
-/// path — recording never perturbs results.
-#[must_use]
-pub fn collect_configs_observed(
     opts: &ExpOpts,
     class: ConfigClass,
     absence_range: (f64, f64),
@@ -111,41 +139,43 @@ pub fn collect_configs_observed(
     recorder: &mut Recorder,
 ) -> (Vec<ConfigOutcome>, RunStats) {
     let start = Instant::now();
-    let sampler = sampler_for(opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut out = Vec::with_capacity(count);
-    let mut attempts = 0usize;
     // Capture the planner's `core.planner.*` spans, which report through
     // the thread-local recorder (planning runs on this thread).
     if recorder.is_enabled() {
         obs::local::install(Recorder::enabled());
     }
-    while out.len() < count && attempts < 60 * count {
-        attempts += 1;
-        let scenario = sampler.sample_forced(absence_range, &mut rng);
-        let Ok(plan) = plan_attack_policy(&scenario, Evaluator::mean_field(), opts.policy) else {
-            continue;
-        };
-        let keep = match class {
-            ConfigClass::OptimalDiffersFromTarget => {
-                plan.is_detector() && plan.optimal_differs_from_target(scenario.target)
+    let configs = sample_configs(
+        &sampler_for(opts),
+        opts.seed,
+        absence_range,
+        count,
+        ATTEMPTS_PER_CONFIG * count,
+        |scenario| {
+            let plan = detector_plan(scenario, opts.policy)?;
+            match class {
+                ConfigClass::OptimalDiffersFromTarget => {
+                    plan.optimal_differs_from_target(scenario.target)
+                }
+                ConfigClass::DetectorFeasible => true,
             }
-            ConfigClass::DetectorFeasible => plan.is_detector(),
-        };
-        if !keep {
-            continue;
-        }
-        let report = run_trials_recorded(
-            &scenario,
-            &plan,
+            .then_some(plan)
+        },
+    );
+    if recorder.is_enabled() {
+        recorder.merge(obs::local::take());
+    }
+    let mut out = Vec::with_capacity(configs.len());
+    for (i, (scenario, plan)) in configs.into_iter().enumerate() {
+        let report = TrialRun {
+            scenario: &scenario,
+            plan: &plan,
             kinds,
-            opts.trials,
-            opts.seed ^ (out.len() as u64).wrapping_mul(0xA5A5_5A5A_1234_5678),
-            &scenario_net_config(&scenario),
-            opts.policy,
-            None,
-            recorder,
-        );
+            trials: opts.trials,
+            seed: opts.seed ^ (i as u64).wrapping_mul(0xA5A5_5A5A_1234_5678),
+            net: &scenario_net_config(&scenario),
+            robust: None,
+        }
+        .run_observed(opts.policy, recorder, 0, &mut FlightRecorder::disabled());
         out.push(ConfigOutcome {
             scenario,
             plan,
@@ -153,14 +183,11 @@ pub fn collect_configs_observed(
         });
         if recorder.is_enabled() {
             eprintln!(
-                "obs: config {}/{count} ({attempts} sampled, {:.1}s elapsed)",
-                out.len(),
+                "obs: config {}/{count} evaluated ({:.1}s elapsed)",
+                i + 1,
                 start.elapsed().as_secs_f64()
             );
         }
-    }
-    if recorder.is_enabled() {
-        recorder.merge(obs::local::take());
     }
     let stats = RunStats {
         trials: (out.len() * opts.trials) as u64,
@@ -356,7 +383,14 @@ mod tests {
     fn collect_detector_feasible_configs() {
         let opts = fast_opts();
         let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let outcomes = collect_configs(&opts, ConfigClass::DetectorFeasible, (0.2, 0.8), &kinds, 2);
+        let (outcomes, _) = collect_configs(
+            &opts,
+            ConfigClass::DetectorFeasible,
+            (0.2, 0.8),
+            &kinds,
+            2,
+            &mut Recorder::disabled(),
+        );
         assert!(
             !outcomes.is_empty(),
             "should find at least one feasible config"
@@ -372,12 +406,13 @@ mod tests {
     fn fig6_class_filters_on_probe_difference() {
         let opts = fast_opts();
         let kinds = [AttackerKind::Naive];
-        let outcomes = collect_configs(
+        let (outcomes, _) = collect_configs(
             &opts,
             ConfigClass::OptimalDiffersFromTarget,
             (0.2, 0.8),
             &kinds,
             1,
+            &mut Recorder::disabled(),
         );
         for o in &outcomes {
             assert_ne!(o.plan.optimal.probe, o.scenario.target);
@@ -388,8 +423,14 @@ mod tests {
     fn timed_collection_reports_stats() {
         let opts = fast_opts();
         let kinds = [AttackerKind::Naive];
-        let (outcomes, stats) =
-            collect_configs_timed(&opts, ConfigClass::DetectorFeasible, (0.2, 0.8), &kinds, 2);
+        let (outcomes, stats) = collect_configs(
+            &opts,
+            ConfigClass::DetectorFeasible,
+            (0.2, 0.8),
+            &kinds,
+            2,
+            &mut Recorder::disabled(),
+        );
         assert_eq!(stats.trials, (outcomes.len() * opts.trials) as u64);
         assert_eq!(stats.threads, opts.policy.threads());
         assert!(stats.wall_secs > 0.0);
@@ -406,21 +447,58 @@ mod tests {
             policy: attack::ExecPolicy::Parallel { threads: 4 },
             ..fast_opts()
         };
-        let a = collect_configs(
-            &serial,
-            ConfigClass::DetectorFeasible,
-            (0.2, 0.8),
-            &kinds,
-            2,
-        );
-        let b = collect_configs(
-            &parallel,
-            ConfigClass::DetectorFeasible,
-            (0.2, 0.8),
-            &kinds,
-            2,
-        );
+        let collect = |opts: &ExpOpts| {
+            collect_configs(
+                opts,
+                ConfigClass::DetectorFeasible,
+                (0.2, 0.8),
+                &kinds,
+                2,
+                &mut Recorder::disabled(),
+            )
+            .0
+        };
+        let (a, b) = (collect(&serial), collect(&parallel));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sampling_stops_at_the_attempt_cap() {
+        let mut calls = 0;
+        let kept: Vec<(NetworkScenario, ())> =
+            sample_configs(&sampler_for(&fast_opts()), 5, (0.2, 0.8), 3, 7, |_| {
+                calls += 1;
+                None
+            });
+        assert!(kept.is_empty());
+        assert_eq!(calls, 7, "every attempt is offered to `accept` once");
+    }
+
+    #[test]
+    fn sampling_keeps_accepted_draws_in_draw_order() {
+        let sampler = sampler_for(&fast_opts());
+        let mut draw = 0usize;
+        let kept = sample_configs(&sampler, 5, (0.2, 0.8), 4, 100, |_| {
+            draw += 1;
+            draw.is_multiple_of(3).then_some(draw)
+        });
+        let mut rng = StdRng::seed_from_u64(5);
+        let by_hand: Vec<(NetworkScenario, usize)> = (1..=12usize)
+            .map(|d| (sampler.sample_forced((0.2, 0.8), &mut rng), d))
+            .filter(|(_, d)| d.is_multiple_of(3))
+            .collect();
+        assert_eq!(kept, by_hand);
+    }
+
+    #[test]
+    fn sampling_nothing_draws_nothing() {
+        let mut calls = 0;
+        let kept = sample_configs(&sampler_for(&fast_opts()), 5, (0.2, 0.8), 0, 100, |_| {
+            calls += 1;
+            Some(())
+        });
+        assert!(kept.is_empty());
+        assert_eq!(calls, 0);
     }
 
     #[test]

@@ -19,21 +19,21 @@
 //! bit-identical to the pre-supervision engine's.
 
 use attack::{
-    plan_attack_full, plan_attack_policy, run_trials_traced, scenario_net_config, AttackPlan,
-    AttackerKind, ProbePolicy, TrialReport,
+    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ProbePolicy, TrialReport,
+    TrialRun,
 };
 use core::time::Duration;
 use ftcache::PolicyKind;
 use jobs::{InterruptSource, JobError, JobOutcome, JobSpec, JobStatus};
 use obs::manifest::{fnv1a, git_rev};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use recon_core::useq::Evaluator;
 use std::path::PathBuf;
 use std::sync::Arc;
 use traffic::NetworkScenario;
 
-use crate::harness::{mean, sampler_for, write_csv, RunManifest};
+use crate::harness::{
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+};
 use crate::{svg, ExpOpts};
 
 /// The attacker set both sweeps evaluate.
@@ -127,20 +127,14 @@ pub fn run_fault_sweep(opts: &ExpOpts) -> i32 {
 
     // Sample the configuration set once (fault-free planning); every fault
     // rate then re-runs the *same* scenarios, so columns are comparable.
-    let sampler = sampler_for(opts);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut configs = Vec::new();
-    let mut attempts = 0usize;
-    while configs.len() < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.2, 0.8), &mut rng);
-        let Ok(plan) = plan_attack_policy(&sc, Evaluator::mean_field(), opts.policy) else {
-            continue;
-        };
-        if plan.is_detector() {
-            configs.push((sc, plan));
-        }
-    }
+    let configs = sample_configs(
+        &sampler_for(opts),
+        opts.seed,
+        (0.2, 0.8),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| detector_plan(sc, opts.policy),
+    );
     println!("{} detector-feasible configurations\n", configs.len());
     println!("rate   attacker   accuracy   answer-rate   timeouts   inconclusive");
 
@@ -155,19 +149,16 @@ pub fn run_fault_sweep(opts: &ExpOpts) -> i32 {
         let (sc, plan) = &configs[ci];
         let mut net = scenario_net_config(sc);
         net.faults = netsim::FaultPlan::uniform(rates[ri]);
-        run_trials_traced(
-            sc,
+        TrialRun {
+            scenario: sc,
             plan,
-            &KINDS,
+            kinds: &KINDS,
             trials,
-            config_seed(seed, ci),
-            &net,
-            policy,
-            Some(&probe_policy),
-            rec,
-            unit,
-            flight,
-        )
+            seed: config_seed(seed, ci),
+            net: &net,
+            robust: Some(&probe_policy),
+        }
+        .run_observed(policy, rec, unit, flight)
     }) {
         Ok(o) => o,
         Err(code) => return code,
@@ -333,26 +324,25 @@ pub fn run_defense_tournament(opts: &ExpOpts) -> i32 {
     let mut sampler = sampler_for(opts);
     sampler.capacity = (sampler.capacity / 2).max(2);
     sampler.lambda_max *= 2.0;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut configs = Vec::new();
-    let mut attempts = 0usize;
-    while configs.len() < opts.configs && attempts < 60 * opts.configs {
-        attempts += 1;
-        let sc = sampler.sample_forced((0.2, 0.8), &mut rng);
-        let plans: Option<Vec<AttackPlan>> = PolicyKind::all()
-            .iter()
-            .map(|&assumed| {
-                plan_attack_full(&sc, Evaluator::mean_field(), 0, 0, opts.policy, assumed).ok()
-            })
-            .collect();
-        let Some(plans) = plans else { continue };
-        if plans[0].is_detector() {
-            configs.push(TournamentConfig {
-                scenario: sc,
-                plans,
-            });
-        }
-    }
+    let configs: Vec<TournamentConfig> = sample_configs(
+        &sampler,
+        opts.seed,
+        (0.2, 0.8),
+        opts.configs,
+        ATTEMPTS_PER_CONFIG * opts.configs,
+        |sc| {
+            let plans: Vec<AttackPlan> = PolicyKind::all()
+                .iter()
+                .map(|&assumed| {
+                    plan_attack_full(sc, Evaluator::mean_field(), 0, 0, opts.policy, assumed).ok()
+                })
+                .collect::<Option<_>>()?;
+            plans[0].is_detector().then_some(plans)
+        },
+    )
+    .into_iter()
+    .map(|(scenario, plans)| TournamentConfig { scenario, plans })
+    .collect();
     println!("{} detector-feasible configurations\n", configs.len());
     println!(
         "policy  assumed  rate   attacker   accuracy   answer-rate   hit-rate   ctrl-load/trial"
@@ -390,19 +380,16 @@ pub fn run_defense_tournament(opts: &ExpOpts) -> i32 {
         let mut net = scenario_net_config(&config.scenario);
         net.policy = actual;
         net.faults = netsim::FaultPlan::uniform(rates[ri]);
-        run_trials_traced(
-            &config.scenario,
-            config.plan_for(assumed.policy(actual)),
-            &KINDS,
+        TrialRun {
+            scenario: &config.scenario,
+            plan: config.plan_for(assumed.policy(actual)),
+            kinds: &KINDS,
             trials,
-            config_seed(seed, ci),
-            &net,
-            policy,
-            Some(&probe_policy),
-            rec,
-            unit,
-            flight,
-        )
+            seed: config_seed(seed, ci),
+            net: &net,
+            robust: Some(&probe_policy),
+        }
+        .run_observed(policy, rec, unit, flight)
     }) {
         Ok(o) => o,
         Err(code) => return code,

@@ -5,9 +5,7 @@
 //! float slack, and a traced interrupted run leaves a parseable
 //! `.flightrec.jsonl` behind for forensics.
 
-use attack::{
-    plan_attack, run_trials_traced, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy,
-};
+use attack::{plan_attack, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialRun};
 use obs::trace::{probe_ctx, TraceEv};
 use obs::{FlightRecorder, Recorder};
 use proptest::prelude::*;
@@ -118,15 +116,17 @@ fn explain_reconciles_every_delivered_probe_in_smoke() {
         let mut net = scenario_net_config(&sc);
         net.faults = netsim::FaultPlan::uniform(rate);
         let mut flight = FlightRecorder::enabled();
-        let _ = run_trials_traced(
-            &sc,
-            &plan,
-            &kinds,
-            10,
-            7,
-            &net,
+        let _ = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 10,
+            seed: 7,
+            net: &net,
+            robust: Some(&probe_policy),
+        }
+        .run_observed(
             ExecPolicy::Serial,
-            Some(&probe_policy),
             &mut Recorder::disabled(),
             0,
             &mut flight,
@@ -207,10 +207,16 @@ proptest! {
                 ExecPolicy::Parallel { threads }
             };
             let mut flight = FlightRecorder::enabled();
-            let _ = run_trials_traced(
-                &sc, &plan, &kinds, trials, seed, &net, policy,
-                Some(&probe_policy), &mut Recorder::disabled(), 1, &mut flight,
-            );
+            let run = TrialRun {
+                scenario: &sc,
+                plan: &plan,
+                kinds: &kinds,
+                trials,
+                seed,
+                net: &net,
+                robust: Some(&probe_policy),
+            };
+            let _ = run.run_observed(policy, &mut Recorder::disabled(), 1, &mut flight);
             prop_assert!(!flight.is_empty());
             match &reference {
                 None => reference = Some(flight),

@@ -5,7 +5,7 @@
 //! The harness installs an enabled recorder on the main thread before
 //! planning, and takes it back afterwards. Worker threads spawned by
 //! the trial engine never install one — they thread an explicit
-//! recorder through `run_trials_recorded` instead — so the thread-local
+//! recorder through `attack::TrialRun::run_observed` instead — so the thread-local
 //! stays disabled there and every call below is a cheap no-op.
 
 use crate::recorder::Recorder;

@@ -15,9 +15,10 @@
 //! All subcommands read/write JSON so they compose in shell pipelines.
 
 use attack::{
-    plan_attack_with, run_trials_robust_policy, run_trials_with_policy, scenario_net_config,
-    AttackerKind, ExecPolicy, ProbePolicy,
+    plan_attack, plan_attack_full, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy,
+    TrialRun,
 };
+use ftcache::PolicyKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::leakage::measure_leakage;
@@ -124,8 +125,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             let sc = load_scenario(args)?;
             let multi: usize = args.get_parse("multi", 0)?;
             let adaptive: usize = args.get_parse("adaptive", 0)?;
-            let plan = plan_attack_with(&sc, Evaluator::mean_field(), multi, adaptive)
-                .map_err(|e| e.to_string())?;
+            let plan = plan_attack_full(
+                &sc,
+                Evaluator::mean_field(),
+                multi,
+                adaptive,
+                ExecPolicy::Serial,
+                PolicyKind::Srt,
+            )
+            .map_err(|e| e.to_string())?;
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -205,8 +213,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 None => ExecPolicy::from_env(),
             };
             let fault_rate: f64 = args.get_parse("fault-rate", 0.0)?;
-            let plan =
-                plan_attack_with(&sc, Evaluator::mean_field(), 0, 0).map_err(|e| e.to_string())?;
+            let plan = plan_attack(&sc, Evaluator::mean_field()).map_err(|e| e.to_string())?;
             let kinds = AttackerKind::all();
             // Validate the realized network config at the boundary so a
             // bad --fault-rate fails with the typed ConfigError message
@@ -218,20 +225,17 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 net.set_policy_by_name(name)
                     .map_err(|e| format!("--policy: {e}"))?;
             }
-            let report = if net.faults.is_noop() {
-                run_trials_with_policy(&sc, &plan, &kinds, trials, seed, &net, policy)
-            } else {
-                run_trials_robust_policy(
-                    &sc,
-                    &plan,
-                    &kinds,
-                    trials,
-                    seed,
-                    &net,
-                    policy,
-                    &ProbePolicy::default(),
-                )
-            };
+            let probe_policy = ProbePolicy::default();
+            let report = TrialRun {
+                scenario: &sc,
+                plan: &plan,
+                kinds: &kinds,
+                trials,
+                seed,
+                net: &net,
+                robust: (!net.faults.is_noop()).then_some(&probe_policy),
+            }
+            .run(policy);
             let mut out = String::new();
             let _ = writeln!(
                 out,

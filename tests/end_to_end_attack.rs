@@ -1,12 +1,46 @@
 //! End-to-end attack pipeline tests: sample a scenario, plan, attack the
 //! simulated network, score — the full §VI loop at reduced scale.
 
-use flow_recon::attack::{plan_attack, run_trials, run_trials_with, AttackerKind};
+use flow_recon::attack::{
+    plan_attack, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, TrialReport, TrialRun,
+};
 use flow_recon::model::useq::Evaluator;
-use flow_recon::netsim::{Defense, DelayPadding};
+use flow_recon::netsim::{Defense, DelayPadding, NetConfig};
 use flow_recon::traffic::{NetworkScenario, ScenarioSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs a batch on `net`, one worker per core.
+fn run_on(
+    sc: &NetworkScenario,
+    plan: &AttackPlan,
+    kinds: &[AttackerKind],
+    trials: usize,
+    seed: u64,
+    net: &NetConfig,
+) -> TrialReport {
+    TrialRun {
+        scenario: sc,
+        plan,
+        kinds,
+        trials,
+        seed,
+        net,
+        robust: None,
+    }
+    .run(ExecPolicy::auto())
+}
+
+/// Runs a batch on the scenario's own network.
+fn run(
+    sc: &NetworkScenario,
+    plan: &AttackPlan,
+    kinds: &[AttackerKind],
+    trials: usize,
+    seed: u64,
+) -> TrialReport {
+    run_on(sc, plan, kinds, trials, seed, &scenario_net_config(sc))
+}
 
 fn sampler() -> ScenarioSampler {
     ScenarioSampler {
@@ -19,7 +53,7 @@ fn sampler() -> ScenarioSampler {
     }
 }
 
-fn feasible_scenario(mut seed: u64) -> (NetworkScenario, flow_recon::attack::AttackPlan) {
+fn feasible_scenario(mut seed: u64) -> (NetworkScenario, AttackPlan) {
     // Find a detector-feasible configuration, as the paper's evaluation
     // restricts itself to.
     loop {
@@ -45,7 +79,7 @@ fn model_attacker_beats_random_on_feasible_configs() {
     for _ in 0..n_configs {
         let (sc, plan) = feasible_scenario(seed);
         seed += 1000;
-        let report = run_trials(
+        let report = run(
             &sc,
             &plan,
             &[AttackerKind::Model, AttackerKind::Random],
@@ -76,7 +110,7 @@ fn model_attacker_at_least_matches_naive_on_average() {
     for _ in 0..n_configs {
         let (sc, plan) = feasible_scenario(seed);
         seed += 999;
-        let report = run_trials(
+        let report = run(
             &sc,
             &plan,
             &[AttackerKind::Model, AttackerKind::Naive],
@@ -98,8 +132,8 @@ fn model_attacker_at_least_matches_naive_on_average() {
 fn defenses_degrade_the_attack() {
     let (sc, plan) = feasible_scenario(900);
     let kinds = [AttackerKind::Model, AttackerKind::Random];
-    let base = flow_recon::attack::scenario_net_config(&sc);
-    let no_defense = run_trials_with(&sc, &plan, &kinds, 80, 1, &base);
+    let base = scenario_net_config(&sc);
+    let no_defense = run_on(&sc, &plan, &kinds, 80, 1, &base);
 
     let mut padded = base.clone();
     padded.defense = Defense {
@@ -109,14 +143,14 @@ fn defenses_degrade_the_attack() {
         }),
         ..Defense::default()
     };
-    let with_padding = run_trials_with(&sc, &plan, &kinds, 80, 1, &padded);
+    let with_padding = run_on(&sc, &plan, &kinds, 80, 1, &padded);
 
     let mut proactive = base.clone();
     proactive.defense = Defense {
         proactive: true,
         ..Defense::default()
     };
-    let with_proactive = run_trials_with(&sc, &plan, &kinds, 80, 1, &proactive);
+    let with_proactive = run_on(&sc, &plan, &kinds, 80, 1, &proactive);
 
     let base_acc = no_defense.accuracy(AttackerKind::Model);
     let pad_acc = with_padding.accuracy(AttackerKind::Model);
@@ -137,8 +171,8 @@ fn defenses_degrade_the_attack() {
 fn trial_reports_are_reproducible_end_to_end() {
     let (sc, plan) = feasible_scenario(1234);
     let kinds = AttackerKind::all();
-    let a = run_trials(&sc, &plan, &kinds, 25, 77);
-    let b = run_trials(&sc, &plan, &kinds, 25, 77);
+    let a = run(&sc, &plan, &kinds, 25, 77);
+    let b = run(&sc, &plan, &kinds, 25, 77);
     assert_eq!(a, b);
 }
 

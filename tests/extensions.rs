@@ -4,12 +4,13 @@
 //! evaluation loop, exercised through the public API.
 
 use flow_recon::attack::{
-    calibrate_threshold, plan_attack_with, run_trials,
+    calibrate_threshold, plan_attack_full, scenario_net_config,
     sweep::{sweep, SweepParameter},
-    AttackerKind,
+    AttackPlan, AttackerKind, ExecPolicy, TrialReport, TrialRun,
 };
 use flow_recon::flowspace::analysis;
 use flow_recon::flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
+use flow_recon::ftcache::PolicyKind;
 use flow_recon::model::leakage::measure_leakage;
 use flow_recon::model::useq::Evaluator;
 use flow_recon::netsim::Simulation;
@@ -17,6 +18,26 @@ use flow_recon::obs::{probe_ctx, FlightRecorder};
 use flow_recon::traffic::{NetworkScenario, ScenarioSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs a batch serially on the scenario's own network.
+fn run(
+    sc: &NetworkScenario,
+    plan: &AttackPlan,
+    kinds: &[AttackerKind],
+    trials: usize,
+    seed: u64,
+) -> TrialReport {
+    TrialRun {
+        scenario: sc,
+        plan,
+        kinds,
+        trials,
+        seed,
+        net: &scenario_net_config(sc),
+        robust: None,
+    }
+    .run(ExecPolicy::Serial)
+}
 
 fn scenario(seed: u64) -> NetworkScenario {
     let sampler = ScenarioSampler {
@@ -34,14 +55,22 @@ fn scenario(seed: u64) -> NetworkScenario {
 #[test]
 fn multi_probe_and_adaptive_attackers_run_end_to_end() {
     let sc = scenario(1);
-    let plan = plan_attack_with(&sc, Evaluator::mean_field(), 2, 2).unwrap();
+    let plan = plan_attack_full(
+        &sc,
+        Evaluator::mean_field(),
+        2,
+        2,
+        ExecPolicy::Serial,
+        PolicyKind::Srt,
+    )
+    .unwrap();
     assert!(plan.multi.is_some() && plan.adaptive.is_some());
     let kinds = [
         AttackerKind::Model,
         AttackerKind::MultiProbe,
         AttackerKind::Adaptive,
     ];
-    let report = run_trials(&sc, &plan, &kinds, 30, 5);
+    let report = run(&sc, &plan, &kinds, 30, 5);
     for (kind, acc) in &report.by_attacker {
         let a = acc.accuracy();
         assert!((0.0..=1.0).contains(&a), "{}: {a}", kind.name());
@@ -54,7 +83,7 @@ fn multi_probe_and_adaptive_attackers_run_end_to_end() {
 fn multi_probe_without_plan_support_panics() {
     let sc = scenario(2);
     let plan = flow_recon::attack::plan_attack(&sc, Evaluator::mean_field()).unwrap();
-    let _ = run_trials(&sc, &plan, &[AttackerKind::MultiProbe], 1, 1);
+    let _ = run(&sc, &plan, &[AttackerKind::MultiProbe], 1, 1);
 }
 
 #[test]
@@ -70,6 +99,7 @@ fn capacity_sweep_replans_each_point() {
         &[AttackerKind::Model, AttackerKind::Random],
         20,
         9,
+        ExecPolicy::auto(),
     )
     .unwrap();
     assert_eq!(points.len(), 3);

@@ -7,11 +7,9 @@
 //! index)`, and the confusion-matrix reduction is commutative integer
 //! addition, so scheduling order cannot leak into the result.
 
-use attack::sweep::{sweep_policy, SweepParameter};
+use attack::sweep::{sweep, SweepParameter};
 use attack::{
-    plan_attack, run_trials_policy, run_trials_robust_policy, run_trials_traced,
-    run_trials_with_policy, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy,
-    TrialReport,
+    plan_attack, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialReport, TrialRun,
 };
 use ftcache::PolicyKind;
 use netsim::{FaultPlan, NetConfig};
@@ -48,17 +46,18 @@ fn parallel_reports_bit_identical_across_scenarios_and_thread_counts() {
     for (i, sc) in scenarios.iter().enumerate() {
         let plan = plan_attack(sc, Evaluator::mean_field()).expect("plan");
         let seed = 0xC0FFEE ^ i as u64;
-        let trials = 23; // odd on purpose: uneven chunking across workers
-        let serial = run_trials_policy(sc, &plan, &kinds, trials, seed, ExecPolicy::Serial);
+        let run = TrialRun {
+            scenario: sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 23, // odd on purpose: uneven chunking across workers
+            seed,
+            net: &scenario_net_config(sc),
+            robust: None,
+        };
+        let serial = run.run(ExecPolicy::Serial);
         for threads in THREAD_COUNTS {
-            let parallel = run_trials_policy(
-                sc,
-                &plan,
-                &kinds,
-                trials,
-                seed,
-                ExecPolicy::Parallel { threads },
-            );
+            let parallel = run.run(ExecPolicy::Parallel { threads });
             assert_eq!(
                 serial, parallel,
                 "scenario {i}: parallel({threads}) diverged from serial at seed {seed:#x}"
@@ -72,7 +71,7 @@ fn parallel_sweep_bit_identical_across_thread_counts() {
     let sc = scenario(11, 3, 6, 3);
     let kinds = [AttackerKind::Naive, AttackerKind::Model];
     let values = [1.0, 2.0, 4.0, 6.0];
-    let serial = sweep_policy(
+    let serial = sweep(
         &sc,
         SweepParameter::Capacity,
         &values,
@@ -83,7 +82,7 @@ fn parallel_sweep_bit_identical_across_thread_counts() {
     )
     .expect("serial sweep");
     for threads in THREAD_COUNTS {
-        let parallel = sweep_policy(
+        let parallel = sweep(
             &sc,
             SweepParameter::Capacity,
             &values,
@@ -106,8 +105,17 @@ fn auto_policy_matches_serial() {
     let sc = scenario(23, 4, 12, 6);
     let kinds = [AttackerKind::Naive, AttackerKind::Model];
     let plan = plan_attack(&sc, Evaluator::mean_field()).expect("plan");
-    let serial = run_trials_policy(&sc, &plan, &kinds, 15, 5, ExecPolicy::Serial);
-    let auto = run_trials_policy(&sc, &plan, &kinds, 15, 5, ExecPolicy::auto());
+    let run = TrialRun {
+        scenario: &sc,
+        plan: &plan,
+        kinds: &kinds,
+        trials: 15,
+        seed: 5,
+        net: &scenario_net_config(&sc),
+        robust: None,
+    };
+    let serial = run.run(ExecPolicy::Serial);
+    let auto = run.run(ExecPolicy::auto());
     assert_eq!(serial, auto);
 }
 
@@ -166,12 +174,20 @@ fn fat_tree_batch_bit_identical_and_pinned() {
     for (transit_reactive, confusion, cache) in pinned {
         let mut net = NetConfig::fat_tree(sc.rules.clone(), 8, sc.capacity, sc.delta);
         net.transit_reactive = transit_reactive;
-        let run = |policy| run_trials_with_policy(&sc, &plan, &kinds, 23, 0xFA7_7EE, &net, policy);
-        let serial = run(ExecPolicy::Serial);
+        let run = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 23,
+            seed: 0xFA7_7EE,
+            net: &net,
+            robust: None,
+        };
+        let serial = run.run(ExecPolicy::Serial);
         for threads in THREAD_COUNTS {
             assert_eq!(
                 serial,
-                run(ExecPolicy::Parallel { threads }),
+                run.run(ExecPolicy::Parallel { threads }),
                 "transit_reactive {transit_reactive}: parallel({threads}) diverged from serial"
             );
         }
@@ -427,16 +443,16 @@ fn tournament_fault_batches_pinned() {
         let mut net = scenario_net_config(&sc);
         net.policy = policy;
         net.faults = FaultPlan::uniform(rate);
-        let report = run_trials_robust_policy(
-            &sc,
-            &plan,
-            &kinds,
-            16,
-            0x7E5_F417,
-            &net,
-            ExecPolicy::Serial,
-            &ProbePolicy::default(),
-        );
+        let report = TrialRun {
+            scenario: &sc,
+            plan: &plan,
+            kinds: &kinds,
+            trials: 16,
+            seed: 0x7E5_F417,
+            net: &net,
+            robust: Some(&ProbePolicy::default()),
+        }
+        .run(ExecPolicy::Serial);
         assert_eq!(batch_rows(&report), want, "{policy} at fault rate {rate}");
     }
 }
@@ -456,15 +472,17 @@ fn tournament_flight_contents_pinned() {
     net.policy = PolicyKind::Srt;
     net.faults = FaultPlan::uniform(0.15);
     let mut flight = FlightRecorder::enabled();
-    let _ = run_trials_traced(
-        &sc,
-        &plan,
-        &TOURNAMENT_KINDS,
-        16,
-        0x7E5_F417,
-        &net,
+    let _ = TrialRun {
+        scenario: &sc,
+        plan: &plan,
+        kinds: &TOURNAMENT_KINDS,
+        trials: 16,
+        seed: 0x7E5_F417,
+        net: &net,
+        robust: Some(&ProbePolicy::default()),
+    }
+    .run_observed(
         ExecPolicy::Serial,
-        Some(&ProbePolicy::default()),
         &mut Recorder::disabled(),
         0,
         &mut flight,
