@@ -181,7 +181,10 @@ impl Evaluator {
         if cached.is_empty() {
             return CacheAnalysis::empty();
         }
-        let ctx = Ctx::new(rules, rates, &sorted);
+        // Only `log_p` reads the uncached rules, and only the exact and
+        // Monte Carlo evaluators call it.
+        let needs_log_p = matches!(self, Evaluator::Exact { .. } | Evaluator::MonteCarlo { .. });
+        let ctx = Ctx::new(rules, rates, &sorted, needs_log_p);
         match *self {
             Evaluator::Exact { max_sequences } => exact(&ctx, at_capacity, max_sequences, policy),
             Evaluator::MonteCarlo { samples, seed } => {
@@ -214,7 +217,8 @@ struct Ctx<'a> {
     /// ascending (a subset of `hp_cached`).
     hp_covering: Vec<Vec<Vec<usize>>>,
     /// For each *uncached* rule: (timeout, its per-flow rates, positions of
-    /// higher-priority cached rules that overlap it).
+    /// higher-priority cached rules that overlap it). Built only for
+    /// [`Ctx::log_p`]; empty otherwise.
     uncached: Vec<UncachedRule>,
 }
 
@@ -223,7 +227,7 @@ struct Ctx<'a> {
 type UncachedRule = (u32, Vec<(usize, f64)>, Vec<usize>);
 
 impl<'a> Ctx<'a> {
-    fn new(rules: &'a RuleSet, rates: &'a FlowRates, cached: &[RuleId]) -> Self {
+    fn new(rules: &'a RuleSet, rates: &'a FlowRates, cached: &[RuleId], needs_log_p: bool) -> Self {
         let t: Vec<u32> = cached
             .iter()
             .map(|&j| rules.rule(j).timeout().steps)
@@ -261,11 +265,15 @@ impl<'a> Ctx<'a> {
                     .collect()
             })
             .collect();
-        let uncached = rules
-            .ids()
-            .filter(|j| !cached.contains(j))
-            .map(|j| (rules.rule(j).timeout().steps, cover_rates(j), hp_of(j)))
-            .collect();
+        let uncached = if needs_log_p {
+            rules
+                .ids()
+                .filter(|j| !cached.contains(j))
+                .map(|j| (rules.rule(j).timeout().steps, cover_rates(j), hp_of(j)))
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ctx {
             rules,
             cached: cached.to_vec(),
@@ -516,9 +524,14 @@ impl MeanFieldOpts {
 /// Everything that does not change between iterations is computed once per
 /// state: the downward prior of a rule with no higher-priority cached
 /// overlap, and the alive-likelihood of a pair whose lower-priority rule
-/// overlaps no other higher-priority cached rule. Every value is the same
-/// sequence of floating-point operations as the direct evaluation, so the
-/// marginals are bit-identical to it.
+/// overlaps no other higher-priority cached rule. Each alive-likelihood
+/// `Z(u)` is a prefix sum plus a tail built by one backward recurrence
+/// ([`PairTables`]), O(t2) per pair for all `u` together. The tail is the
+/// direct `u2 = u..=t2` summation rearranged (a product of `e^{-x}`
+/// factors where the summation takes one `exp` per term), so it agrees
+/// with that summation to rounding, not to the bit; every other value is
+/// the same sequence of floating-point operations as the direct
+/// evaluation.
 fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -> Vec<Vec<f64>> {
     let n = ctx.n();
     // Initialize with uniform ages.
@@ -587,11 +600,13 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                 }
             }
             // Pairwise injectivity exclusion: u(pos) cannot equal u(j').
+            // Each weight takes its factors in `other` order, as in the
+            // direct evaluation's per-age loop.
             if opts.exclusion {
-                for (u_idx, w) in m.iter_mut().enumerate() {
-                    for (other, nm) in not_marg.iter().enumerate() {
-                        if other != pos && u_idx < nm.len() {
-                            *w *= nm[u_idx];
+                for (other, nm) in not_marg.iter().enumerate() {
+                    if other != pos {
+                        for (w, &x) in m.iter_mut().zip(nm) {
+                            *w *= x;
                         }
                     }
                 }
@@ -678,18 +693,32 @@ impl NotSurvival {
 /// split into the flows `pos` does not cover (`base`) and those it does
 /// (`extra`, counted only at steps `k ≥ u`); both keep the mean-field
 /// discount of `pos2`'s *other* higher-priority overlaps.
+///
+/// With `γ̃(k) = base(k) + extra(k)·[k ≥ u]` and `C(m) = Σ_{k≤m} γ̃(k)`,
+/// `Z(u) = Σ_{u2=1..=t2} γ̃(u2)·e^{-γ̃(u2) - C(u2-1)}` over the terms with
+/// `γ̃ > 0`. The `u2 < u` terms do not depend on `u` (`prefix`); the
+/// `u2 ≥ u` terms (`tail`) follow from one backward recurrence, so every
+/// `Z(u)` costs O(1) after an O(t2) fill.
 struct PairTables {
-    /// `pos2`'s timeout; the tables hold entries `0..=t2`.
+    /// `pos2`'s timeout; the tables hold entries `0..=t2` (`tail` also
+    /// `t2 + 1`).
     t2: usize,
-    /// Per-step rates `base(k)`, `extra(k)` and their prefix sums over
-    /// `1..=k` (entry 0 is 0).
+    /// Per-step rates `base(k)`, `extra(k)`, and the prefix sums of `base`
+    /// over `1..=k` (entry 0 is 0).
     base_k: Vec<f64>,
     extra_k: Vec<f64>,
     base: Vec<f64>,
-    extra: Vec<f64>,
     /// `prefix[m]` = the in-order sum of the `u2 = 1..=m` terms of `Z(u)`
     /// for any `u > m`, where they do not depend on `u`.
     prefix: Vec<f64>,
+    /// `tail[u]` = the `u2 = u..=t2` terms of `Z(u)`, where
+    /// `γ̃ = base(k) + extra(k)`, by the recurrence
+    /// `tail(u) = [γ̃(u) > 0]·γ̃(u)·e^{-γ̃(u) - base[u-1]} + e^{-extra(u)}·tail(u+1)`
+    /// from `tail(t2+1) = 0`. Every factor is `e^{-x}` with `x ≥ 0`, so
+    /// nothing overflows however long the timeout (factoring the
+    /// `e^{-extra}` prefix out of the sum instead overflows once ~709
+    /// matches are expected).
+    tail: Vec<f64>,
 }
 
 impl PairTables {
@@ -699,8 +728,8 @@ impl PairTables {
             base_k: vec![0.0; len],
             extra_k: vec![0.0; len],
             base: vec![0.0; len],
-            extra: vec![0.0; len],
             prefix: vec![0.0; len],
+            tail: vec![0.0; len + 1],
         }
     }
 
@@ -729,7 +758,6 @@ impl PairTables {
             self.base_k[k] = b;
             self.extra_k[k] = e;
             self.base[k] = self.base[k - 1] + b;
-            self.extra[k] = self.extra[k - 1] + e;
         }
         for u2 in 1..=t2 {
             let g = self.base_k[u2];
@@ -739,26 +767,26 @@ impl PairTables {
                 self.prefix[u2 - 1]
             };
         }
+        self.tail[t2 + 1] = 0.0;
+        for u in (1..=t2).rev() {
+            let g = self.base_k[u] + self.extra_k[u];
+            let head = if g > 0.0 {
+                g * (-g - self.base[u - 1]).exp()
+            } else {
+                0.0
+            };
+            self.tail[u] = head + (-self.extra_k[u]).exp() * self.tail[u + 1];
+        }
     }
 
-    /// `Z(u) = Σ_{u2=1..=t2} γ̃(u2)·e^{-γ̃(u2) - C(u2-1)}` over the terms
-    /// with `γ̃ > 0`, where `γ̃(k) = base(k) + extra(k)·[k ≥ u]` and
-    /// `C(m) = Σ_{k≤m} γ̃(k)`: the `u2 < u` terms come from the prefix.
+    /// `Z(u)`: `prefix[u-1] + tail[u]` for `u ≤ t2`, and `prefix[t2]`
+    /// (every term has `u2 < u`) above.
     fn likelihood(&self, u: usize) -> f64 {
-        let mut z = self.prefix[(u - 1).min(self.t2)];
-        for u2 in u..=self.t2 {
-            let g = self.base_k[u2] + self.extra_k[u2];
-            if g > 0.0 {
-                let cum = self.base[u2 - 1]
-                    + if u2 > u {
-                        self.extra[u2 - 1] - self.extra[u - 1]
-                    } else {
-                        0.0
-                    };
-                z += g * (-g - cum).exp();
-            }
+        if u <= self.t2 {
+            self.prefix[u - 1] + self.tail[u]
+        } else {
+            self.prefix[self.t2]
         }
-        z
     }
 }
 

@@ -7,7 +7,7 @@
 
 use attack::{scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::{
-    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::{ascii_bars, ExpOpts};
 use netsim::{Defense, NetConfig};
@@ -66,7 +66,7 @@ fn main() {
         opts.seed,
         (0.05, 0.95),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| detector_plan(sc, opts.policy),
     );
     let found = configs.len();

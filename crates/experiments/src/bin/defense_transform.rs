@@ -8,7 +8,7 @@
 
 use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::{
-    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::ExpOpts;
 use flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
@@ -48,11 +48,13 @@ fn main() {
         opts.seed,
         (0.05, 0.95),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| detector_plan(sc, opts.policy),
     );
     let found = configs.len();
-    for (i, (mut sc, _)) in configs.into_iter().enumerate() {
+    for (i, (mut sc, filter_plan)) in configs.into_iter().enumerate() {
+        // Round 0 is the sampled scenario, which the filter planned.
+        let mut sampled_plan = Some(filter_plan);
         for r in 0..=rounds {
             let rates = sc.rates();
             if let Ok(report) = measure_leakage(
@@ -65,7 +67,10 @@ fn main() {
                 leakage_mean[r].push(report.mean_info_gain());
                 leakage_max[r].push(report.max_info_gain());
             }
-            if let Ok(plan) = plan_attack(&sc, Evaluator::mean_field()) {
+            let plan = sampled_plan
+                .take()
+                .or_else(|| plan_attack(&sc, Evaluator::mean_field()).ok());
+            if let Some(plan) = plan {
                 let rep = TrialRun {
                     scenario: &sc,
                     plan: &plan,

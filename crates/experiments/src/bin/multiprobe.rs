@@ -4,7 +4,7 @@
 
 use attack::{plan_attack_full, scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::{
-    mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+    attempt_cap, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::{ascii_bars, ExpOpts};
 use ftcache::PolicyKind;
@@ -29,7 +29,7 @@ fn main() {
         opts.seed,
         (0.05, 0.95),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| {
             // Three probes for the fixed sequence, depth-3 adaptive policy.
             plan_attack_full(

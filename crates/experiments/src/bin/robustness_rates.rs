@@ -8,7 +8,7 @@
 
 use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::{
-    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::ExpOpts;
 use recon_core::useq::Evaluator;
@@ -47,7 +47,7 @@ fn main() {
         opts.seed,
         (0.05, 0.95),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| detector_plan(sc, opts.policy),
     );
     let found = configs.len();
@@ -56,19 +56,28 @@ fn main() {
         for (v, (_, estimate)) in variants.iter().enumerate() {
             // The attacker *plans* with its (possibly wrong) estimates but
             // the *network* runs the true rates.
-            let believed = NetworkScenario {
-                lambdas: estimate(sc),
-                ..sc.clone()
-            };
-            let Ok(plan) = plan_attack(&believed, Evaluator::mean_field()) else {
-                continue;
+            let lambdas = estimate(sc);
+            let believed_plan;
+            let plan = if lambdas == sc.lambdas {
+                // The sampled scenario itself, which the filter planned.
+                true_plan
+            } else {
+                let believed = NetworkScenario {
+                    lambdas,
+                    ..sc.clone()
+                };
+                let Ok(p) = plan_attack(&believed, Evaluator::mean_field()) else {
+                    continue;
+                };
+                believed_plan = p;
+                &believed_plan
             };
             if plan.optimal.probe == true_plan.optimal.probe {
                 probe_agree[v] += 1;
             }
             let report = TrialRun {
                 scenario: sc, // true traffic
-                plan: &plan,
+                plan,
                 kinds: &[AttackerKind::Model],
                 trials: opts.trials,
                 seed: opts.seed ^ ((i + 1) * 31 + v) as u64,

@@ -68,7 +68,15 @@ pub fn sampler_for(opts: &ExpOpts) -> ScenarioSampler {
 /// gives up and returns fewer, mirroring the paper's practice of
 /// discarding configurations on which no side-channel detector is
 /// possible.
-pub const ATTEMPTS_PER_CONFIG: usize = 60;
+const ATTEMPTS_PER_CONFIG: usize = 60;
+
+/// The `max_attempts` for sampling `count` configurations: 60 draws per
+/// configuration, saturating at `usize::MAX` instead of wrapping on a huge
+/// `--configs`.
+#[must_use]
+pub fn attempt_cap(count: usize) -> usize {
+    ATTEMPTS_PER_CONFIG.saturating_mul(count)
+}
 
 /// Draws scenarios from `sampler`, with the target's absence probability
 /// forced into `absence`, until `count` are accepted or `max_attempts`
@@ -119,11 +127,10 @@ pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<A
 }
 
 /// Samples up to `count` configurations of `class` with target-absence
-/// probability in `absence_range` (giving up after
-/// [`ATTEMPTS_PER_CONFIG`] draws per configuration), then evaluates each
-/// with `kinds` over `opts.trials` trials. Also reports wall-clock
-/// [`RunStats`] for the whole collection, sampling and planning
-/// included.
+/// probability in `absence_range` (giving up after [`attempt_cap`]`(count)`
+/// draws), then evaluates each with `kinds` over `opts.trials` trials.
+/// Also reports wall-clock [`RunStats`] for the whole collection,
+/// sampling and planning included.
 ///
 /// With `recorder` enabled, probe RTT histograms, verdict and fault
 /// counters and the planner's span timings flow into it, and
@@ -149,7 +156,7 @@ pub fn collect_configs(
         opts.seed,
         absence_range,
         count,
-        ATTEMPTS_PER_CONFIG * count,
+        attempt_cap(count),
         |scenario| {
             let plan = detector_plan(scenario, opts.policy)?;
             match class {
@@ -472,6 +479,12 @@ mod tests {
             });
         assert!(kept.is_empty());
         assert_eq!(calls, 7, "every attempt is offered to `accept` once");
+    }
+
+    #[test]
+    fn attempt_cap_saturates_instead_of_wrapping() {
+        assert_eq!(attempt_cap(4), 240);
+        assert_eq!(attempt_cap(usize::MAX / 2), usize::MAX);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use traffic::NetworkScenario;
 
 use crate::harness::{
-    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest, ATTEMPTS_PER_CONFIG,
+    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use crate::{svg, ExpOpts};
 
@@ -132,7 +132,7 @@ pub fn run_fault_sweep(opts: &ExpOpts) -> i32 {
         opts.seed,
         (0.2, 0.8),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| detector_plan(sc, opts.policy),
     );
     println!("{} detector-feasible configurations\n", configs.len());
@@ -329,7 +329,7 @@ pub fn run_defense_tournament(opts: &ExpOpts) -> i32 {
         opts.seed,
         (0.2, 0.8),
         opts.configs,
-        ATTEMPTS_PER_CONFIG * opts.configs,
+        attempt_cap(opts.configs),
         |sc| {
             let plans: Vec<AttackPlan> = PolicyKind::all()
                 .iter()

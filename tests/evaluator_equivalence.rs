@@ -1,16 +1,24 @@
-//! Bit-equivalence gate for the mean-field kernel.
+//! Equivalence gate for the mean-field kernel.
 //!
 //! `Evaluator::MeanField`, `Evaluator::MeanFieldRaw` and the Monte Carlo
 //! evaluator's proposal marginals share one mean-field kernel, which
 //! computes once per state (or once per iteration) everything that does
-//! not change inside its loops. That is an optimisation with a *bit*-
-//! identity contract: each marginal is the same sequence of floating-point
-//! operations as the direct evaluation, so every compact model, plan and
-//! committed CSV is unchanged. The reference below is the direct
-//! evaluation, reproduced verbatim (on the public `RuleSet`/`FlowRates`
-//! API), and every analysis must match it to the last bit: on random small
-//! rule sets with overlapping rules, and on every state of paper-scale
-//! scenarios.
+//! not change inside its loops, and evaluates the alive-likelihood `Z(u)`
+//! in closed form: an in-order prefix of the `u2 < u` terms plus a tail
+//! built by one backward recurrence, O(t2) per pair instead of one `exp`
+//! per `(u, u2)` pair. The reference below is the direct evaluation,
+//! reproduced verbatim (on the public `RuleSet`/`FlowRates` API), with
+//! two ways to compute `Z(u)` ([`Alive`]):
+//!
+//! * the closed form in the kernel's operation order: every analysis must
+//!   match it to the last bit, so every other hoisted value keeps the
+//!   direct evaluation's floating-point operations;
+//! * the direct summation, verbatim from before the closed form: every
+//!   probability must agree with it within `SUMMATION_TOLERANCE`.
+//!
+//! Both are checked on random small rule sets with overlapping rules, on
+//! every state of paper-scale scenarios, and (the summation only) on
+//! two-rule states whose long timeouts overflow `e^{extra}`.
 
 use flow_recon::flowspace::relevant::FlowRates;
 use flow_recon::flowspace::{FlowId, FlowSet, Rule, RuleId, RuleSet, Timeout};
@@ -21,6 +29,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// How the reference evaluates the alive-likelihood `Z(u)`.
+#[derive(Debug, Clone, Copy)]
+enum Alive {
+    /// The kernel's closed form: the in-order sum of the `u2 < u` terms
+    /// plus the backward tail recurrence, in the kernel's operation order.
+    Recurrence,
+    /// The direct summation of every term, one `exp` per `(u, u2)` pair:
+    /// the evaluation before the closed form, verbatim.
+    Summation,
+}
+
 /// The evaluators the kernel serves, run through the reference.
 fn reference_analyze(
     ev: &Evaluator,
@@ -29,19 +48,20 @@ fn reference_analyze(
     cached: &[RuleId],
     at_capacity: bool,
     policy: PolicyKind,
+    alive: Alive,
 ) -> CacheAnalysis {
     let mut sorted = cached.to_vec();
     sorted.sort();
     let ctx = Ctx::new(rules, rates, &sorted);
     match *ev {
         Evaluator::MonteCarlo { samples, seed } => {
-            monte_carlo(&ctx, at_capacity, samples, seed, policy)
+            monte_carlo(&ctx, at_capacity, samples, seed, policy, alive)
         }
         Evaluator::MeanField { iterations } => {
-            mean_field(&ctx, iterations, MeanFieldOpts::full(), policy)
+            mean_field(&ctx, iterations, MeanFieldOpts::full(), policy, alive)
         }
         Evaluator::MeanFieldRaw { iterations } => {
-            mean_field(&ctx, iterations, MeanFieldOpts::raw(), policy)
+            mean_field(&ctx, iterations, MeanFieldOpts::raw(), policy, alive)
         }
         Evaluator::Exact { .. } => unreachable!("the exact evaluator has no mean-field kernel"),
     }
@@ -53,6 +73,24 @@ fn same_bits(a: &CacheAnalysis, b: &CacheAnalysis) -> bool {
     a.cached == b.cached && bits(&a.timeout) == bits(&b.timeout) && bits(&a.evict) == bits(&b.evict)
 }
 
+/// The largest relative gap the closed form may open against the direct
+/// summation on any timeout or eviction probability.
+const SUMMATION_TOLERANCE: f64 = 1e-12;
+
+/// Whether every probability of `a` is within `SUMMATION_TOLERANCE`
+/// (relative) of the same entry of `b`.
+fn within_tolerance(a: &CacheAnalysis, b: &CacheAnalysis) -> bool {
+    let close = |x: &[f64], y: &[f64]| {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(&p, &q)| (p - q).abs() <= SUMMATION_TOLERANCE * p.abs().max(q.abs()))
+    };
+    a.cached == b.cached && close(&a.timeout, &b.timeout) && close(&a.evict, &b.evict)
+}
+
+/// The kernel's analysis equals the closed-form reference to the last
+/// bit, and the direct summation within `SUMMATION_TOLERANCE`.
 fn assert_same_bits(
     ev: &Evaluator,
     rules: &RuleSet,
@@ -62,10 +100,31 @@ fn assert_same_bits(
     policy: PolicyKind,
 ) {
     let got = ev.analyze_policy(rules, rates, cached, at_capacity, policy);
-    let want = reference_analyze(ev, rules, rates, cached, at_capacity, policy);
+    let want = reference_analyze(
+        ev,
+        rules,
+        rates,
+        cached,
+        at_capacity,
+        policy,
+        Alive::Recurrence,
+    );
     assert!(
         same_bits(&got, &want),
         "{ev:?} {policy} cached {cached:?} at_capacity {at_capacity}:\n got {got:?}\nwant {want:?}"
+    );
+    let direct = reference_analyze(
+        ev,
+        rules,
+        rates,
+        cached,
+        at_capacity,
+        policy,
+        Alive::Summation,
+    );
+    assert!(
+        within_tolerance(&got, &direct),
+        "{ev:?} {policy} cached {cached:?} at_capacity {at_capacity}:\n got {got:?}\nsummation {direct:?}"
     );
 }
 
@@ -217,9 +276,77 @@ fn every_fast_and_pressured_state_bit_matches() {
     assert_every_state_bit_matches(&pressured(&paper), 4, &PolicyKind::all());
 }
 
+/// Two-rule states with timeouts of 1800–3000 steps and per-step rates up
+/// to 0.5 on the flow both rules cover. There the covered flow's prefix
+/// sum `extra(u-1)` passes 709, so `e^{extra}` overflows and any form of
+/// the tail that factors it out returns NaN or infinity. Every probability
+/// must be finite, the eviction distribution must sum to one, and each
+/// value must stay within `SUMMATION_TOLERANCE` of the direct summation.
+///
+/// The lower-priority rule overlaps no other cached rule, so the kernel
+/// builds its alive-likelihood once per state and one fixed-point
+/// iteration reads all of it; more would only repeat the reference's
+/// quadratic summation.
+#[test]
+fn long_timeout_states_stay_finite_and_match_the_summation() {
+    let universe = 3;
+    let ev = Evaluator::MeanField { iterations: 1 };
+    let cached = [RuleId(0), RuleId(1)];
+    let mut states = 0;
+    for t in [1800, 2000, 2500, 3000] {
+        for shared in [0.3, 0.35, 0.4, 0.45, 0.5] {
+            for (only_high, only_low) in [(0.0, 0.0), (0.0, 0.05), (0.02, 0.0)] {
+                // Rule 0 (higher priority) covers flows {0, 1}, rule 1
+                // covers {1, 2}: flow 1 is the shared one.
+                let rules = RuleSet::new(
+                    vec![
+                        Rule::from_flow_set(
+                            FlowSet::from_flows(universe, [FlowId(0), FlowId(1)]),
+                            20,
+                            Timeout::idle(t),
+                        ),
+                        Rule::from_flow_set(
+                            FlowSet::from_flows(universe, [FlowId(1), FlowId(2)]),
+                            10,
+                            Timeout::idle(t),
+                        ),
+                    ],
+                    universe,
+                )
+                .unwrap();
+                let rates = FlowRates::from_per_step(vec![only_high, shared, only_low]);
+                let case = format!("t {t}, rates ({only_high}, {shared}, {only_low})");
+                let got = ev.analyze(&rules, &rates, &cached, true);
+                assert!(
+                    got.timeout.iter().chain(&got.evict).all(|p| p.is_finite()),
+                    "{case}: {got:?}"
+                );
+                let evict_sum: f64 = got.evict.iter().sum();
+                assert!((evict_sum - 1.0).abs() < 1e-12, "{case}: {got:?}");
+                let direct = reference_analyze(
+                    &ev,
+                    &rules,
+                    &rates,
+                    &cached,
+                    true,
+                    PolicyKind::Srt,
+                    Alive::Summation,
+                );
+                assert!(
+                    within_tolerance(&got, &direct),
+                    "{case}:\n got {got:?}\nsummation {direct:?}"
+                );
+                states += 1;
+            }
+        }
+    }
+    assert_eq!(states, 60);
+}
+
 // ---------------------------------------------------------------------
 // Reference: the direct mean-field evaluation, verbatim but for import
-// paths. Exact enumeration is left out: it never ran the kernel.
+// paths and the choice of `Z(u)` evaluation. Exact enumeration is left
+// out: it never ran the kernel.
 // ---------------------------------------------------------------------
 
 /// Precomputed per-state context shared by the evaluators.
@@ -471,7 +598,12 @@ impl MeanFieldOpts {
     }
 }
 
-fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -> Vec<Vec<f64>> {
+fn mean_field_marginals(
+    ctx: &Ctx<'_>,
+    iterations: usize,
+    opts: MeanFieldOpts,
+    alive: Alive,
+) -> Vec<Vec<f64>> {
     let n = ctx.n();
     // Initialize with uniform ages.
     let mut marg: Vec<Vec<f64>> = (0..n)
@@ -573,29 +705,62 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                     base[k] = base[k - 1] + b;
                     extra[k] = extra[k - 1] + e;
                 }
+                // tail[u] = the u2 ≥ u terms of Z(u), by the recurrence
+                // tail(u) = [γ(u) > 0]·γ(u)·e^{-γ(u) - base(u-1)}
+                //         + e^{-extra_k(u)}·tail(u+1), tail(t2+1) = 0.
+                let mut tail = vec![0.0; t2 + 2];
+                for u in (1..=t2).rev() {
+                    let g = base_k[u] + extra_k[u];
+                    let head = if g > 0.0 {
+                        g * (-g - base[u - 1]).exp()
+                    } else {
+                        0.0
+                    };
+                    tail[u] = head + (-extra_k[u]).exp() * tail[u + 1];
+                }
                 for (u_idx, w) in m.iter_mut().enumerate() {
                     if *w == 0.0 {
                         continue;
                     }
                     let u = u_idx + 1;
-                    // γ̃(k) = base(k) + extra(k)·[k ≥ u];
-                    // C(m) = Σ_{k≤m} γ̃(k).
-                    let cum = |mm: usize| -> f64 {
-                        let mm = mm.min(t2);
-                        base[mm]
-                            + if mm >= u {
-                                extra[mm] - extra[u - 1]
-                            } else {
-                                0.0
+                    let z = match alive {
+                        Alive::Recurrence => {
+                            // The u2 < u terms, which do not depend on u.
+                            let mut z = 0.0;
+                            for u2 in 1..u.min(t2 + 1) {
+                                let g = base_k[u2];
+                                if g > 0.0 {
+                                    z += g * (-g - base[u2 - 1]).exp();
+                                }
                             }
-                    };
-                    let mut z = 0.0;
-                    for u2 in 1..=t2 {
-                        let g = base_k[u2] + if u2 >= u { extra_k[u2] } else { 0.0 };
-                        if g > 0.0 {
-                            z += g * (-g - cum(u2 - 1)).exp();
+                            if u <= t2 {
+                                z + tail[u]
+                            } else {
+                                z
+                            }
                         }
-                    }
+                        Alive::Summation => {
+                            // γ̃(k) = base(k) + extra(k)·[k ≥ u];
+                            // C(m) = Σ_{k≤m} γ̃(k).
+                            let cum = |mm: usize| -> f64 {
+                                let mm = mm.min(t2);
+                                base[mm]
+                                    + if mm >= u {
+                                        extra[mm] - extra[u - 1]
+                                    } else {
+                                        0.0
+                                    }
+                            };
+                            let mut z = 0.0;
+                            for u2 in 1..=t2 {
+                                let g = base_k[u2] + if u2 >= u { extra_k[u2] } else { 0.0 };
+                                if g > 0.0 {
+                                    z += g * (-g - cum(u2 - 1)).exp();
+                                }
+                            }
+                            z
+                        }
+                    };
                     *w *= z.max(1e-300);
                 }
             }
@@ -629,9 +794,10 @@ fn mean_field(
     iterations: usize,
     opts: MeanFieldOpts,
     policy: PolicyKind,
+    alive: Alive,
 ) -> CacheAnalysis {
     let n = ctx.n();
-    let marg = mean_field_marginals(ctx, iterations, opts);
+    let marg = mean_field_marginals(ctx, iterations, opts, alive);
     // Timeout: P(u = t | alive) directly from the marginal.
     let timeout: Vec<f64> = (0..n)
         .map(|pos| *marg[pos].last().expect("t >= 1"))
@@ -802,9 +968,10 @@ fn monte_carlo(
     samples: usize,
     seed: u64,
     policy: PolicyKind,
+    alive: Alive,
 ) -> CacheAnalysis {
     let n = ctx.n();
-    let marg = mean_field_marginals(ctx, 2, MeanFieldOpts::full());
+    let marg = mean_field_marginals(ctx, 2, MeanFieldOpts::full(), alive);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sums = Sums::new(n);
     let mut u = vec![0u32; n];
