@@ -7,6 +7,7 @@ use netsim::Simulation;
 use rand::Rng;
 use recon_core::probe::DecisionTree;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Which attacker strategy to run (§VI-B, plus extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,35 +137,8 @@ impl Attacker {
     /// time, returning the verdict "the target flow occurred in the
     /// window".
     pub fn decide<R: Rng + ?Sized>(&self, sim: &mut Simulation, rng: &mut R) -> bool {
-        match self {
-            Attacker::SingleProbe { probe } => sim.probe(*probe).hit,
-            Attacker::BayesProbe {
-                probe,
-                present_if_hit,
-                present_if_miss,
-            } => {
-                if sim.probe(*probe).hit {
-                    *present_if_hit
-                } else {
-                    *present_if_miss
-                }
-            }
-            Attacker::Prior { p_present } => rng.gen::<f64>() < *p_present,
-            Attacker::Tree(tree) => {
-                let outcomes: Vec<bool> = tree.probes().iter().map(|&f| sim.probe(f).hit).collect();
-                tree.decide(&outcomes)
-            }
-            Attacker::Adaptive(tree) => {
-                let mut outcomes = Vec::with_capacity(tree.depth());
-                while let Some(probe) = tree.next_probe(&outcomes) {
-                    outcomes.push(sim.probe(probe).hit);
-                    if outcomes.len() == tree.depth() {
-                        break;
-                    }
-                }
-                tree.decide(&outcomes)
-            }
-        }
+        let Ok(present) = self.traverse(rng, |f| Ok::<_, Infallible>(sim.probe(f).hit));
+        present
     }
 
     /// Fault-tolerant variant of [`Attacker::decide`]: every probe goes
@@ -183,60 +157,61 @@ impl Attacker {
         policy: &ProbePolicy,
         state: &mut RobustState,
     ) -> Verdict {
-        let verdict = match self {
-            Attacker::SingleProbe { probe } => match robust_probe(sim, *probe, policy, state) {
-                Some(obs) => Verdict::from_present(obs.hit),
-                None => Verdict::Inconclusive,
-            },
+        let measured = self.traverse(rng, |f| {
+            robust_probe(sim, f, policy, state)
+                .map(|obs| obs.hit)
+                .ok_or(())
+        });
+        match measured {
+            Ok(present) => Verdict::from_present(present),
+            Err(()) => {
+                state.counters.inconclusive += 1;
+                Verdict::Inconclusive
+            }
+        }
+    }
+
+    /// Walks the attacker's probes in order, taking each outcome (hit or
+    /// not) from `measure`, and returns the verdict. The first failed
+    /// measurement ends the walk with its error; the prior attacker
+    /// probes nothing and draws its verdict from `rng`.
+    fn traverse<R: Rng + ?Sized, E>(
+        &self,
+        rng: &mut R,
+        mut measure: impl FnMut(FlowId) -> Result<bool, E>,
+    ) -> Result<bool, E> {
+        Ok(match self {
+            Attacker::SingleProbe { probe } => measure(*probe)?,
             Attacker::BayesProbe {
                 probe,
                 present_if_hit,
                 present_if_miss,
-            } => match robust_probe(sim, *probe, policy, state) {
-                Some(obs) => Verdict::from_present(if obs.hit {
+            } => {
+                if measure(*probe)? {
                     *present_if_hit
                 } else {
                     *present_if_miss
-                }),
-                None => Verdict::Inconclusive,
-            },
-            Attacker::Prior { p_present } => {
-                // No probe, nothing to lose: the prior always answers.
-                Verdict::from_present(rng.gen::<f64>() < *p_present)
+                }
             }
+            Attacker::Prior { p_present } => rng.gen::<f64>() < *p_present,
             Attacker::Tree(tree) => {
                 let mut outcomes = Vec::with_capacity(tree.probes().len());
                 for &f in tree.probes() {
-                    match robust_probe(sim, f, policy, state) {
-                        Some(obs) => outcomes.push(obs.hit),
-                        None => return self.give_up(state),
-                    }
+                    outcomes.push(measure(f)?);
                 }
-                Verdict::from_present(tree.decide(&outcomes))
+                tree.decide(&outcomes)
             }
             Attacker::Adaptive(tree) => {
                 let mut outcomes = Vec::with_capacity(tree.depth());
                 while let Some(probe) = tree.next_probe(&outcomes) {
-                    match robust_probe(sim, probe, policy, state) {
-                        Some(obs) => outcomes.push(obs.hit),
-                        None => return self.give_up(state),
-                    }
+                    outcomes.push(measure(probe)?);
                     if outcomes.len() == tree.depth() {
                         break;
                     }
                 }
-                Verdict::from_present(tree.decide(&outcomes))
+                tree.decide(&outcomes)
             }
-        };
-        if verdict == Verdict::Inconclusive {
-            state.counters.inconclusive += 1;
-        }
-        verdict
-    }
-
-    fn give_up(&self, state: &mut RobustState) -> Verdict {
-        state.counters.inconclusive += 1;
-        Verdict::Inconclusive
+        })
     }
 }
 

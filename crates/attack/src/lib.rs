@@ -40,7 +40,7 @@ mod trial;
 pub use attacker::{Attacker, AttackerKind};
 pub use calibrate::{calibrate_threshold, CalibratedThreshold, DRIFT_LIMIT};
 pub use plan::{plan_attack, plan_attack_full, AttackPlan, PlanError};
-pub use recon_core::exec::{ExecPolicy, RunStats, THREADS_ENV_VAR};
+pub use recon_core::exec::{ExecPolicy, THREADS_ENV_VAR};
 pub use robust::{
     robust_probe, FaultCounters, ProbePolicy, RobustObservation, RobustState, RttWindow, Verdict,
 };

@@ -53,9 +53,6 @@ pub struct BasicModel {
     rates: FlowRates,
     capacity: usize,
     states: Vec<FlowTable>,
-    // detlint::allow(D1): lookup-only (`state_index`); never iterated.
-    #[allow(clippy::disallowed_types)]
-    index: HashMap<FlowTable, usize>,
     edges: Vec<Vec<Edge>>,
     matrix: CsrMatrix,
 }
@@ -173,7 +170,6 @@ impl BasicModel {
             rates: rates.clone(),
             capacity,
             states,
-            index,
             edges,
             matrix,
         })
@@ -201,12 +197,6 @@ impl BasicModel {
     #[must_use]
     pub fn matrix(&self) -> &CsrMatrix {
         &self.matrix
-    }
-
-    /// Index of a state, if it was reachable.
-    #[must_use]
-    pub fn state_index(&self, state: &FlowTable) -> Option<usize> {
-        self.index.get(state).copied()
     }
 
     /// The initial distribution: all mass on the empty cache.
@@ -473,15 +463,6 @@ mod tests {
             let g = model.gamma(0, j);
             let big = model.big_gamma(0, j);
             assert!((g + big - rates.total()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn state_index_round_trips() {
-        let (rules, rates) = fig3_like();
-        let model = BasicModel::build(&rules, &rates, 2, 1_000_000).unwrap();
-        for (i, s) in model.states().iter().enumerate() {
-            assert_eq!(model.state_index(s), Some(i));
         }
         assert_eq!(model.capacity(), 2);
     }

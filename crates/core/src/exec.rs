@@ -1,6 +1,5 @@
-//! Execution policy, run statistics, and the deterministic fan-out helper
-//! shared by the trial engine, the sweeps and the probe-evaluation
-//! engine.
+//! Execution policy and the deterministic fan-out helper shared by the
+//! trial engine, the sweeps and the probe-evaluation engine.
 //!
 //! Monte-Carlo evaluation (§VI) runs hundreds of independent trials per
 //! configuration, and probe selection (§V) scores dozens of independent
@@ -11,16 +10,13 @@
 //! the batch can be distributed across worker threads with
 //! **bit-identical** results to a serial run. [`ExecPolicy`] selects how
 //! that work is scheduled; [`map_indexed`] performs the index-ordered
-//! fan-out/reduction; [`RunStats`] reports what it cost.
+//! fan-out/reduction.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-// detlint::allow(D2): RunStats reports wall-clock throughput to the user;
-// the measured time never feeds back into any result.
-use std::time::Instant;
 
 /// Environment variable consulted by [`ExecPolicy::from_env`]: a thread
 /// count, or `auto`/`0` for one thread per available core.
@@ -191,67 +187,6 @@ where
         .collect()
 }
 
-/// Wall-clock accounting for one batch of trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunStats {
-    /// Trials executed (summed over every batch measured).
-    pub trials: u64,
-    /// Worker threads the policy scheduled on.
-    pub threads: usize,
-    /// Elapsed wall time in seconds.
-    pub wall_secs: f64,
-}
-
-impl RunStats {
-    /// Runs `f`, timing it as `trials` trials under `policy`.
-    pub fn measure<T>(policy: ExecPolicy, trials: usize, f: impl FnOnce() -> T) -> (T, RunStats) {
-        // detlint::allow(D2): throughput accounting only; see module note.
-        let start = Instant::now();
-        let out = f();
-        let stats = RunStats {
-            trials: trials as u64,
-            threads: policy.threads(),
-            wall_secs: start.elapsed().as_secs_f64(),
-        };
-        (out, stats)
-    }
-
-    /// Throughput in trials per second (infinite for a zero-time run).
-    #[must_use]
-    pub fn trials_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.trials as f64 / self.wall_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Folds another measurement into this one (trials and wall time
-    /// add; the thread count must match).
-    pub fn absorb(&mut self, other: &RunStats) {
-        debug_assert_eq!(
-            self.threads, other.threads,
-            "mixing thread counts in one stat"
-        );
-        self.trials += other.trials;
-        self.wall_secs += other.wall_secs;
-    }
-}
-
-impl fmt::Display for RunStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} trials in {:.3} s on {} thread{} ({:.1} trials/s)",
-            self.trials,
-            self.wall_secs,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" },
-            self.trials_per_sec(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,41 +262,6 @@ mod tests {
             .map(String::as_str)
             .or_else(|| payload.downcast_ref::<&str>().copied());
         assert_eq!(message, Some("item 7 failed"));
-    }
-
-    #[test]
-    fn stats_report_throughput() {
-        let s = RunStats {
-            trials: 100,
-            threads: 2,
-            wall_secs: 4.0,
-        };
-        assert_eq!(s.trials_per_sec(), 25.0);
-        let mut total = s;
-        total.absorb(&RunStats {
-            trials: 60,
-            threads: 2,
-            wall_secs: 1.0,
-        });
-        assert_eq!(total.trials, 160);
-        assert_eq!(total.wall_secs, 5.0);
-        assert!(format!("{total}").contains("160 trials"));
-        assert!(RunStats {
-            trials: 5,
-            threads: 1,
-            wall_secs: 0.0
-        }
-        .trials_per_sec()
-        .is_infinite());
-    }
-
-    #[test]
-    fn measure_wraps_a_closure() {
-        let (value, stats) = RunStats::measure(ExecPolicy::Serial, 7, || 42);
-        assert_eq!(value, 42);
-        assert_eq!(stats.trials, 7);
-        assert_eq!(stats.threads, 1);
-        assert!(stats.wall_secs >= 0.0);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod leakage;
 mod matrix;
 pub mod monitor;
 pub mod probe;
-pub mod stationary;
 pub mod useq;
 
 pub use api::SwitchModel;

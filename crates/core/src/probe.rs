@@ -242,12 +242,6 @@ impl<'a, M: SwitchModel> ProbePlanner<'a, M> {
         self.policy
     }
 
-    /// Changes the execution policy (results are unaffected; only wall
-    /// time changes).
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
-    }
-
     /// The target flow f̂.
     #[must_use]
     pub fn target(&self) -> FlowId {

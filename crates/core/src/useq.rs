@@ -551,7 +551,7 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                     let fixed = (ctx.hp_cached[pos2] == [pos]).then(|| {
                         pair.fill(ctx, pos, pos2, &not_surv);
                         (1..=ctx.t[pos] as usize)
-                            .map(|u| pair.likelihood(u).max(1e-300))
+                            .map(|u| pair.alive_weight(u))
                             .collect()
                     });
                     (pos2, fixed)
@@ -595,7 +595,7 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                     }
                     *w *= match fixed {
                         Some(z) => z[u_idx],
-                        None => pair.likelihood(u_idx + 1).max(1e-300),
+                        None => pair.alive_weight(u_idx + 1),
                     };
                 }
             }
@@ -612,6 +612,7 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                 }
             }
             let s: f64 = m.iter().sum();
+            debug_assert!(s.is_finite(), "age weights of rule {pos} sum to {s}");
             if s > 0.0 {
                 for x in &mut m {
                     *x /= s;
@@ -788,6 +789,14 @@ impl PairTables {
             self.prefix[self.t2]
         }
     }
+
+    /// `Z(u)` as an upward-message weight: floored at `1e-300`, so an
+    /// underflowed likelihood cannot zero an age weight outright.
+    fn alive_weight(&self, u: usize) -> f64 {
+        let z = self.likelihood(u);
+        debug_assert!(z.is_finite(), "alive-likelihood Z({u}) = {z}");
+        z.max(1e-300)
+    }
 }
 
 fn mean_field(
@@ -816,6 +825,7 @@ fn mean_field(
         PolicyKind::Fdrc => mean_field_evict_fdrc(ctx, &rem_dist),
     };
     let esum: f64 = evict.iter().sum();
+    debug_assert!(esum.is_finite(), "eviction weights sum to {esum}");
     let evict = if esum > 0.0 {
         evict.iter().map(|&x| x / esum).collect()
     } else {

@@ -11,6 +11,7 @@ use experiments::harness::{
 };
 use experiments::{ascii_bars, ExpOpts};
 use netsim::{Defense, NetConfig};
+use obs::FlightRecorder;
 
 fn with_defense(base: &NetConfig, defense: Defense) -> NetConfig {
     let mut c = base.clone();
@@ -22,7 +23,7 @@ fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("countermeasures");
     let manifest = RunManifest::begin("countermeasures");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -82,7 +83,12 @@ fn main() {
                 net: &with_defense(&base, *defense),
                 robust: None,
             }
-            .run(opts.policy);
+            .run_observed(
+                opts.policy,
+                &mut recorder,
+                0,
+                &mut FlightRecorder::disabled(),
+            );
             for (k, kind) in kinds.iter().enumerate() {
                 acc[d][k].push(report.accuracy(*kind));
             }

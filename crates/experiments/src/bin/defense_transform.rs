@@ -12,6 +12,7 @@ use experiments::harness::{
 };
 use experiments::ExpOpts;
 use flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
+use obs::FlightRecorder;
 use recon_core::leakage::measure_leakage;
 use recon_core::useq::Evaluator;
 use traffic::NetworkScenario;
@@ -35,7 +36,7 @@ fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("defense_transform");
     let manifest = RunManifest::begin("defense_transform");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let rounds = 3usize;
     let kinds = [AttackerKind::Model, AttackerKind::Random];
 
@@ -80,7 +81,12 @@ fn main() {
                     net: &scenario_net_config(&sc),
                     robust: None,
                 }
-                .run(opts.policy);
+                .run_observed(
+                    opts.policy,
+                    &mut recorder,
+                    0,
+                    &mut FlightRecorder::disabled(),
+                );
                 for (k, kind) in kinds.iter().enumerate() {
                     acc[r][k].push(rep.accuracy(*kind));
                 }

@@ -8,13 +8,14 @@ use experiments::harness::{
 };
 use experiments::{ascii_bars, ExpOpts};
 use ftcache::PolicyKind;
+use obs::FlightRecorder;
 use recon_core::useq::Evaluator;
 
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("multiprobe");
     let manifest = RunManifest::begin("multiprobe");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -59,7 +60,12 @@ fn main() {
             net: &scenario_net_config(sc),
             robust: None,
         }
-        .run(opts.policy);
+        .run_observed(
+            opts.policy,
+            &mut recorder,
+            0,
+            &mut FlightRecorder::disabled(),
+        );
         for (i, k) in kinds.iter().enumerate() {
             acc[i].push(report.accuracy(*k));
         }

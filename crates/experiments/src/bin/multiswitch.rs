@@ -13,12 +13,13 @@ use experiments::harness::{
     attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::{ascii_bars, ExpOpts};
+use obs::FlightRecorder;
 
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("multiswitch");
     let manifest = RunManifest::begin("multiswitch");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let kinds = [
         AttackerKind::Naive,
         AttackerKind::Model,
@@ -49,7 +50,12 @@ fn main() {
                 net: &net,
                 robust: None,
             }
-            .run(opts.policy);
+            .run_observed(
+                opts.policy,
+                &mut recorder,
+                0,
+                &mut FlightRecorder::disabled(),
+            );
             for (k, kind) in kinds.iter().enumerate() {
                 acc[fi][k].push(report.accuracy(*kind));
             }

@@ -11,6 +11,7 @@ use experiments::harness::{
     attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::ExpOpts;
+use obs::FlightRecorder;
 use recon_core::useq::Evaluator;
 use traffic::NetworkScenario;
 
@@ -29,7 +30,7 @@ fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("robustness_rates");
     let manifest = RunManifest::begin("robustness_rates");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let variants: [RateVariant; 4] = [
         ("true-rates", |sc| sc.lambdas.clone()),
         ("half-rates", |sc| {
@@ -84,7 +85,12 @@ fn main() {
                 net: &net,
                 robust: None,
             }
-            .run(opts.policy);
+            .run_observed(
+                opts.policy,
+                &mut recorder,
+                0,
+                &mut FlightRecorder::disabled(),
+            );
             acc[v].push(report.accuracy(AttackerKind::Model));
         }
     }

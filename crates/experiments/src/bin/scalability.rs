@@ -18,6 +18,7 @@ use experiments::ExpOpts;
 use flowspace::relevant::FlowRates;
 use flowspace::{FlowId, FlowSet, Rule, RuleSet, Timeout};
 use netsim::NetConfig;
+use obs::FlightRecorder;
 use recon_core::basic::BasicModel;
 use recon_core::compact::CompactModel;
 use recon_core::counts::{basic_state_count, compact_state_count};
@@ -49,7 +50,7 @@ fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("scalability");
     let manifest = RunManifest::begin("scalability");
-    let recorder = opts.recorder();
+    let mut recorder = opts.recorder();
     let capacity = 6;
     let timeout = 10u32;
     println!("state counts and model build times (capacity {capacity}, t_j = {timeout} steps)\n");
@@ -133,7 +134,12 @@ fn main() {
             net: &net,
             robust: None,
         }
-        .run(opts.policy);
+        .run_observed(
+            opts.policy,
+            &mut recorder,
+            0,
+            &mut FlightRecorder::disabled(),
+        );
         let accs: Vec<f64> = kinds.iter().map(|kind| report.accuracy(*kind)).collect();
         let (switches, links) = (net.topology.len(), net.topology.link_count());
         println!(

@@ -7,9 +7,9 @@
 //! raise hit-side information; longer windows dilute it.
 
 use attack::sweep::{sweep, SweepParameter};
-use attack::{AttackerKind, RunStats};
+use attack::AttackerKind;
 use experiments::harness::{
-    detector_plan, mean, sample_configs, sampler_for, write_csv, write_stats, RunManifest,
+    detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
 };
 use experiments::ExpOpts;
 
@@ -40,31 +40,21 @@ fn main() {
     println!("{} scenarios\n", scenarios.len());
 
     let mut rows = Vec::new();
-    let mut total_stats = RunStats {
-        trials: 0,
-        threads: opts.policy.threads(),
-        wall_secs: 0.0,
-    };
     for (param, values) in &sweeps {
         println!("sweep: {}", param.name());
         // accuracy[value][kind] across scenarios.
         let mut acc = vec![vec![Vec::new(); kinds.len()]; values.len()];
         let mut gains = vec![Vec::new(); values.len()];
         for (si, (sc, _)) in scenarios.iter().enumerate() {
-            let (result, stats) =
-                RunStats::measure(opts.policy, values.len() * opts.trials, || {
-                    sweep(
-                        sc,
-                        *param,
-                        values,
-                        &kinds,
-                        opts.trials,
-                        opts.seed ^ si as u64,
-                        opts.policy,
-                    )
-                });
-            total_stats.absorb(&stats);
-            if let Ok(points) = result {
+            if let Ok(points) = sweep(
+                sc,
+                *param,
+                values,
+                &kinds,
+                opts.trials,
+                opts.seed ^ si as u64,
+                opts.policy,
+            ) {
                 for (vi, p) in points.iter().enumerate() {
                     for (k, &a) in p.accuracy.iter().enumerate() {
                         acc[vi][k].push(a);
@@ -87,6 +77,5 @@ fn main() {
         "parameter,value,model_accuracy,random_accuracy,info_gain",
         &rows,
     );
-    write_stats(&opts, "sweep_parameters", &total_stats);
     manifest.finish(&opts, &recorder, &["sweep_parameters.csv"]);
 }

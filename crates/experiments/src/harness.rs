@@ -3,12 +3,11 @@
 //! Every program samples through [`sample_configs`], the one loop that
 //! draws from a sampling stream, usually with [`detector_plan`] as the
 //! filter; [`collect_configs`] adds the trials for the Fig. 6/7
-//! programs. The rest is output plumbing: run manifests, stats
-//! sidecars and CSVs.
+//! programs. The rest is output plumbing: run manifests and CSVs.
 
 use attack::{
-    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, RunStats,
-    TrialReport, TrialRun,
+    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, TrialReport,
+    TrialRun,
 };
 use ftcache::PolicyKind;
 use obs::manifest::{detlint_budget, fnv1a, git_rev};
@@ -17,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 use traffic::{NetworkScenario, ScenarioSampler};
 
@@ -129,8 +128,6 @@ pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<A
 /// Samples up to `count` configurations of `class` with target-absence
 /// probability in `absence_range` (giving up after [`attempt_cap`]`(count)`
 /// draws), then evaluates each with `kinds` over `opts.trials` trials.
-/// Also reports wall-clock [`RunStats`] for the whole collection,
-/// sampling and planning included.
 ///
 /// With `recorder` enabled, probe RTT histograms, verdict and fault
 /// counters and the planner's span timings flow into it, and
@@ -144,7 +141,7 @@ pub fn collect_configs(
     kinds: &[AttackerKind],
     count: usize,
     recorder: &mut Recorder,
-) -> (Vec<ConfigOutcome>, RunStats) {
+) -> Vec<ConfigOutcome> {
     let start = Instant::now();
     // Capture the planner's `core.planner.*` spans, which report through
     // the thread-local recorder (planning runs on this thread).
@@ -196,12 +193,7 @@ pub fn collect_configs(
             );
         }
     }
-    let stats = RunStats {
-        trials: (out.len() * opts.trials) as u64,
-        threads: opts.policy.threads(),
-        wall_secs: start.elapsed().as_secs_f64(),
-    };
-    (out, stats)
+    out
 }
 
 /// Locates `crates/detlint/baseline.toml` by walking up from the
@@ -304,41 +296,6 @@ impl RunManifest {
     }
 }
 
-/// Reads a manifest written by [`RunManifest::finish`]: the first
-/// non-empty line of the file.
-///
-/// # Errors
-///
-/// Returns an error string when the file cannot be read or is empty.
-pub fn read_manifest_line(path: &Path) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    text.lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty())
-        .map(str::to_string)
-        .ok_or_else(|| format!("{} is empty", path.display()))
-}
-
-/// Writes run statistics next to an experiment's CSVs (as
-/// `<experiment>_stats.txt`) and echoes them to stdout.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn write_stats(opts: &ExpOpts, experiment: &str, stats: &RunStats) {
-    let path = opts.out_file(&format!("{experiment}_stats.txt"));
-    let body = format!(
-        "experiment: {experiment}\nthreads: {}\ntrials: {}\nwall_secs: {:.6}\ntrials_per_sec: {:.3}\n",
-        stats.threads,
-        stats.trials,
-        stats.wall_secs,
-        stats.trials_per_sec(),
-    );
-    obs::write_atomic(&path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("run stats: {stats}");
-}
-
 /// Writes rows as CSV (header + records) to `path`.
 ///
 /// # Panics
@@ -390,7 +347,7 @@ mod tests {
     fn collect_detector_feasible_configs() {
         let opts = fast_opts();
         let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let (outcomes, _) = collect_configs(
+        let outcomes = collect_configs(
             &opts,
             ConfigClass::DetectorFeasible,
             (0.2, 0.8),
@@ -413,7 +370,7 @@ mod tests {
     fn fig6_class_filters_on_probe_difference() {
         let opts = fast_opts();
         let kinds = [AttackerKind::Naive];
-        let (outcomes, _) = collect_configs(
+        let outcomes = collect_configs(
             &opts,
             ConfigClass::OptimalDiffersFromTarget,
             (0.2, 0.8),
@@ -424,23 +381,6 @@ mod tests {
         for o in &outcomes {
             assert_ne!(o.plan.optimal.probe, o.scenario.target);
         }
-    }
-
-    #[test]
-    fn timed_collection_reports_stats() {
-        let opts = fast_opts();
-        let kinds = [AttackerKind::Naive];
-        let (outcomes, stats) = collect_configs(
-            &opts,
-            ConfigClass::DetectorFeasible,
-            (0.2, 0.8),
-            &kinds,
-            2,
-            &mut Recorder::disabled(),
-        );
-        assert_eq!(stats.trials, (outcomes.len() * opts.trials) as u64);
-        assert_eq!(stats.threads, opts.policy.threads());
-        assert!(stats.wall_secs > 0.0);
     }
 
     #[test]
@@ -463,7 +403,6 @@ mod tests {
                 2,
                 &mut Recorder::disabled(),
             )
-            .0
         };
         let (a, b) = (collect(&serial), collect(&parallel));
         assert_eq!(a, b);

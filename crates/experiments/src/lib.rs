@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod chart;
+pub mod figures;
 pub mod harness;
 pub mod opts;
 pub mod svg;

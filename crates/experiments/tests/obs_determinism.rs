@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn run_fault_sweep(out_dir: &Path, threads: &str, obs_on: bool) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fault_sweep"));
+fn run(program: &str, exe: &str, out_dir: &Path, threads: &str, obs_on: bool) {
+    let mut cmd = Command::new(exe);
     cmd.args([
         "--seed",
         "7",
@@ -34,28 +34,30 @@ fn run_fault_sweep(out_dir: &Path, threads: &str, obs_on: bool) {
     if obs_on {
         cmd.env("FLOW_RECON_OBS", "1");
     }
-    let status = cmd.status().expect("fault_sweep runs");
+    let status = cmd.status().expect("program runs");
     assert!(
         status.success(),
-        "fault_sweep failed at --threads {threads} obs={obs_on}"
+        "{program} failed at --threads {threads} obs={obs_on}"
     );
 }
 
-fn csv_of(dir: &Path) -> Vec<u8> {
-    std::fs::read(dir.join("fault_sweep.csv")).expect("fault_sweep.csv")
-}
-
-#[test]
-fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_determinism");
+/// Runs `program` with the recorder off and on, at 1 and 8 threads:
+/// its CSV must not move, and only the recorder-on manifests may carry
+/// metrics — among them the trial engine's `attack.trials` and the
+/// simulator's probe RTT histogram.
+fn check_recorder_is_free(program: &str, exe: &str) {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("obs_determinism")
+        .join(program);
     let combos: [(&str, bool); 4] = [("1", false), ("1", true), ("8", false), ("8", true)];
     let mut dirs: Vec<PathBuf> = Vec::new();
     for (threads, obs_on) in combos {
         let dir = tmp.join(format!("t{threads}-obs{}", u8::from(obs_on)));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        run_fault_sweep(&dir, threads, obs_on);
+        run(program, exe, &dir, threads, obs_on);
         dirs.push(dir);
     }
+    let csv_of = |dir: &Path| std::fs::read(dir.join(format!("{program}.csv"))).expect("csv");
     let baseline = csv_of(&dirs[0]);
     assert!(
         String::from_utf8(baseline.clone())
@@ -63,13 +65,13 @@ fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
             .lines()
             .count()
             > 1,
-        "sweep produced no data"
+        "{program} produced no data"
     );
     for dir in &dirs[1..] {
         assert_eq!(
             csv_of(dir),
             baseline,
-            "fault_sweep.csv differs from recorder-off serial run in {}",
+            "{program}.csv differs from recorder-off serial run in {}",
             dir.display()
         );
     }
@@ -77,10 +79,10 @@ fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
     // Every run writes a manifest; the recorder-on one carries metrics,
     // the recorder-off one is explicitly empty of them.
     for (dir, (_, obs_on)) in dirs.iter().zip(combos) {
-        let manifest = std::fs::read_to_string(dir.join("fault_sweep.manifest.jsonl"))
+        let manifest = std::fs::read_to_string(dir.join(format!("{program}.manifest.jsonl")))
             .expect("manifest exists");
         assert!(
-            manifest.contains("\"experiment\":\"fault_sweep\""),
+            manifest.contains(&format!("\"experiment\":\"{program}\"")),
             "{manifest}"
         );
         if obs_on {
@@ -92,6 +94,16 @@ fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
                 "recorder-off manifest should carry no counters: {manifest}"
             );
         }
+    }
+}
+
+#[test]
+fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
+    for (program, exe) in [
+        ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
+        ("countermeasures", env!("CARGO_BIN_EXE_countermeasures")),
+    ] {
+        check_recorder_is_free(program, exe);
     }
 }
 

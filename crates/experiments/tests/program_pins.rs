@@ -112,8 +112,12 @@ pin!(defense_tournament, SMOKE, [
 ]);
 // scalability --configs 4 --trials 10 --seed 7 --fast
 pin!(scalability, SMOKE, ["scalability_fattree.csv" => 0xb981_f749_b02d_7075]);
-// fig6a --configs 2 --trials 10 --seed 7 --fast: at this size
+// fig6 --configs 2 --trials 10 --seed 7 --fast: at this size
 // `evaluate_suite` finds no Fig. 6-class configuration, so this pin is
-// the one that carries Fig. 6 data.
-const FIG6A: &[&str] = &["--configs", "2", "--trials", "10", "--seed", "7", "--fast"];
-pin!(fig6a, FIG6A, ["fig6a.csv" => 0xe845_cf68_b4ea_1510]);
+// the one that carries Fig. 6 data. Both digests are those of the
+// `fig6a` and `fig6b` programs `fig6` replaced, at the same flags.
+const FIG6: &[&str] = &["--configs", "2", "--trials", "10", "--seed", "7", "--fast"];
+pin!(fig6, FIG6, [
+    "fig6a.csv" => 0xe845_cf68_b4ea_1510,
+    "fig6b.csv" => 0x6ea2_c585_a670_5bc7,
+]);

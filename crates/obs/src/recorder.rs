@@ -46,7 +46,7 @@ struct Inner {
 /// with [`Recorder::fork`] are merged back with [`Recorder::merge`],
 /// whose counter/bucket additions are commutative and associative, so
 /// results are identical under any `ExecPolicy` schedule — the same
-/// contract as the trial engine's `RunStats`/`Accuracy` reductions.
+/// contract as the trial engine's `Accuracy` reductions.
 ///
 /// Recording never feeds back into any computation: the experiment CSVs
 /// are byte-identical with the recorder on or off (enforced by

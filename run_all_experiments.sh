@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerates every table and figure (see DESIGN.md experiment index).
-# The combined evaluate_suite covers Figures 6a/6b/7a/7b.
+# The combined evaluate_suite covers Figures 6a/6b/7a/7b; the smoke run
+# also exercises fig6, which collects the Fig 6 class on its own.
 #
 # Usage:
 #   ./run_all_experiments.sh           # full run (paper-scale parameters)
@@ -81,6 +82,9 @@ if [ "$SMOKE" -eq 1 ]; then
     run sweep_parameters $BIN sweep_parameters -- --configs 2 --trials 10 --seed 7 --fast --out "$OUT"
     run fault_sweep $BIN fault_sweep -- --configs 4 --trials 10 --seed 7 --fast --out "$OUT"
     run evaluate_suite $BIN evaluate_suite -- --configs 4 --trials 10 --seed 7 --fast --out "$OUT"
+    # Fig 6 from its own configuration class; a directory of its own, as
+    # evaluate_suite above writes the same two file names.
+    run fig6 $BIN fig6 -- --configs 4 --trials 10 --seed 7 --fast --out "$OUT/fig6"
     run defense_tournament $BIN defense_tournament -- --configs 4 --trials 10 --seed 7 --fast --out "$OUT"
     # The tournament CSV must not depend on the trial engine's thread
     # count: rerun with 8 threads and require byte equality.
