@@ -30,7 +30,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// `std::time`. Entries ending in `/` allow a whole subtree.
 pub const WALLCLOCK_ALLOWLIST: &[&str] = &[
     "crates/bench/",
-    "crates/experiments/src/harness.rs",
     "crates/experiments/src/bin/scalability.rs",
     "crates/experiments/src/bin/ablation_evaluators.rs",
     "crates/experiments/src/bin/calibrate.rs",

@@ -7,8 +7,7 @@
 //! error of the eviction distribution and timeout probabilities against
 //! exact, plus per-state runtime.
 
-use experiments::harness::{write_csv, RunManifest};
-use experiments::ExpOpts;
+use experiments::{ExpOpts, Run};
 use flowspace::RuleId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,8 +18,7 @@ use traffic::ScenarioSampler;
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("ablation_evaluators");
-    let manifest = RunManifest::begin("ablation_evaluators");
-    let recorder = opts.recorder();
+    let mut run = Run::new("ablation_evaluators", &opts);
     let sampler = ScenarioSampler {
         bits: 3,
         n_rules: 5,
@@ -98,10 +96,10 @@ fn main() {
         println!("{name:<16}  {ee:>8.4}   {et:>10.4}   {:>15.1}", tt * 1e6);
         rows.push(format!("{name},{ee},{et},{tt}"));
     }
-    write_csv(
-        &opts.out_file("ablation_evaluators.csv"),
+    run.write_csv(
+        "ablation_evaluators.csv",
         "evaluator,evict_l1_per_state,timeout_l1_per_state,seconds_per_state",
         &rows,
     );
-    manifest.finish(&opts, &recorder, &["ablation_evaluators.csv"]);
+    std::process::exit(run.finish());
 }

@@ -1,35 +1,23 @@
 //! **C1** — countermeasure evaluation (§VII-B): attacker accuracy with no
-//! defense, with delay-padding (Cui et al.), and with proactive rule
-//! installation.
+//! defense, with delay-padding (Cui et al.), with window-padding, and
+//! with proactive rule installation.
 //!
-//! Expected shape: both defenses push every probing attacker down to (or
-//! below) the prior-only random attacker's accuracy.
+//! Expected shape: each of the three defenses pushes every probing
+//! attacker down to (or below) the prior-only random attacker's accuracy.
+//!
+//! One cell per (defense × configuration) on the supervised runner,
+//! [`experiments::Run`].
 
-use attack::{scenario_net_config, AttackerKind, TrialRun};
-use experiments::harness::{
-    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
-};
-use experiments::{ascii_bars, ExpOpts};
-use netsim::{Defense, NetConfig};
-use obs::FlightRecorder;
+use attack::{scenario_net_config, TrialRun};
+use experiments::ascii_bars;
+use experiments::harness::{mean, sample_class, ConfigClass, ATTACKERS};
+use experiments::run::{complete, Run};
+use netsim::Defense;
+use std::sync::Arc;
 
-fn with_defense(base: &NetConfig, defense: Defense) -> NetConfig {
-    let mut c = base.clone();
-    c.defense = defense;
-    c
-}
-
-fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("countermeasures");
-    let manifest = RunManifest::begin("countermeasures");
-    let mut recorder = opts.recorder();
-    let kinds = [
-        AttackerKind::Naive,
-        AttackerKind::Model,
-        AttackerKind::Random,
-    ];
-    let defenses: Vec<(&str, Defense)> = vec![
+/// The defenses compared, in row order.
+fn defenses() -> [(&'static str, Defense); 4] {
+    [
         ("none", Defense::default()),
         (
             "delay-padding",
@@ -58,67 +46,64 @@ fn main() {
                 ..Defense::default()
             },
         ),
-    ];
+    ]
+}
 
-    // Accuracy[defense][attacker], averaged over detector-feasible configs.
-    let mut acc = vec![vec![Vec::new(); kinds.len()]; defenses.len()];
-    let configs = sample_configs(
-        &sampler_for(&opts),
-        opts.seed,
-        (0.05, 0.95),
-        opts.configs,
-        attempt_cap(opts.configs),
-        |sc| detector_plan(sc, opts.policy),
-    );
-    let found = configs.len();
-    for (i, (sc, plan)) in configs.iter().enumerate() {
-        let base = scenario_net_config(sc);
-        for (d, (_, defense)) in defenses.iter().enumerate() {
-            let report = TrialRun {
+fn main() {
+    Run::main("countermeasures", |run| {
+        let configs = Arc::new(sample_class(
+            run,
+            ConfigClass::DetectorFeasible,
+            (0.05, 0.95),
+        ));
+        let n = configs.len();
+        println!("{n} detector-feasible configurations\n");
+        let cells = run.grid(&configs, defenses().len() * n, |configs, cell| {
+            let (d, ci) = (cell.unit / configs.len(), cell.unit % configs.len());
+            let (sc, plan) = &configs[ci];
+            let mut net = scenario_net_config(sc);
+            net.defense = defenses()[d].1;
+            cell.trials(&TrialRun {
                 scenario: sc,
                 plan,
-                kinds: &kinds,
-                trials: opts.trials,
-                seed: opts.seed ^ (i + 1) as u64,
-                net: &with_defense(&base, *defense),
+                kinds: &ATTACKERS,
+                trials: cell.opts.trials,
+                seed: cell.opts.seed ^ (ci + 1) as u64,
+                net: &net,
                 robust: None,
-            }
-            .run_observed(
-                opts.policy,
-                &mut recorder,
-                0,
-                &mut FlightRecorder::disabled(),
+            })
+        })?;
+
+        // Mean accuracy per attacker over the configurations, for each
+        // defense whose cells all completed.
+        let mut labels = Vec::new();
+        let mut series: Vec<(&str, Vec<f64>)> =
+            ATTACKERS.iter().map(|k| (k.name(), vec![])).collect();
+        let mut rows = Vec::new();
+        for (d, (name, _)) in defenses().iter().enumerate() {
+            let Some(reports) = complete(&cells[d * n..(d + 1) * n]) else {
+                continue;
+            };
+            let vals: Vec<f64> = ATTACKERS
+                .iter()
+                .map(|&k| mean(reports.iter().map(|r| r.accuracy(k))))
+                .collect();
+            println!(
+                "defense {name:<14} naive {:.3}  model {:.3}  random {:.3}",
+                vals[0], vals[1], vals[2]
             );
-            for (k, kind) in kinds.iter().enumerate() {
-                acc[d][k].push(report.accuracy(*kind));
+            rows.push(format!("{name},{},{},{}", vals[0], vals[1], vals[2]));
+            labels.push(name.to_string());
+            for ((_, s), v) in series.iter_mut().zip(vals) {
+                s.push(v);
             }
         }
-    }
-    println!("{found} detector-feasible configurations\n");
-    let labels: Vec<String> = defenses.iter().map(|(n, _)| n.to_string()).collect();
-    let mut series: Vec<(&str, Vec<f64>)> = Vec::new();
-    let mut rows = Vec::new();
-    for (k, kind) in kinds.iter().enumerate() {
-        let vals: Vec<f64> = (0..defenses.len())
-            .map(|d| mean(acc[d][k].iter().copied()))
-            .collect();
-        series.push((kind.name(), vals));
-    }
-    for (d, (name, _)) in defenses.iter().enumerate() {
-        let vals: Vec<f64> = (0..kinds.len())
-            .map(|k| mean(acc[d][k].iter().copied()))
-            .collect();
-        println!(
-            "defense {name:<14} naive {:.3}  model {:.3}  random {:.3}",
-            vals[0], vals[1], vals[2]
+        println!("\n{}", ascii_bars(&labels, &series));
+        run.write_csv(
+            "countermeasures.csv",
+            "defense,naive_accuracy,model_accuracy,random_accuracy",
+            &rows,
         );
-        rows.push(format!("{name},{},{},{}", vals[0], vals[1], vals[2]));
-    }
-    println!("\n{}", ascii_bars(&labels, &series));
-    write_csv(
-        &opts.out_file("countermeasures.csv"),
-        "defense,naive_accuracy,model_accuracy,random_accuracy",
-        &rows,
-    );
-    manifest.finish(&opts, &recorder, &["countermeasures.csv"]);
+        Ok(())
+    })
 }

@@ -5,17 +5,21 @@
 //!
 //! Expected shape: each merge round lowers leakage and drags the model
 //! attacker toward the random baseline, at the cost of coarser forwarding.
+//!
+//! One cell per configuration, its merge rounds in sequence, on the
+//! supervised runner, [`experiments::Run`].
 
-use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
-use experiments::harness::{
-    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
-};
-use experiments::ExpOpts;
+use attack::{plan_attack, scenario_net_config, AttackerKind, TrialReport, TrialRun};
+use experiments::harness::{mean, sample_class, ConfigClass};
+use experiments::run::{complete, Run};
 use flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
-use obs::FlightRecorder;
 use recon_core::leakage::measure_leakage;
 use recon_core::useq::Evaluator;
+use std::sync::Arc;
 use traffic::NetworkScenario;
+
+const ROUNDS: usize = 3;
+const KINDS: [AttackerKind; 2] = [AttackerKind::Model, AttackerKind::Random];
 
 /// Greedily merges the overlapping pair whose merge lowers mean leakage
 /// the most is expensive; we use the paper-suggested simple policy of
@@ -32,89 +36,87 @@ fn coarsen_once(sc: &NetworkScenario) -> Option<NetworkScenario> {
     })
 }
 
-fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("defense_transform");
-    let manifest = RunManifest::begin("defense_transform");
-    let mut recorder = opts.recorder();
-    let rounds = 3usize;
-    let kinds = [AttackerKind::Model, AttackerKind::Random];
+/// One merge round of one configuration: the rule structure's (mean,
+/// max) leakage and the attackers' trials, each when it could be
+/// measured.
+type Round = (Option<(f64, f64)>, Option<TrialReport>);
 
-    // leakage[r], accuracy[r][kind] across configs, per merge round r.
-    let mut leakage_mean = vec![Vec::new(); rounds + 1];
-    let mut leakage_max = vec![Vec::new(); rounds + 1];
-    let mut acc = vec![vec![Vec::new(); kinds.len()]; rounds + 1];
-    let configs = sample_configs(
-        &sampler_for(&opts),
-        opts.seed,
-        (0.05, 0.95),
-        opts.configs,
-        attempt_cap(opts.configs),
-        |sc| detector_plan(sc, opts.policy),
-    );
-    let found = configs.len();
-    for (i, (mut sc, filter_plan)) in configs.into_iter().enumerate() {
-        // Round 0 is the sampled scenario, which the filter planned.
-        let mut sampled_plan = Some(filter_plan);
-        for r in 0..=rounds {
-            let rates = sc.rates();
-            if let Ok(report) = measure_leakage(
-                &sc.rules,
-                &rates,
-                sc.capacity,
-                sc.horizon_steps(),
-                Evaluator::mean_field(),
-            ) {
-                leakage_mean[r].push(report.mean_info_gain());
-                leakage_max[r].push(report.max_info_gain());
-            }
-            let plan = sampled_plan
-                .take()
-                .or_else(|| plan_attack(&sc, Evaluator::mean_field()).ok());
-            if let Some(plan) = plan {
-                let rep = TrialRun {
-                    scenario: &sc,
-                    plan: &plan,
-                    kinds: &kinds,
-                    trials: opts.trials,
-                    seed: opts.seed ^ ((i + 1) * 7 + r) as u64,
-                    net: &scenario_net_config(&sc),
-                    robust: None,
+fn main() {
+    Run::main("defense_transform", |run| {
+        let configs = Arc::new(sample_class(
+            run,
+            ConfigClass::DetectorFeasible,
+            (0.05, 0.95),
+        ));
+        println!(
+            "{} detector-feasible configurations, {ROUNDS} merge rounds\n",
+            configs.len()
+        );
+        let cells = run.grid(&configs, configs.len(), |configs, cell| {
+            let (sampled, sampled_plan) = &configs[cell.unit];
+            let mut sc = sampled.clone();
+            let mut rounds: Vec<Round> = Vec::new();
+            for r in 0..=ROUNDS {
+                let leakage = measure_leakage(
+                    &sc.rules,
+                    &sc.rates(),
+                    sc.capacity,
+                    sc.horizon_steps(),
+                    Evaluator::mean_field(),
+                )
+                .ok()
+                .map(|report| (report.mean_info_gain(), report.max_info_gain()));
+                // Round 0 is the sampled scenario, which the filter planned.
+                let replanned = if r == 0 {
+                    None
+                } else {
+                    plan_attack(&sc, Evaluator::mean_field()).ok()
+                };
+                let plan = if r == 0 {
+                    Some(sampled_plan)
+                } else {
+                    replanned.as_ref()
+                };
+                let report = plan.map(|plan| {
+                    cell.trials(&TrialRun {
+                        scenario: &sc,
+                        plan,
+                        kinds: &KINDS,
+                        trials: cell.opts.trials,
+                        seed: cell.opts.seed ^ ((cell.unit + 1) * 7 + r) as u64,
+                        net: &scenario_net_config(&sc),
+                        robust: None,
+                    })
+                });
+                rounds.push((leakage, report));
+                match coarsen_once(&sc) {
+                    Some(next) => sc = next,
+                    None => break,
                 }
-                .run_observed(
-                    opts.policy,
-                    &mut recorder,
-                    0,
-                    &mut FlightRecorder::disabled(),
-                );
-                for (k, kind) in kinds.iter().enumerate() {
-                    acc[r][k].push(rep.accuracy(*kind));
-                }
             }
-            match coarsen_once(&sc) {
-                Some(next) => sc = next,
-                None => break,
+            rounds
+        })?;
+
+        println!("round  rules-merged  leakage(mean)  leakage(max)  model-acc  random-acc");
+        let mut rows = Vec::new();
+        if let Some(configs) = complete(&cells) {
+            for r in 0..=ROUNDS {
+                let measured: Vec<&Round> = configs.iter().filter_map(|c| c.get(r)).collect();
+                let leakage = measured.iter().filter_map(|(l, _)| *l);
+                let reports = measured.iter().filter_map(|(_, rep)| rep.as_ref());
+                let lm = mean(leakage.clone().map(|(m, _)| m));
+                let lx = mean(leakage.map(|(_, x)| x));
+                let am = mean(reports.clone().map(|rep| rep.accuracy(KINDS[0])));
+                let ar = mean(reports.map(|rep| rep.accuracy(KINDS[1])));
+                println!("{r:>5}  {r:>12}  {lm:>13.4}  {lx:>12.4}  {am:>9.3}  {ar:>10.3}");
+                rows.push(format!("{r},{lm},{lx},{am},{ar}"));
             }
         }
-    }
-    println!("{found} detector-feasible configurations, {rounds} merge rounds\n");
-    println!("round  rules-merged  leakage(mean)  leakage(max)  model-acc  random-acc");
-    let mut rows = Vec::new();
-    for r in 0..=rounds {
-        let lm = mean(leakage_mean[r].iter().copied());
-        let lx = mean(leakage_max[r].iter().copied());
-        let am = mean(acc[r][0].iter().copied());
-        let ar = mean(acc[r][1].iter().copied());
-        println!(
-            "{r:>5}  {:>12}  {lm:>13.4}  {lx:>12.4}  {am:>9.3}  {ar:>10.3}",
-            r
+        run.write_csv(
+            "defense_transform.csv",
+            "merge_round,leakage_mean,leakage_max,model_accuracy,random_accuracy",
+            &rows,
         );
-        rows.push(format!("{r},{lm},{lx},{am},{ar}"));
-    }
-    write_csv(
-        &opts.out_file("defense_transform.csv"),
-        "merge_round,leakage_mean,leakage_max,model_accuracy,random_accuracy",
-        &rows,
-    );
-    manifest.finish(&opts, &recorder, &["defense_transform.csv"]);
+        Ok(())
+    })
 }

@@ -11,27 +11,27 @@
 //! exists — see EXPERIMENTS.md).
 
 use attack::AttackerKind;
-use experiments::harness::{collect_configs, ConfigClass, RunManifest};
-use experiments::{figures, ConfigOutcome, ExpOpts};
+use experiments::figures::{self, Evaluated};
+use experiments::harness::{collect_configs, ConfigClass};
+use experiments::Run;
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("fig6");
-    let manifest = RunManifest::begin("fig6");
-    let mut recorder = opts.recorder();
-    let outcomes = collect_configs(
-        &opts,
-        ConfigClass::OptimalDiffersFromTarget,
-        (0.05, 0.95),
-        &[AttackerKind::Naive, AttackerKind::Model],
-        opts.configs,
-        &mut recorder,
-    );
-    println!(
-        "{} configurations (detector-feasible, optimal ≠ target)\n",
-        outcomes.len()
-    );
-    let fig6: Vec<&ConfigOutcome> = outcomes.iter().collect();
-    figures::fig6(&opts, &fig6);
-    manifest.finish(&opts, &recorder, &["fig6a.csv", "fig6b.csv"]);
+    Run::main("fig6", |run| {
+        let (configs, reports) = collect_configs(
+            run,
+            ConfigClass::OptimalDiffersFromTarget,
+            &[AttackerKind::Naive, AttackerKind::Model],
+        )?;
+        println!(
+            "{} configurations (detector-feasible, optimal ≠ target)\n",
+            configs.len()
+        );
+        let fig6: Vec<Evaluated> = configs
+            .iter()
+            .zip(&reports)
+            .map(|((scenario, _), report)| (scenario, report.as_ref()))
+            .collect();
+        figures::fig6(run, &fig6);
+        Ok(())
+    })
 }

@@ -4,14 +4,12 @@
 //! Paper: hit 0.087 ms ± 0.021 ms; miss 4.070 ms ± 1.806 ms.
 
 use attack::measure_latency;
-use experiments::harness::{write_csv, RunManifest};
-use experiments::ExpOpts;
+use experiments::{ExpOpts, Run};
 
 fn main() {
     let opts = ExpOpts::from_env();
     opts.forbid_checkpointing("latency_table");
-    let manifest = RunManifest::begin("latency_table");
-    let recorder = opts.recorder();
+    let mut run = Run::new("latency_table", &opts);
     let samples = if opts.fast { 500 } else { 5000 };
     let t = measure_latency(samples, opts.seed);
     let ms = 1e3;
@@ -35,8 +33,8 @@ fn main() {
         "\n  1 ms threshold misclassification rate: {:.4}",
         t.threshold_error
     );
-    write_csv(
-        &opts.out_file("latency_table.csv"),
+    run.write_csv(
+        "latency_table.csv",
         "case,mean_ms,std_ms,p50_ms,p99_ms,paper_mean_ms,paper_std_ms",
         &[
             format!(
@@ -55,5 +53,5 @@ fn main() {
             ),
         ],
     );
-    manifest.finish(&opts, &recorder, &["latency_table.csv"]);
+    std::process::exit(run.finish());
 }

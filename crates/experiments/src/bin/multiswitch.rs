@@ -7,81 +7,68 @@
 //! cold transit switch, pushing its RTT over the threshold and flipping
 //! the attacker's reading of `Q_f` — the single-switch model no longer
 //! matches the network it is probing.
+//!
+//! One cell per (fabric × configuration) on the supervised runner,
+//! [`experiments::Run`].
 
-use attack::{scenario_net_config, AttackerKind, TrialRun};
-use experiments::harness::{
-    attempt_cap, detector_plan, mean, sample_configs, sampler_for, write_csv, RunManifest,
-};
-use experiments::{ascii_bars, ExpOpts};
-use obs::FlightRecorder;
+use attack::{scenario_net_config, TrialRun};
+use experiments::ascii_bars;
+use experiments::harness::{mean, sample_class, ConfigClass, ATTACKERS};
+use experiments::run::{complete, Run};
+use std::sync::Arc;
+
+/// The fabrics compared: whether transit switches install reactively.
+const FABRICS: [(&str, bool); 2] = [("proactive-transit", false), ("reactive-transit", true)];
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("multiswitch");
-    let manifest = RunManifest::begin("multiswitch");
-    let mut recorder = opts.recorder();
-    let kinds = [
-        AttackerKind::Naive,
-        AttackerKind::Model,
-        AttackerKind::Random,
-    ];
-    let fabrics: [(&str, bool); 2] = [("proactive-transit", false), ("reactive-transit", true)];
-
-    let mut acc = vec![vec![Vec::new(); kinds.len()]; fabrics.len()];
-    let configs = sample_configs(
-        &sampler_for(&opts),
-        opts.seed,
-        (0.05, 0.95),
-        opts.configs,
-        attempt_cap(opts.configs),
-        |sc| detector_plan(sc, opts.policy),
-    );
-    let found = configs.len();
-    for (i, (sc, plan)) in configs.iter().enumerate() {
-        for (fi, (_, reactive)) in fabrics.iter().enumerate() {
+    Run::main("multiswitch", |run| {
+        let configs = Arc::new(sample_class(
+            run,
+            ConfigClass::DetectorFeasible,
+            (0.05, 0.95),
+        ));
+        let n = configs.len();
+        println!("{n} detector-feasible configurations\n");
+        let cells = run.grid(&configs, FABRICS.len() * n, |configs, cell| {
+            let (fi, ci) = (cell.unit / configs.len(), cell.unit % configs.len());
+            let (sc, plan) = &configs[ci];
             let mut net = scenario_net_config(sc);
-            net.transit_reactive = *reactive;
-            let report = TrialRun {
+            net.transit_reactive = FABRICS[fi].1;
+            cell.trials(&TrialRun {
                 scenario: sc,
                 plan,
-                kinds: &kinds,
-                trials: opts.trials,
-                seed: opts.seed ^ ((i + 1) * 3 + fi) as u64,
+                kinds: &ATTACKERS,
+                trials: cell.opts.trials,
+                seed: cell.opts.seed ^ ((ci + 1) * 3 + fi) as u64,
                 net: &net,
                 robust: None,
-            }
-            .run_observed(
-                opts.policy,
-                &mut recorder,
-                0,
-                &mut FlightRecorder::disabled(),
-            );
-            for (k, kind) in kinds.iter().enumerate() {
-                acc[fi][k].push(report.accuracy(*kind));
+            })
+        })?;
+
+        let mut labels = Vec::new();
+        let mut series: Vec<(&str, Vec<f64>)> =
+            ATTACKERS.iter().map(|k| (k.name(), vec![])).collect();
+        let mut rows = Vec::new();
+        for (fi, (name, _)) in FABRICS.iter().enumerate() {
+            let Some(reports) = complete(&cells[fi * n..(fi + 1) * n]) else {
+                continue;
+            };
+            let vals: Vec<f64> = ATTACKERS
+                .iter()
+                .map(|&k| mean(reports.iter().map(|r| r.accuracy(k))))
+                .collect();
+            rows.push(format!("{name},{},{},{}", vals[0], vals[1], vals[2]));
+            labels.push(name.to_string());
+            for ((_, s), v) in series.iter_mut().zip(vals) {
+                s.push(v);
             }
         }
-    }
-    println!("{found} detector-feasible configurations\n");
-    let labels: Vec<String> = fabrics.iter().map(|(n, _)| n.to_string()).collect();
-    let mut series: Vec<(&str, Vec<f64>)> = Vec::new();
-    for (k, kind) in kinds.iter().enumerate() {
-        let vals: Vec<f64> = (0..fabrics.len())
-            .map(|fi| mean(acc[fi][k].iter().copied()))
-            .collect();
-        series.push((kind.name(), vals));
-    }
-    println!("{}", ascii_bars(&labels, &series));
-    let mut rows = Vec::new();
-    for (fi, (name, _)) in fabrics.iter().enumerate() {
-        let vals: Vec<f64> = (0..kinds.len())
-            .map(|k| mean(acc[fi][k].iter().copied()))
-            .collect();
-        rows.push(format!("{name},{},{},{}", vals[0], vals[1], vals[2]));
-    }
-    write_csv(
-        &opts.out_file("multiswitch.csv"),
-        "fabric,naive_accuracy,model_accuracy,random_accuracy",
-        &rows,
-    );
-    manifest.finish(&opts, &recorder, &["multiswitch.csv"]);
+        println!("{}", ascii_bars(&labels, &series));
+        run.write_csv(
+            "multiswitch.csv",
+            "fabric,naive_accuracy,model_accuracy,random_accuracy",
+            &rows,
+        );
+        Ok(())
+    })
 }

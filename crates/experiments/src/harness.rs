@@ -1,26 +1,33 @@
 //! Sampling, filtering and evaluating batches of network configurations.
 //!
-//! Every program samples through [`sample_configs`], the one loop that
-//! draws from a sampling stream, usually with [`detector_plan`] as the
-//! filter; [`collect_configs`] adds the trials for the Fig. 6/7
-//! programs. The rest is output plumbing: run manifests and CSVs.
+//! Every program samples through [`sample_configs`] (by way of
+//! [`Run::sample`]), the one loop that draws from a sampling stream,
+//! usually with [`detector_plan`] as the filter ([`sample_class`]);
+//! [`collect_configs`] adds the trials for the Fig. 6/7 programs.
 
 use attack::{
     plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, TrialReport,
     TrialRun,
 };
 use ftcache::PolicyKind;
-use obs::manifest::{detlint_budget, fnv1a, git_rev};
-use obs::{FlightRecorder, ManifestEntry, Recorder};
+use jobs::JobError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
-use std::time::Instant;
+use std::sync::Arc;
 use traffic::{NetworkScenario, ScenarioSampler};
 
+use crate::run::Run;
 use crate::ExpOpts;
+
+/// The attackers most programs compare: the naive and model-based
+/// probers and the prior-only random baseline.
+pub const ATTACKERS: [AttackerKind; 3] = [
+    AttackerKind::Naive,
+    AttackerKind::Model,
+    AttackerKind::Random,
+];
 
 /// Which §VI configuration class to collect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +41,7 @@ pub enum ConfigClass {
 }
 
 /// A fully evaluated configuration: the scenario, the attack plan, and the
-/// trial results.
+/// trial results (the record the benchmark's `suite` replica builds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigOutcome {
     /// The sampled network configuration.
@@ -125,35 +132,31 @@ pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<A
     .filter(AttackPlan::is_detector)
 }
 
-/// Samples up to `count` configurations of `class` with target-absence
-/// probability in `absence_range` (giving up after [`attempt_cap`]`(count)`
-/// draws), then evaluates each with `kinds` over `opts.trials` trials.
-///
-/// With `recorder` enabled, probe RTT histograms, verdict and fault
-/// counters and the planner's span timings flow into it, and
-/// per-configuration progress is printed to stderr. The outcomes are
-/// byte-identical either way: recording never perturbs results.
+/// The trial seed of configuration `ci` in the programs that run every
+/// configuration with one batch seed: `collect_configs` (so
+/// `evaluate_suite` and `fig6`), `fault_sweep` and `defense_tournament`.
 #[must_use]
-pub fn collect_configs(
-    opts: &ExpOpts,
+pub fn config_seed(seed: u64, ci: usize) -> u64 {
+    seed ^ (ci as u64).wrapping_mul(0xA5A5_5A5A_1234_5678)
+}
+
+/// Sampled configurations with their plans, shared with a grid's cells.
+pub type Configs = Arc<Vec<(NetworkScenario, AttackPlan)>>;
+
+/// Samples up to `--configs` configurations of `class` from the
+/// program's sampler, with the target's absence probability in
+/// `absence`, giving up after [`attempt_cap`] draws.
+pub fn sample_class(
+    run: &mut Run<'_>,
     class: ConfigClass,
-    absence_range: (f64, f64),
-    kinds: &[AttackerKind],
-    count: usize,
-    recorder: &mut Recorder,
-) -> Vec<ConfigOutcome> {
-    let start = Instant::now();
-    // Capture the planner's `core.planner.*` spans, which report through
-    // the thread-local recorder (planning runs on this thread).
-    if recorder.is_enabled() {
-        obs::local::install(Recorder::enabled());
-    }
-    let configs = sample_configs(
+    absence: (f64, f64),
+) -> Vec<(NetworkScenario, AttackPlan)> {
+    let opts = run.opts;
+    run.sample(
         &sampler_for(opts),
-        opts.seed,
-        absence_range,
-        count,
-        attempt_cap(count),
+        absence,
+        opts.configs,
+        attempt_cap(opts.configs),
         |scenario| {
             let plan = detector_plan(scenario, opts.policy)?;
             match class {
@@ -164,153 +167,36 @@ pub fn collect_configs(
             }
             .then_some(plan)
         },
-    );
-    if recorder.is_enabled() {
-        recorder.merge(obs::local::take());
-    }
-    let mut out = Vec::with_capacity(configs.len());
-    for (i, (scenario, plan)) in configs.into_iter().enumerate() {
-        let report = TrialRun {
-            scenario: &scenario,
-            plan: &plan,
-            kinds,
-            trials: opts.trials,
-            seed: opts.seed ^ (i as u64).wrapping_mul(0xA5A5_5A5A_1234_5678),
-            net: &scenario_net_config(&scenario),
-            robust: None,
-        }
-        .run_observed(opts.policy, recorder, 0, &mut FlightRecorder::disabled());
-        out.push(ConfigOutcome {
+    )
+}
+
+/// [`sample_class`] in (0.05, 0.95), then `kinds` on each configuration
+/// over `--trials` trials: one grid cell per configuration, with trial
+/// seed [`config_seed`]. Returns the configurations and, parallel to
+/// them, their reports (`None` for a cell an interrupt stopped).
+///
+/// # Errors
+///
+/// As [`Run::grid`].
+pub fn collect_configs(
+    run: &mut Run<'_>,
+    class: ConfigClass,
+    kinds: &'static [AttackerKind],
+) -> Result<(Configs, Vec<Option<TrialReport>>), JobError> {
+    let configs = Arc::new(sample_class(run, class, (0.05, 0.95)));
+    let reports = run.grid(&configs, configs.len(), move |configs, cell| {
+        let (scenario, plan) = &configs[cell.unit];
+        cell.trials(&TrialRun {
             scenario,
             plan,
-            report,
-        });
-        if recorder.is_enabled() {
-            eprintln!(
-                "obs: config {}/{count} evaluated ({:.1}s elapsed)",
-                i + 1,
-                start.elapsed().as_secs_f64()
-            );
-        }
-    }
-    out
-}
-
-/// Locates `crates/detlint/baseline.toml` by walking up from the
-/// current directory (the binaries run from the workspace root or any
-/// crate directory within it).
-fn find_baseline() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let candidate = dir.join("crates/detlint/baseline.toml");
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-/// A run manifest under construction: start it before the experiment's
-/// work, finish it after the CSVs are written. [`RunManifest::finish`]
-/// writes `<experiment>.manifest.jsonl` next to the CSVs — one JSON
-/// line carrying seed, config digest, git revision, detlint budget,
-/// elapsed wall time and every metric the recorder collected.
-///
-/// The manifest is written unconditionally (metrics are simply empty
-/// when the recorder is disabled), and failures to write it are
-/// reported to stderr, never panics: observability must not be able to
-/// kill a finished run.
-#[derive(Debug)]
-pub struct RunManifest {
-    experiment: String,
-    start: Instant,
-}
-
-impl RunManifest {
-    /// Starts the manifest clock for `experiment` (the bin name).
-    #[must_use]
-    pub fn begin(experiment: &str) -> Self {
-        RunManifest {
-            experiment: experiment.to_string(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Writes `<experiment>.manifest.jsonl` into `opts.out`, recording
-    /// the run parameters, provenance and `recorder`'s metrics. The file
-    /// is overwritten per run (one line per file), so re-running an
-    /// experiment replaces its manifest instead of growing it.
-    pub fn finish(self, opts: &ExpOpts, recorder: &Recorder, csv_files: &[&str]) {
-        self.finish_with_status(opts, recorder, csv_files, "ok");
-    }
-
-    /// [`RunManifest::finish`] with an explicit run status — `"ok"` for
-    /// a complete run, `"interrupted"` when SIGINT/SIGTERM or a chaos
-    /// kill-point stopped it early (partial CSVs flushed, checkpoint
-    /// left for `--resume`).
-    pub fn finish_with_status(
-        self,
-        opts: &ExpOpts,
-        recorder: &Recorder,
-        csv_files: &[&str],
-        status: &str,
-    ) {
-        let digest = fnv1a(
-            format!(
-                "configs={},trials={},seed={},fast={},threads={}",
-                opts.configs,
-                opts.trials,
-                opts.seed,
-                opts.fast,
-                opts.policy.threads()
-            )
-            .as_bytes(),
-        );
-        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        let entry = ManifestEntry {
-            experiment: self.experiment.clone(),
-            seed: opts.seed,
-            configs: opts.configs,
-            trials: opts.trials,
-            threads: opts.policy.threads(),
-            config_digest: format!("{digest:016x}"),
-            git_rev: git_rev(&cwd),
-            detlint_budget: find_baseline().map_or(0, |p| detlint_budget(&p)),
-            elapsed_secs: self.start.elapsed().as_secs_f64(),
-            status: status.to_string(),
-            csv_files: csv_files.iter().map(|s| (*s).to_string()).collect(),
-        };
-        let mut line = entry.to_json_line(recorder);
-        line.push('\n');
-        let path = opts.out.join(format!("{}.manifest.jsonl", self.experiment));
-        if let Err(e) = std::fs::create_dir_all(&opts.out) {
-            eprintln!("obs: cannot create {}: {e}", opts.out.display());
-            return;
-        }
-        match obs::write_atomic(&path, line) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("obs: cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-/// Writes rows as CSV (header + records) to `path`.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn write_csv(path: &std::path::Path, header: &str, rows: &[String]) {
-    let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
-    body.push_str(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
-    }
-    obs::write_atomic(path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+            kinds,
+            trials: cell.opts.trials,
+            seed: config_seed(cell.opts.seed, cell.unit),
+            net: &scenario_net_config(scenario),
+            robust: None,
+        })
+    })?;
+    Ok((configs, reports))
 }
 
 /// Mean of an iterator of f64, NaN when empty.
@@ -339,73 +225,64 @@ mod tests {
             configs: 2,
             trials: 5,
             seed: 11,
+            policy: ExecPolicy::Serial,
             ..ExpOpts::default()
         }
     }
 
+    /// `collect_configs` on a grid that runs to completion.
+    fn collect(
+        opts: &ExpOpts,
+        class: ConfigClass,
+        kinds: &'static [AttackerKind],
+    ) -> Vec<(NetworkScenario, AttackPlan, TrialReport)> {
+        let mut run = Run::new("harness_tests", opts);
+        let (configs, reports) = collect_configs(&mut run, class, kinds).expect("grid runs");
+        configs
+            .iter()
+            .zip(reports)
+            .map(|((sc, plan), r)| (sc.clone(), plan.clone(), r.expect("cell completed")))
+            .collect()
+    }
+
     #[test]
     fn collect_detector_feasible_configs() {
-        let opts = fast_opts();
-        let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let outcomes = collect_configs(
-            &opts,
-            ConfigClass::DetectorFeasible,
-            (0.2, 0.8),
-            &kinds,
-            2,
-            &mut Recorder::disabled(),
-        );
+        let kinds = &[AttackerKind::Naive, AttackerKind::Model];
+        let outcomes = collect(&fast_opts(), ConfigClass::DetectorFeasible, kinds);
         assert!(
             !outcomes.is_empty(),
             "should find at least one feasible config"
         );
-        for o in &outcomes {
-            assert!(o.plan.is_detector());
-            assert_eq!(o.report.by_attacker.len(), 2);
-            assert_eq!(o.report.by_attacker[0].1.n(), 5);
+        for (_, plan, report) in &outcomes {
+            assert!(plan.is_detector());
+            assert_eq!(report.by_attacker.len(), 2);
+            assert_eq!(report.by_attacker[0].1.n(), 5);
         }
     }
 
     #[test]
     fn fig6_class_filters_on_probe_difference() {
-        let opts = fast_opts();
-        let kinds = [AttackerKind::Naive];
-        let outcomes = collect_configs(
-            &opts,
-            ConfigClass::OptimalDiffersFromTarget,
-            (0.2, 0.8),
-            &kinds,
-            1,
-            &mut Recorder::disabled(),
-        );
-        for o in &outcomes {
-            assert_ne!(o.plan.optimal.probe, o.scenario.target);
+        let opts = ExpOpts {
+            configs: 1,
+            ..fast_opts()
+        };
+        let kinds = &[AttackerKind::Naive];
+        for (sc, plan, _) in collect(&opts, ConfigClass::OptimalDiffersFromTarget, kinds) {
+            assert_ne!(plan.optimal.probe, sc.target);
         }
     }
 
     #[test]
     fn execution_policy_does_not_change_outcomes() {
-        let kinds = [AttackerKind::Naive, AttackerKind::Model];
-        let serial = ExpOpts {
-            policy: attack::ExecPolicy::Serial,
-            ..fast_opts()
-        };
+        let kinds = &[AttackerKind::Naive, AttackerKind::Model];
         let parallel = ExpOpts {
-            policy: attack::ExecPolicy::Parallel { threads: 4 },
+            policy: ExecPolicy::Parallel { threads: 4 },
             ..fast_opts()
         };
-        let collect = |opts: &ExpOpts| {
-            collect_configs(
-                opts,
-                ConfigClass::DetectorFeasible,
-                (0.2, 0.8),
-                &kinds,
-                2,
-                &mut Recorder::disabled(),
-            )
-        };
-        let (a, b) = (collect(&serial), collect(&parallel));
-        assert_eq!(a, b);
+        assert_eq!(
+            collect(&fast_opts(), ConfigClass::DetectorFeasible, kinds),
+            collect(&parallel, ConfigClass::DetectorFeasible, kinds)
+        );
     }
 
     #[test]

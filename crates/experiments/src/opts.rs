@@ -1,7 +1,6 @@
 //! Minimal command-line option parsing shared by the experiment binaries.
 
-use attack::ExecPolicy;
-use obs::{FlightRecorder, Recorder};
+use attack::{ExecPolicy, THREADS_ENV_VAR};
 use std::path::PathBuf;
 
 /// Options common to every experiment binary.
@@ -23,7 +22,7 @@ pub struct ExpOpts {
     /// Collect observability metrics (`--obs`, or the `FLOW_RECON_OBS`
     /// environment variable). Results are byte-identical either way;
     /// this only controls whether the run's manifest carries metrics
-    /// and per-config progress is printed.
+    /// and per-cell progress is printed.
     pub obs: bool,
     /// Record a causal flight trace (`--trace`, or the
     /// `FLOW_RECON_TRACE` environment variable). Like `--obs`, results
@@ -32,8 +31,8 @@ pub struct ExpOpts {
     /// `<experiment>.trace.json`) next to the CSVs.
     pub trace: bool,
     /// Resume from `<experiment>.ckpt.jsonl` when present (`--resume`).
-    /// Bins without a checkpoint-aware job loop accept the flag too: a
-    /// fresh run is trivially equivalent to resuming nothing.
+    /// The programs that run no trials accept the flag too: a fresh run
+    /// is trivially equivalent to resuming nothing.
     pub resume: bool,
     /// Flush a checkpoint every N completed work units
     /// (`--checkpoint-every N`; 0 disables periodic flushes). With
@@ -48,6 +47,9 @@ pub struct ExpOpts {
 }
 
 impl Default for ExpOpts {
+    /// The defaults before the command line and the environment apply:
+    /// 40 configurations, 60 trials, seed 7, `results/`, one thread per
+    /// core, nothing recorded.
     fn default() -> Self {
         ExpOpts {
             configs: 40,
@@ -55,26 +57,20 @@ impl Default for ExpOpts {
             seed: 7,
             out: PathBuf::from("results"),
             fast: false,
-            policy: ExecPolicy::from_env(),
-            obs: obs_from_env(),
-            trace: trace_from_env(),
+            policy: ExecPolicy::auto(),
+            obs: false,
+            trace: false,
             resume: false,
             checkpoint_every: 0,
-            kill_after_checkpoints: kill_from_env(),
+            kill_after_checkpoints: None,
         }
     }
 }
 
-/// Whether `FLOW_RECON_OBS` asks for metric collection (any non-empty
-/// value except `0`).
-fn obs_from_env() -> bool {
-    std::env::var("FLOW_RECON_OBS").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Whether `FLOW_RECON_TRACE` asks for flight recording (same
-/// convention as `FLOW_RECON_OBS`).
-fn trace_from_env() -> bool {
-    std::env::var("FLOW_RECON_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
+/// Whether the environment variable `name` is set to anything but
+/// empty or `0` (`FLOW_RECON_OBS`, `FLOW_RECON_TRACE`).
+fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// The `FLOW_RECON_KILL_AFTER_CKPT` kill-point, if set to a positive
@@ -87,102 +83,120 @@ fn kill_from_env() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
+/// A malformed command line or environment setting. Its message names
+/// the flag or variable and what it expects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OptsError(pub String);
+
+impl std::fmt::Display for OptsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for OptsError {}
+
+/// The flags [`ExpOpts::parse`] accepts, for the usage line.
+const USAGE: &str = "[--configs N] [--trials N] [--seed N] [--out DIR] [--fast] \
+[--threads N|auto] [--obs] [--trace] [--resume] [--checkpoint-every N] [--kill-after-checkpoints N]";
+
+/// `value` parsed as the integer `flag` expects.
+fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, OptsError> {
+    value
+        .parse()
+        .map_err(|_| OptsError(format!("{flag} expects an integer, got `{value}`")))
+}
+
 impl ExpOpts {
     /// Parses `--configs N --trials N --seed N --out DIR --fast
     /// --threads N|auto --obs --trace --resume --checkpoint-every N
     /// --kill-after-checkpoints N` from an iterator of arguments
-    /// (without the program name).
+    /// (without the program name). A flag absent from the command line
+    /// falls back to its environment variable where it has one
+    /// (`FLOW_RECON_THREADS`, `FLOW_RECON_OBS`, `FLOW_RECON_TRACE`,
+    /// `FLOW_RECON_KILL_AFTER_CKPT`), then to [`ExpOpts::default`];
+    /// `FLOW_RECON_THREADS` is not read when `--threads` is given.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown flags or malformed values —
-    /// these binaries are developer tools, and failing loudly beats
-    /// silently ignoring a typo.
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// [`OptsError`] on an unknown flag, a flag without its value, a
+    /// malformed value, or a malformed `FLOW_RECON_THREADS`: failing
+    /// loudly beats silently ignoring a typo.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, OptsError> {
         let mut opts = ExpOpts::default();
+        let mut threads = None;
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            let mut grab = || {
+            let mut value = || {
                 it.next()
-                    .unwrap_or_else(|| panic!("flag {a} expects a value"))
+                    .ok_or_else(|| OptsError(format!("flag {a} expects a value")))
             };
             match a.as_str() {
-                "--configs" => opts.configs = grab().parse().expect("--configs expects an integer"),
-                "--trials" => opts.trials = grab().parse().expect("--trials expects an integer"),
-                "--seed" => opts.seed = grab().parse().expect("--seed expects an integer"),
-                "--out" => opts.out = PathBuf::from(grab()),
+                "--configs" => opts.configs = integer(&a, &value()?)?,
+                "--trials" => opts.trials = integer(&a, &value()?)?,
+                "--seed" => opts.seed = integer(&a, &value()?)?,
+                "--out" => opts.out = PathBuf::from(value()?),
                 "--fast" => opts.fast = true,
                 "--obs" => opts.obs = true,
                 "--trace" => opts.trace = true,
                 "--resume" => opts.resume = true,
-                "--checkpoint-every" => {
-                    opts.checkpoint_every = grab()
-                        .parse()
-                        // detlint::allow(D4): CLI flag parse, same loud-exit
-                        // style as every other ExpOpts flag.
-                        .expect("--checkpoint-every expects an integer")
-                }
+                "--checkpoint-every" => opts.checkpoint_every = integer(&a, &value()?)?,
                 "--kill-after-checkpoints" => {
-                    opts.kill_after_checkpoints = Some(
-                        grab()
-                            .parse()
-                            // detlint::allow(D4): CLI flag parse, loud exit.
-                            .expect("--kill-after-checkpoints expects an integer"),
-                    )
+                    opts.kill_after_checkpoints = Some(integer(&a, &value()?)?);
                 }
                 "--threads" => {
-                    let v = grab();
-                    opts.policy = ExecPolicy::parse(&v).unwrap_or_else(|| {
-                        panic!("--threads expects a thread count or `auto`, got `{v}`")
-                    });
+                    let v = value()?;
+                    threads = Some(ExecPolicy::parse(&v).ok_or_else(|| {
+                        OptsError(format!(
+                            "--threads expects a thread count or `auto`, got `{v}`"
+                        ))
+                    })?);
                 }
-                other => panic!(
+                other => return Err(OptsError(format!(
                     "unknown flag {other}; supported: --configs --trials --seed --out --fast --threads --obs --trace --resume --checkpoint-every --kill-after-checkpoints"
-                ),
+                ))),
             }
         }
+        opts.policy = match threads {
+            Some(policy) => policy,
+            None => match std::env::var(THREADS_ENV_VAR) {
+                Ok(raw) => ExecPolicy::parse(&raw).ok_or_else(|| {
+                    OptsError(format!(
+                        "invalid {THREADS_ENV_VAR}=`{raw}`: expected a thread count or `auto`"
+                    ))
+                })?,
+                Err(_) => ExecPolicy::auto(),
+            },
+        };
+        opts.obs |= env_flag("FLOW_RECON_OBS");
+        opts.trace |= env_flag("FLOW_RECON_TRACE");
+        opts.kill_after_checkpoints = opts.kill_after_checkpoints.or_else(kill_from_env);
         if opts.fast {
             opts.configs = opts.configs.min(6);
             opts.trials = opts.trials.min(20);
         }
-        opts
+        Ok(opts)
     }
 
-    /// Parses from the process's actual arguments.
+    /// Parses from the process's actual arguments. On an [`OptsError`]
+    /// it prints the message and the usage to stderr and exits with
+    /// status 2.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {program} {USAGE}");
+            std::process::exit(2)
+        })
     }
 
-    /// A [`Recorder`] matching the run's `--obs` setting: enabled when
-    /// metric collection was requested, the zero-cost disabled recorder
-    /// otherwise.
-    #[must_use]
-    pub fn recorder(&self) -> Recorder {
-        if self.obs {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
-        }
-    }
-
-    /// A [`FlightRecorder`] matching the run's `--trace` setting:
-    /// enabled (default capacity) when tracing was requested, the
-    /// pointer-sized disabled recorder otherwise.
-    #[must_use]
-    pub fn flight(&self) -> FlightRecorder {
-        if self.trace {
-            FlightRecorder::enabled()
-        } else {
-            FlightRecorder::disabled()
-        }
-    }
-
-    /// Guard for bins without a checkpoint-aware job loop: `--resume`
-    /// is harmless there (a fresh run is equivalent to resuming
-    /// nothing), but a checkpoint interval or kill-point would silently
-    /// do nothing — fail loudly instead of pretending.
+    /// Guard for the programs that run no trials, and so no supervised
+    /// grid (`ablation_evaluators`, `calibrate`, `diagnose`,
+    /// `latency_table`, `render_figures`): `--resume` is harmless there
+    /// (a fresh run is equivalent to resuming nothing), but a checkpoint
+    /// interval or kill-point would silently do nothing — fail loudly
+    /// instead of pretending.
     ///
     /// # Panics
     ///
@@ -192,7 +206,7 @@ impl ExpOpts {
         assert!(
             self.checkpoint_every == 0 && self.kill_after_checkpoints.is_none(),
             "{bin} has no checkpoint-aware job loop; --checkpoint-every and \
-             --kill-after-checkpoints are only supported by fault_sweep and defense_tournament"
+             --kill-after-checkpoints are only supported by the programs that run trials"
         );
     }
 
@@ -217,15 +231,28 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parse(s: &str) -> ExpOpts {
+        ExpOpts::parse(args(s)).expect("valid flags")
+    }
+
+    fn error(s: &str) -> String {
+        ExpOpts::parse(args(s)).expect_err("malformed flags").0
+    }
+
     #[test]
     fn defaults() {
-        let o = ExpOpts::parse(args(""));
-        assert_eq!(o, ExpOpts::default());
+        let o = parse("");
+        // Only the settings without an environment fallback: the suite
+        // may run with FLOW_RECON_* set.
+        let d = ExpOpts::default();
+        assert_eq!((o.configs, o.trials, o.seed), (d.configs, d.trials, d.seed));
+        assert_eq!((&o.out, o.fast, o.resume), (&d.out, d.fast, d.resume));
+        assert_eq!(o.checkpoint_every, d.checkpoint_every);
     }
 
     #[test]
     fn parses_all_flags() {
-        let o = ExpOpts::parse(args("--configs 5 --trials 9 --seed 3 --out /tmp/x"));
+        let o = parse("--configs 5 --trials 9 --seed 3 --out /tmp/x");
         assert_eq!(o.configs, 5);
         assert_eq!(o.trials, 9);
         assert_eq!(o.seed, 3);
@@ -235,7 +262,7 @@ mod tests {
 
     #[test]
     fn fast_caps_sizes() {
-        let o = ExpOpts::parse(args("--configs 100 --trials 500 --fast"));
+        let o = parse("--configs 100 --trials 500 --fast");
         assert_eq!(o.configs, 6);
         assert_eq!(o.trials, 20);
         assert!(o.fast);
@@ -243,77 +270,65 @@ mod tests {
 
     #[test]
     fn threads_flag_sets_policy() {
-        let o = ExpOpts::parse(args("--threads 4"));
-        assert_eq!(o.policy, ExecPolicy::Parallel { threads: 4 });
-        let o = ExpOpts::parse(args("--threads 1"));
-        assert_eq!(o.policy, ExecPolicy::Serial);
-        let o = ExpOpts::parse(args("--threads auto"));
-        assert_eq!(o.policy, ExecPolicy::auto());
+        assert_eq!(
+            parse("--threads 4").policy,
+            ExecPolicy::Parallel { threads: 4 }
+        );
+        assert_eq!(parse("--threads 1").policy, ExecPolicy::Serial);
+        assert_eq!(parse("--threads auto").policy, ExecPolicy::auto());
     }
 
     #[test]
-    fn obs_flag_enables_recorder() {
-        let o = ExpOpts::parse(args("--obs"));
-        assert!(o.obs);
-        assert!(o.recorder().is_enabled());
-        let defaults = ExpOpts::parse(args(""));
-        // Without the flag the setting follows FLOW_RECON_OBS (usually
-        // unset), and recorder() mirrors it either way.
-        assert_eq!(defaults.obs, defaults.recorder().is_enabled());
-    }
-
-    #[test]
-    fn trace_flag_enables_flight_recorder() {
-        let o = ExpOpts::parse(args("--trace"));
-        assert!(o.trace);
-        assert!(o.flight().is_enabled());
-        let defaults = ExpOpts::parse(args(""));
-        // Without the flag the setting follows FLOW_RECON_TRACE
-        // (usually unset), and flight() mirrors it either way.
-        assert_eq!(defaults.trace, defaults.flight().is_enabled());
+    fn obs_and_trace_flags_parse() {
+        let o = parse("--obs --trace");
+        assert!(o.obs && o.trace);
     }
 
     #[test]
     fn checkpoint_flags_parse() {
-        let o = ExpOpts::parse(args(
-            "--resume --checkpoint-every 3 --kill-after-checkpoints 2",
-        ));
+        let o = parse("--resume --checkpoint-every 3 --kill-after-checkpoints 2");
         assert!(o.resume);
         assert_eq!(o.checkpoint_every, 3);
         assert_eq!(o.kill_after_checkpoints, Some(2));
-        let d = ExpOpts::parse(args(""));
+        let d = parse("");
         assert!(!d.resume);
         assert_eq!(d.checkpoint_every, 0);
     }
 
     #[test]
     fn forbid_checkpointing_accepts_resume_only() {
-        let o = ExpOpts::parse(args("--resume"));
-        o.forbid_checkpointing("fig6a"); // must not panic
+        parse("--resume").forbid_checkpointing("latency_table"); // must not panic
     }
 
     #[test]
     #[should_panic(expected = "no checkpoint-aware job loop")]
     fn forbid_checkpointing_rejects_interval() {
-        let o = ExpOpts::parse(args("--checkpoint-every 1"));
-        o.forbid_checkpointing("fig6a");
+        parse("--checkpoint-every 1").forbid_checkpointing("latency_table");
     }
 
     #[test]
-    #[should_panic(expected = "--threads expects")]
-    fn bad_threads_value_panics() {
-        let _ = ExpOpts::parse(args("--threads lots"));
+    fn bad_threads_value_is_an_error() {
+        assert_eq!(
+            error("--threads lots"),
+            "--threads expects a thread count or `auto`, got `lots`"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = ExpOpts::parse(args("--bogus"));
+    fn malformed_integer_is_an_error() {
+        assert_eq!(
+            error("--configs many"),
+            "--configs expects an integer, got `many`"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "expects a value")]
-    fn missing_value_panics() {
-        let _ = ExpOpts::parse(args("--seed"));
+    fn unknown_flag_is_an_error() {
+        assert!(error("--bogus").starts_with("unknown flag --bogus; supported: --configs"));
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        assert_eq!(error("--seed"), "flag --seed expects a value");
     }
 }

@@ -1,7 +1,9 @@
-//! Crash/resume gates for the supervised sweeps: killing a run at *any*
+//! Crash/resume gates for the supervised runner: killing a run at *any*
 //! checkpoint boundary and resuming it must reproduce the uninterrupted
 //! run's CSV **byte for byte**, at any thread count — the checkpoint
-//! layer may change when work happens, never what it computes.
+//! layer may change when work happens, never what it computes. Gated:
+//! the two grid sweeps, and `countermeasures` for the other programs on
+//! the runner.
 //!
 //! Also covers the supervision failure paths that don't fit the
 //! subprocess gates: a worker panic inside the parallel trial fan-out
@@ -26,6 +28,7 @@ fn run_bin(exe: &str, dir: &Path, extra: &[&str]) -> i32 {
         .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
         .env_remove("FLOW_RECON_OBS")
+        .env_remove("FLOW_RECON_TRACE")
         .status()
         .expect("sweep binary runs");
     status.code().expect("sweep binary exits with a code")
@@ -147,6 +150,107 @@ fn defense_tournament_kill_resume_is_byte_identical() {
         resumed, reference,
         "resumed defense_tournament.csv differs from uninterrupted run"
     );
+}
+
+/// The uninterrupted serial countermeasures CSV.
+fn countermeasures_reference() -> &'static str {
+    static REF: OnceLock<String> = OnceLock::new();
+    REF.get_or_init(|| {
+        let dir = tmp("cm_ref");
+        let code = run_bin(
+            env!("CARGO_BIN_EXE_countermeasures"),
+            &dir,
+            &["--trials", "5", "--threads", "1"],
+        );
+        assert_eq!(code, 0, "reference run failed");
+        let csv = std::fs::read_to_string(dir.join("countermeasures.csv")).expect("csv");
+        assert_eq!(csv.lines().count(), 5, "one row per defense: {csv}");
+        csv
+    })
+}
+
+/// Every program on the runner kills and resumes as the sweeps do:
+/// `countermeasures` cut at a checkpoint exits 130 with its checkpoint,
+/// an `interrupted` manifest and only whole rows (a prefix of the full
+/// CSV), and resuming at the other thread count writes the
+/// uninterrupted run's CSV byte for byte.
+#[test]
+fn countermeasures_kill_resume_is_byte_identical() {
+    let exe = env!("CARGO_BIN_EXE_countermeasures");
+    let reference = countermeasures_reference();
+    for (kill, threads, resume_threads) in [("1", "1", "8"), ("5", "8", "1")] {
+        let dir = tmp(&format!("cm_kill{kill}_t{threads}"));
+        let code = run_bin(
+            exe,
+            &dir,
+            &[
+                "--trials",
+                "5",
+                "--threads",
+                threads,
+                "--checkpoint-every",
+                "1",
+                "--kill-after-checkpoints",
+                kill,
+            ],
+        );
+        assert_eq!(code, 130, "kill-point run must exit as interrupted");
+        assert!(dir.join("countermeasures.ckpt.jsonl").exists());
+        let partial = std::fs::read_to_string(dir.join("countermeasures.csv")).expect("csv");
+        assert!(
+            partial.starts_with("defense,") && reference.starts_with(&partial),
+            "partial CSV must hold the header and whole rows only: {partial}"
+        );
+        let manifest =
+            std::fs::read_to_string(dir.join("countermeasures.manifest.jsonl")).expect("manifest");
+        assert!(
+            manifest.contains("\"status\":\"interrupted\""),
+            "{manifest}"
+        );
+
+        let code = run_bin(
+            exe,
+            &dir,
+            &[
+                "--trials",
+                "5",
+                "--threads",
+                resume_threads,
+                "--resume",
+                "--checkpoint-every",
+                "1",
+            ],
+        );
+        assert_eq!(code, 0, "resume must complete");
+        assert!(!dir.join("countermeasures.ckpt.jsonl").exists());
+        let resumed = std::fs::read_to_string(dir.join("countermeasures.csv")).expect("csv");
+        assert_eq!(
+            resumed, reference,
+            "resumed CSV differs from uninterrupted run"
+        );
+    }
+}
+
+/// `--trace` on a program the runner supervises writes the untraced
+/// CSV plus the flight dump and its Perfetto export.
+#[test]
+fn countermeasures_trace_writes_flight_outputs_and_the_same_csv() {
+    let dir = tmp("cm_trace");
+    let code = run_bin(
+        env!("CARGO_BIN_EXE_countermeasures"),
+        &dir,
+        &["--trials", "5", "--threads", "2", "--trace"],
+    );
+    assert_eq!(code, 0);
+    let csv = std::fs::read_to_string(dir.join("countermeasures.csv")).expect("csv");
+    assert_eq!(csv, countermeasures_reference());
+    for file in [
+        "countermeasures.flightrec.jsonl",
+        "countermeasures.trace.json",
+    ] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} missing or empty");
+    }
 }
 
 /// An interrupted run is not a crash: it flushes the partial CSV and a

@@ -43,8 +43,9 @@ fn run(program: &str, exe: &str, out_dir: &Path, threads: &str, obs_on: bool) {
 
 /// Runs `program` with the recorder off and on, at 1 and 8 threads:
 /// its CSV must not move, and only the recorder-on manifests may carry
-/// metrics — among them the trial engine's `attack.trials` and the
-/// simulator's probe RTT histogram.
+/// metrics — among them the trial engine's `attack.trials`, the
+/// simulator's probe RTT histogram and the planner's spans, which the
+/// runner records while sampling.
 fn check_recorder_is_free(program: &str, exe: &str) {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("obs_determinism")
@@ -88,6 +89,7 @@ fn check_recorder_is_free(program: &str, exe: &str) {
         if obs_on {
             assert!(manifest.contains("netsim.probe_rtt_hit_secs"), "{manifest}");
             assert!(manifest.contains("attack.trials"), "{manifest}");
+            assert!(manifest.contains("core.planner.evolve_secs"), "{manifest}");
         } else {
             assert!(
                 manifest.contains("\"counters\":{}"),

@@ -2,9 +2,9 @@
 //! byte-identical CSVs at any thread count for a fixed seed.
 //!
 //! This exercises the whole stack at once — probe-evaluation engine,
-//! trial engine, and harness — under the determinism contract of
-//! DESIGN.md. Only the CSV artifacts are compared; the stats sidecar
-//! intentionally records thread count and wall time and so must differ.
+//! trial engine, supervised runner and harness — under the determinism
+//! contract of DESIGN.md. Only the CSV artifacts are compared; the run
+//! manifest records the thread count and wall time and so must differ.
 
 use std::path::Path;
 use std::process::Command;

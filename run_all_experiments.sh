@@ -25,7 +25,7 @@ BIN="cargo run --release -p experiments --bin"
 # Runs one named step, failing the whole script immediately with an
 # unambiguous marker when it breaks — `set -e` alone leaves CI logs
 # ending mid-cargo-output with no hint of which experiment died. Exit
-# code 130 is the supervised sweeps' graceful-interrupt path (SIGINT/
+# code 130 is the supervised runner's graceful-interrupt path (SIGINT/
 # SIGTERM): partial CSVs and an `interrupted` manifest were flushed,
 # and the run can continue from its checkpoint.
 run() {
@@ -96,15 +96,20 @@ if [ "$SMOKE" -eq 1 ]; then
     run obs_csv_byte_equality cmp "$OUT/fault_sweep.csv" "$OUT/obs/fault_sweep.csv"
     run obs_manifest_nonempty test -s "$OUT/obs/fault_sweep.manifest.jsonl"
     run diagnose cargo run --release -p flow-recon -- diagnose --results "$OUT/obs"
-    # Crash-safety gates: cut each supervised grid at a checkpoint
-    # boundary (exit 130, checkpoint + partial CSV flushed), resume it,
-    # and require the CSV byte-identical to the uninterrupted run above.
+    # Crash-safety gates: cut a supervised grid at a checkpoint boundary
+    # (exit 130, checkpoint + partial CSV flushed), resume it, and
+    # require the CSV byte-identical to the uninterrupted run above —
+    # for the two grid sweeps, and for countermeasures on behalf of the
+    # other programs on the supervised runner.
     run_interrupted fault_sweep_kill $BIN fault_sweep -- --configs 4 --trials 10 --seed 7 --fast --checkpoint-every 1 --kill-after-checkpoints 2 --out "$OUT/chaos"
     run fault_sweep_resume $BIN fault_sweep -- --configs 4 --trials 10 --seed 7 --fast --resume --checkpoint-every 1 --out "$OUT/chaos"
     run fault_sweep_resume_equality cmp "$OUT/fault_sweep.csv" "$OUT/chaos/fault_sweep.csv"
     run_interrupted defense_tournament_kill $BIN defense_tournament -- --configs 4 --trials 10 --seed 7 --fast --checkpoint-every 2 --kill-after-checkpoints 2 --out "$OUT/chaos"
     run defense_tournament_resume $BIN defense_tournament -- --configs 4 --trials 10 --seed 7 --fast --resume --checkpoint-every 2 --out "$OUT/chaos"
     run defense_tournament_resume_equality cmp "$OUT/defense_tournament.csv" "$OUT/chaos/defense_tournament.csv"
+    run_interrupted countermeasures_kill $BIN countermeasures -- --configs 4 --trials 10 --seed 7 --fast --checkpoint-every 2 --kill-after-checkpoints 3 --out "$OUT/chaos"
+    run countermeasures_resume $BIN countermeasures -- --configs 4 --trials 10 --seed 7 --fast --resume --checkpoint-every 2 --out "$OUT/chaos"
+    run countermeasures_resume_equality cmp "$OUT/countermeasures.csv" "$OUT/chaos/countermeasures.csv"
     # Supervisor soak: injected panics, watchdog stalls, kill/resume
     # cycles and checkpoint-corruption detection on a synthetic job.
     run chaos_soak cargo run --release -p experiments --bin chaos_soak -- --smoke --out "$OUT/chaos/soak"
@@ -120,9 +125,10 @@ run multiswitch $BIN multiswitch -- --configs 25 --trials 80 --seed 7
 run robustness_rates $BIN robustness_rates -- --configs 25 --trials 80 --seed 7
 run defense_transform $BIN defense_transform -- --configs 15 --trials 60 --seed 7
 run sweep_parameters $BIN sweep_parameters -- --configs 8 --trials 60 --seed 7
-# The two grid sweeps are the long-running steps; run them supervised
-# with periodic checkpoints so a killed run resumes instead of starting
-# over (--resume is a no-op when no checkpoint exists).
+# Every trial-running step runs on the supervised runner; the two grid
+# sweeps are the long-running ones, so they also checkpoint
+# periodically and a killed run resumes instead of starting over
+# (--resume is a no-op when no checkpoint exists).
 run fault_sweep $BIN fault_sweep -- --configs 25 --trials 80 --seed 7 --obs --checkpoint-every 5 --resume
 run evaluate_suite $BIN evaluate_suite -- --configs 40 --trials 100 --seed 7 --obs
 run defense_tournament $BIN defense_tournament -- --configs 25 --trials 80 --seed 7 --obs --checkpoint-every 5 --resume
