@@ -1,10 +1,29 @@
 //! The compact (scalable, approximate) Markov model of §IV-B.
 //!
 //! A state is just the *subset* of rules presently cached (at most `n`),
-//! giving `Σ_{n'≤n} C(|Rules|, n')` states instead of the basic model's
+//! giving at most `Σ_{n'≤n} C(|Rules|, n')` states
+//! ([`compact_state_count`](crate::counts::compact_state_count), the
+//! paper's count, is that upper bound) instead of the basic model's
 //! astronomically many. The price is that timers are gone: eviction and
 //! timeout behavior must be estimated probabilistically, which is the job
 //! of the [`useq`](crate::useq) evaluators.
+//!
+//! The model keeps only the subsets reachable from the empty cache. A
+//! reactive switch caches a rule only when a miss installs it, and a miss
+//! on flow `f` installs `f`'s highest-priority covering rule; so a rule
+//! that is no flow's highest-priority match (one fully shadowed by
+//! higher-priority rules) is never cached. The closure of the empty cache
+//! under "a miss on a flow no cached rule covers installs its
+//! highest-priority rule, evicting any cached rule at capacity" and "any
+//! cached rule times out" is exactly the set of subsets of size `≤ n` of
+//! these *installable* rules: every such subset is reached by installing
+//! its rules in descending priority, as a rule's installing flow is covered
+//! by no higher-priority rule. The closure ignores rates, eviction weights
+//! and hazards, so it holds every state the chain, the absent-target
+//! matrix and [`SwitchModel::apply_probe`] can reach; every other subset
+//! would carry probability exactly 0 at every step. States stay in
+//! ascending mask order, so each sum over states sees the same nonzero
+//! terms in the same order as over all subsets.
 //!
 //! Transition structure out of a state `S`:
 //!
@@ -54,8 +73,8 @@ pub struct CompactModel {
     capacity: usize,
     /// The eviction policy the model assumes the switch runs.
     policy: PolicyKind,
-    /// State bitmasks (bit `i` set ⇔ `RuleId(i)` cached), sorted ascending;
-    /// state 0 is always the empty cache.
+    /// Bitmasks of the reachable states (bit `i` set ⇔ `RuleId(i)`
+    /// cached), sorted ascending; state 0 is always the empty cache.
     states: Vec<u32>,
     index: BTreeMap<u32, usize>,
     /// Per-state eviction/timeout analysis from the evaluator.
@@ -125,12 +144,32 @@ impl CompactModel {
                 rates: rates.universe_size(),
             });
         }
-        let r = rules.len();
+        let cover_masks: Vec<u32> = (0..rules.universe_size() as u32)
+            .map(|f| {
+                rules
+                    .ids()
+                    .filter(|&j| rules.rule(j).covers_flow(FlowId(f)))
+                    .fold(0u32, |m, j| m | (1 << j.0))
+            })
+            .collect();
+        // RuleId order is descending priority, so a flow's highest-priority
+        // covering rule is the lowest set bit of its cover mask.
+        let installable = cover_masks
+            .iter()
+            .fold(0u32, |m, &cover| m | (cover & cover.wrapping_neg()));
+        // The subsets of `installable` with at most `capacity` rules,
+        // ascending: `(sub − installable) & installable` is the next
+        // larger subset of `installable` after `sub`.
         let mut states = Vec::new();
-        for mask in 0u32..(1u32 << r) {
-            if (mask.count_ones() as usize) <= capacity {
-                states.push(mask);
+        let mut sub = 0u32;
+        loop {
+            if (sub.count_ones() as usize) <= capacity {
+                states.push(sub);
             }
+            if sub == installable {
+                break;
+            }
+            sub = sub.wrapping_sub(installable) & installable;
         }
         let index: BTreeMap<u32, usize> = states.iter().enumerate().map(|(i, &m)| (m, i)).collect();
 
@@ -229,14 +268,6 @@ impl CompactModel {
             }
         }
         let matrix = matrix.freeze();
-        let cover_masks = (0..rules.universe_size() as u32)
-            .map(|f| {
-                rules
-                    .ids()
-                    .filter(|&j| rules.rule(j).covers_flow(FlowId(f)))
-                    .fold(0u32, |m, j| m | (1 << j.0))
-            })
-            .collect();
         Ok(CompactModel {
             rules: rules.clone(),
             rates: rates.clone(),
@@ -251,7 +282,11 @@ impl CompactModel {
         })
     }
 
-    /// Number of states (`Σ_{n'=0}^{n} C(|Rules|, n')`).
+    /// Number of states: the subsets of at most `n` rules reachable from
+    /// the empty cache (see the module docs). At most the paper's
+    /// [`compact_state_count`](crate::counts::compact_state_count)`(|Rules|, n)`
+    /// `= Σ_{n'=0}^{n} C(|Rules|, n')`, with equality when every rule is
+    /// some flow's highest-priority match.
     #[must_use]
     pub fn n_states(&self) -> usize {
         self.states.len()
@@ -285,8 +320,10 @@ impl CompactModel {
         mask_rules(self.states[state])
     }
 
-    /// Index of the state holding exactly `rules`, if representable:
-    /// `None` over capacity or for an id outside the rule set.
+    /// Index of the state holding exactly `rules`: `None` over capacity,
+    /// for an id outside the rule set, or for a subset unreachable from
+    /// the empty cache (one holding a rule that is no flow's
+    /// highest-priority match).
     #[must_use]
     pub fn state_of(&self, rules: &[RuleId]) -> Option<usize> {
         let mut mask = 0u32;
@@ -309,13 +346,17 @@ impl CompactModel {
     }
 
     /// Probability (under `dist`) that `rule` is cached; 0 for an id
-    /// outside the rule set.
+    /// outside the rule set or a rule no reachable state holds.
     #[must_use]
     pub fn prob_rule_cached(&self, dist: &Distribution, rule: RuleId) -> f64 {
-        match self.rule_bit(rule) {
-            Some(bit) => dist.mass_where(|i| self.states[i] & bit != 0),
-            None => 0.0,
-        }
+        let Some(bit) = self.rule_bit(rule) else {
+            return 0.0;
+        };
+        // Folded from +0.0, not `sum()`: a rule no state holds sums no
+        // terms, and an empty f64 sum is −0.0.
+        (0..self.states.len())
+            .filter(|&i| self.states[i] & bit != 0)
+            .fold(0.0, |acc, i| acc + dist.mass(i))
     }
 
     /// `I_T` after `steps` steps from the empty cache (Eqn 8).
@@ -448,6 +489,41 @@ mod tests {
         assert_eq!(m.n_states() as u128, compact_state_count(3, 2).unwrap());
         let m3 = model(3);
         assert_eq!(m3.n_states() as u128, compact_state_count(3, 3).unwrap());
+    }
+
+    #[test]
+    fn shadowed_rule_is_never_cached() {
+        // rule1 covers {1}, inside rule0's {1,2}: no flow's highest-priority
+        // match, so no reachable state holds it.
+        let u = 4;
+        let rules = RuleSet::new(
+            vec![
+                Rule::from_flow_set(
+                    FlowSet::from_flows(u, [FlowId(1), FlowId(2)]),
+                    30,
+                    Timeout::idle(3),
+                ),
+                Rule::from_flow_set(FlowSet::from_flows(u, [FlowId(1)]), 20, Timeout::idle(5)),
+                Rule::from_flow_set(FlowSet::from_flows(u, [FlowId(3)]), 10, Timeout::idle(4)),
+            ],
+            u,
+        )
+        .unwrap();
+        let rates = FlowRates::from_per_step(vec![0.05, 0.1, 0.15, 0.2]);
+        let dead = RuleId(1);
+        for evaluator in [Evaluator::exact(), Evaluator::mean_field()] {
+            let m = CompactModel::build(&rules, &rates, 2, evaluator).unwrap();
+            assert_eq!(m.n_states(), 4); // {}, {0}, {2}, {0,2}
+            assert!((m.n_states() as u128) < compact_state_count(3, 2).unwrap());
+            assert_eq!(m.state_of(&[dead]), None);
+            assert_eq!(m.state_of(&[RuleId(0), dead]), None);
+            assert!(m.state_of(&[RuleId(0), RuleId(2)]).is_some());
+            assert!(m.matrix().is_stochastic(1e-9));
+            let d = m.evolve(100);
+            let p = m.prob_rule_cached(&d, dead);
+            assert!(p == 0.0 && p.is_sign_positive(), "{p:?}");
+            assert!(m.prob_rule_cached(&d, RuleId(0)) > 0.0);
+        }
     }
 
     #[test]

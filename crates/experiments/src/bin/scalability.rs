@@ -29,6 +29,9 @@ use std::time::Instant;
 
 /// Disjoint single-flow rules: the worst case for the basic model's state
 /// count is irrelevant here — we want comparable, buildable instances.
+/// Each rule is its own flow's highest-priority match, so every subset of
+/// at most n rules is reachable from the empty cache and the built model's
+/// `compact_model_states` equals the formula's `compact_states`.
 fn instance(n_rules: usize, timeout: u32) -> (RuleSet, FlowRates) {
     let universe = n_rules;
     let rules = RuleSet::new(

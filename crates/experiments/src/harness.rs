@@ -85,9 +85,10 @@ pub fn attempt_cap(count: usize) -> usize {
 }
 
 /// Draws scenarios from `sampler`, with the target's absence probability
-/// forced into `absence`, until `count` are accepted or `max_attempts`
-/// draws are spent. Returns the accepted draws in draw order, each with
-/// what `accept` returned for it.
+/// forced into `absence`, until `count` are accepted, `max_attempts`
+/// draws are spent or SIGINT/SIGTERM raises [`jobs::interrupt::interrupted`].
+/// Returns the accepted draws in draw order, each with what `accept`
+/// returned for it.
 ///
 /// This is the one loop that draws from a program's sampling stream,
 /// `StdRng::seed_from_u64(seed)`. `accept` plans and filters (typically
@@ -104,7 +105,7 @@ pub fn sample_configs<P>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
     let mut attempts = 0usize;
-    while out.len() < count && attempts < max_attempts {
+    while out.len() < count && attempts < max_attempts && !jobs::interrupt::interrupted() {
         attempts += 1;
         let scenario = sampler.sample_forced(absence, &mut rng);
         if let Some(p) = accept(&scenario) {

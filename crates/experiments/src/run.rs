@@ -15,7 +15,8 @@
 //! An interrupted run (SIGINT/SIGTERM, or the `--kill-after-checkpoints`
 //! kill-point) exits 130: each CSV holds its header and only the rows
 //! whose cells all completed, the manifest reads `interrupted`, and the
-//! checkpoint stays for `--resume`.
+//! checkpoint stays for `--resume`. A signal during sampling stops the
+//! drawing; the grid then runs no cell and writes no checkpoint.
 
 use attack::{TrialReport, TrialRun};
 use jobs::{InterruptSource, JobError, JobSpec, JobStatus};
@@ -137,7 +138,9 @@ impl<'a> Run<'a> {
 
     /// [`sample_configs`] from the run's seed. Under `--obs` the
     /// planner's `core.planner.*` spans of every `accept` call (which
-    /// report through the thread-local recorder) join the manifest.
+    /// report through the thread-local recorder) join the manifest. A
+    /// SIGINT/SIGTERM stops the drawing, and the run's grid then runs no
+    /// cell.
     pub fn sample<P>(
         &mut self,
         sampler: &ScenarioSampler,
@@ -155,11 +158,14 @@ impl<'a> Run<'a> {
 
     /// Runs `cell(ctx, ·)` for the cells `0..units` under the job
     /// supervisor and returns their results in grid order: all `Some`,
-    /// or after an interrupt the completed ones. A cell must be a pure
-    /// function of `ctx`, its index and the options, as retries and
-    /// `--resume` recompute or reload it. A run has one grid. Under
-    /// `--obs`, the cells' metrics and the `jobs.*` counters join the
-    /// manifest and each finished cell prints a progress line to stderr.
+    /// or after an interrupt the completed ones. An interrupt raised
+    /// before the grid starts (during sampling, which it cuts short) runs
+    /// no cell and writes no checkpoint, as the grid may be the shortened
+    /// sample's. A cell must be a pure function of `ctx`, its index and
+    /// the options, as retries and `--resume` recompute or reload it. A
+    /// run has one grid. Under `--obs`, the cells' metrics and the
+    /// `jobs.*` counters join the manifest and each finished cell prints
+    /// a progress line to stderr.
     ///
     /// # Errors
     ///
@@ -175,6 +181,10 @@ impl<'a> Run<'a> {
         C: Send + Sync + 'static,
         R: Serialize + Deserialize + Send + 'static,
     {
+        if jobs::interrupt::interrupted() {
+            self.interrupted = Some((0, units));
+            return Ok((0..units).map(|_| None).collect());
+        }
         let (name, opts) = (self.name, self.opts);
         // The checkpoint digest leaves the thread count out: results do
         // not depend on it, so a run may resume at another `--threads`.

@@ -286,6 +286,68 @@ fn interrupted_run_flushes_partial_outputs_and_marked_manifest() {
     );
 }
 
+/// A SIGINT while a program is still sampling stops the sampling: the run
+/// exits 130 at once, as a grid interrupted before its first cell, with
+/// header-only CSVs and an `interrupted` manifest, and leaves no
+/// checkpoint for the shortened sample. (`--configs 400` at the paper's
+/// scale samples for minutes when the signal is ignored until sampling
+/// ends.)
+#[cfg(unix)]
+#[test]
+fn sigint_during_sampling_stops_the_run() {
+    use std::time::{Duration, Instant};
+    let dir = tmp("suite_sigint");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_evaluate_suite"))
+        .args(["--seed", "7", "--configs", "400", "--trials", "100"])
+        .args(["--threads", "1", "--checkpoint-every", "1", "--out"])
+        .arg(&dir)
+        .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
+        .env_remove("FLOW_RECON_THREADS")
+        .env_remove("FLOW_RECON_OBS")
+        .env_remove("FLOW_RECON_TRACE")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("evaluate_suite starts");
+    std::thread::sleep(Duration::from_secs(1));
+    let sent = Instant::now();
+    let kill = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success(), "SIGINT delivered");
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if sent.elapsed() > Duration::from_secs(5) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("evaluate_suite still running 5 s after SIGINT");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(status.code(), Some(130), "interrupted exit code");
+    for file in ["fig6b.csv", "fig7a.csv"] {
+        let csv = std::fs::read_to_string(dir.join(file)).expect("csv written");
+        assert_eq!(
+            csv.lines().count(),
+            1,
+            "{file} holds only its header: {csv}"
+        );
+    }
+    let manifest =
+        std::fs::read_to_string(dir.join("evaluate_suite.manifest.jsonl")).expect("manifest");
+    assert!(
+        manifest.contains("\"status\":\"interrupted\""),
+        "manifest must record the interruption: {manifest}"
+    );
+    assert!(
+        !dir.join("evaluate_suite.ckpt.jsonl").exists(),
+        "no checkpoint for a shortened sample"
+    );
+}
+
 /// A worker panic *inside* `map_indexed`'s parallel fan-out unwinds
 /// through the scoped-thread join, gets caught by the supervisor, and —
 /// because `map_indexed` writes results through lock poison — the retry
