@@ -19,12 +19,13 @@
 //!   decision tree.
 //!
 //! Each engine has one entry point. [`plan_attack_full`] plans (with
-//! [`plan_attack`] as the paper's default shorthand), a [`TrialRun`]
-//! runs a batch of trials, and [`sweep::sweep`] re-plans and re-runs
-//! across one swept parameter. Every parallel fan-out goes through
-//! [`recon_core::exec::map_indexed`], so the [`ExecPolicy`] argument
-//! changes wall time, never results. No function here reads
-//! [`THREADS_ENV_VAR`]; callers pass their policy explicitly.
+//! [`plan_attack`] as the paper's default shorthand) and a [`TrialRun`]
+//! runs a batch of trials; [`sweep::SweepParameter`] sets one swept
+//! scenario parameter, so a sweep is a plan and a batch per value. Every
+//! parallel fan-out goes through [`recon_core::exec::map_indexed`], so
+//! the [`ExecPolicy`] argument changes wall time, never results. No
+//! function here reads [`THREADS_ENV_VAR`]; callers pass their policy
+//! explicitly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

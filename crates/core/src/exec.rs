@@ -1,5 +1,5 @@
 //! Execution policy and the deterministic fan-out helper shared by the
-//! trial engine, the sweeps and the probe-evaluation engine.
+//! trial engine and the probe-evaluation engine.
 //!
 //! Monte-Carlo evaluation (§VI) runs hundreds of independent trials per
 //! configuration, and probe selection (§V) scores dozens of independent
@@ -22,8 +22,8 @@ use std::sync::Mutex;
 /// count, or `auto`/`0` for one thread per available core.
 pub const THREADS_ENV_VAR: &str = "FLOW_RECON_THREADS";
 
-/// How a batch of independent work items (trials, sweep points, candidate
-/// probes) is scheduled.
+/// How a batch of independent work items (trials, candidate probes) is
+/// scheduled.
 ///
 /// The policy never affects results, only wall time: parallel execution
 /// is bit-identical to [`ExecPolicy::Serial`] at the same seed (see the
@@ -119,8 +119,7 @@ impl fmt::Display for ExecPolicy {
 
 /// Evaluates `f(0), f(1), …, f(n - 1)` under `policy` and returns the
 /// results in index order. This is the crate family's one thread pool:
-/// probe scoring, the trial engine's chunks and sweep points all fan out
-/// through it.
+/// probe scoring and the trial engine's chunks fan out through it.
 ///
 /// Each invocation of `f` must be a pure function of its index — workers
 /// pull indices from a shared cursor, so the *schedule* is

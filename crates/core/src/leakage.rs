@@ -8,7 +8,6 @@
 //! should lower these numbers; refining (splitting) should raise them.
 
 use crate::compact::CompactModel;
-use crate::exec::{map_indexed, ExecPolicy};
 use crate::probe::ProbePlanner;
 use crate::useq::Evaluator;
 use crate::ModelError;
@@ -76,55 +75,22 @@ pub fn measure_leakage(
     horizon: usize,
     evaluator: Evaluator,
 ) -> Result<LeakageReport, ModelError> {
-    measure_leakage_policy(
-        rules,
-        rates,
-        capacity,
-        horizon,
-        evaluator,
-        ExecPolicy::Serial,
-    )
-}
-
-/// [`measure_leakage`] with the per-target planners fanned out across
-/// `policy`'s worker threads.
-///
-/// Each target's leakage is a pure function of the shared model, and the
-/// report is assembled in target-index order, so the result is
-/// bit-identical to the serial run at any thread count.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from model construction; the first error in
-/// target order wins, as in the serial scan.
-pub fn measure_leakage_policy(
-    rules: &RuleSet,
-    rates: &FlowRates,
-    capacity: usize,
-    horizon: usize,
-    evaluator: Evaluator,
-    policy: ExecPolicy,
-) -> Result<LeakageReport, ModelError> {
     let model = CompactModel::build(rules, rates, capacity, evaluator)?;
     let candidates: Vec<FlowId> = (0..rules.universe_size() as u32).map(FlowId).collect();
-    let covered: Vec<FlowId> = candidates
+    let targets = candidates
         .iter()
         .copied()
         .filter(|&f| rules.covering_count(f) > 0)
-        .collect();
-    let per_target = map_indexed(policy, covered.len(), |i| {
-        let target = covered[i];
-        let planner = ProbePlanner::new(&model, target, horizon);
-        let best = planner.best_probe(candidates.iter().copied())?;
-        Ok(TargetLeakage {
-            target,
-            best_probe: best.probe,
-            info_gain: best.info_gain,
-            detector_feasible: best.is_detector(),
+        .map(|target| {
+            let planner = ProbePlanner::new(&model, target, horizon);
+            let best = planner.best_probe(candidates.iter().copied())?;
+            Ok(TargetLeakage {
+                target,
+                best_probe: best.probe,
+                info_gain: best.info_gain,
+                detector_feasible: best.is_detector(),
+            })
         })
-    });
-    let targets = per_target
-        .into_iter()
         .collect::<Result<Vec<_>, ModelError>>()?;
     Ok(LeakageReport { targets })
 }

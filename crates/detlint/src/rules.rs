@@ -32,7 +32,6 @@ pub const WALLCLOCK_ALLOWLIST: &[&str] = &[
     "crates/bench/",
     "crates/experiments/src/bin/scalability.rs",
     "crates/experiments/src/bin/ablation_evaluators.rs",
-    "crates/experiments/src/bin/calibrate.rs",
     // The observability crate's single wall-clock island: manifests
     // stamp elapsed wall time there, every other obs module runs on
     // virtual sim time.

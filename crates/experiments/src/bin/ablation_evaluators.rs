@@ -16,8 +16,7 @@ use std::time::Instant;
 use traffic::ScenarioSampler;
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("ablation_evaluators");
+    let opts = ExpOpts::from_env_without_trials();
     let mut run = Run::new("ablation_evaluators", &opts);
     let sampler = ScenarioSampler {
         bits: 3,

@@ -10,8 +10,7 @@ use rand::SeedableRng;
 use recon_core::useq::Evaluator;
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("diagnose");
+    let opts = ExpOpts::from_env_without_trials();
     let sampler = sampler_for(&opts);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     for &(lo, hi) in &[(0.1, 0.3), (0.45, 0.55), (0.8, 0.95)] {

@@ -7,8 +7,7 @@ use attack::measure_latency;
 use experiments::{ExpOpts, Run};
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("latency_table");
+    let opts = ExpOpts::from_env_without_trials();
     let mut run = Run::new("latency_table", &opts);
     let samples = if opts.fast { 500 } else { 5000 };
     let t = measure_latency(samples, opts.seed);

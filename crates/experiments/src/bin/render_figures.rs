@@ -26,8 +26,7 @@ fn write_svg(opts: &ExpOpts, name: &str, svg: &str) {
 }
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    opts.forbid_checkpointing("render_figures");
+    let opts = ExpOpts::from_env_without_trials();
 
     if let Some((_, rows)) = read_csv(&opts.out.join("fig6a.csv")) {
         let labels: Vec<String> = rows

@@ -6,13 +6,14 @@
 //! negatives from eviction); longer TTLs widen the observable window and
 //! raise hit-side information; longer windows dilute it.
 //!
-//! One cell per (parameter × scenario), each a whole
-//! [`attack::sweep::sweep`], on the supervised runner, [`experiments::Run`].
+//! One cell per (parameter × scenario × value), each a plan and a trial
+//! batch, on the supervised runner, [`experiments::Run`].
 
-use attack::sweep::{sweep, SweepParameter};
-use attack::AttackerKind;
+use attack::sweep::SweepParameter;
+use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
 use experiments::harness::{detector_plan, mean, sampler_for};
 use experiments::run::{complete, Run};
+use recon_core::useq::Evaluator;
 use std::sync::Arc;
 
 const KINDS: [AttackerKind; 2] = [AttackerKind::Model, AttackerKind::Random];
@@ -36,34 +37,51 @@ fn main() {
         ));
         let n = scenarios.len();
         println!("{n} scenarios\n");
-        // A cell is `None` when a point of its sweep admits no plan.
-        let cells = run.grid(&scenarios, SWEEPS.len() * n, |scenarios, cell| {
-            let (p, si) = (cell.unit / scenarios.len(), cell.unit % scenarios.len());
+        // The grid's (parameter, scenario, value) indices, in cell order.
+        let grid: Vec<(usize, usize, usize)> = SWEEPS
+            .iter()
+            .enumerate()
+            .flat_map(|(p, (_, values))| {
+                (0..n).flat_map(move |si| (0..values.len()).map(move |vi| (p, si, vi)))
+            })
+            .collect();
+        // A cell is `None` when its swept scenario admits no plan;
+        // otherwise the plan's information gain and the trials.
+        let cells = run.grid(&scenarios, grid.len(), move |scenarios, cell| {
+            let (p, si, vi) = grid[cell.unit];
             let (param, values) = SWEEPS[p];
-            let o = cell.opts;
-            sweep(
-                &scenarios[si].0,
-                param,
-                values,
-                &KINDS,
-                o.trials,
-                o.seed ^ si as u64,
-                o.policy,
-            )
-            .ok()
+            let sc = param.apply(&scenarios[si].0, values[vi]);
+            let plan = plan_attack(&sc, Evaluator::mean_field()).ok()?;
+            let report = cell.trials(&TrialRun {
+                scenario: &sc,
+                plan: &plan,
+                kinds: &KINDS,
+                trials: cell.opts.trials,
+                seed: cell.opts.seed ^ si as u64 ^ ((vi as u64) << 8),
+                net: &scenario_net_config(&sc),
+                robust: None,
+            });
+            Some((plan.optimal.info_gain, report))
         })?;
 
         let mut rows = Vec::new();
-        for (p, &(param, values)) in SWEEPS.iter().enumerate() {
-            let Some(group) = complete(&cells[p * n..(p + 1) * n]) else {
+        let mut start = 0;
+        for &(param, values) in &SWEEPS {
+            let cells = &cells[start..start + n * values.len()];
+            start += cells.len();
+            let Some(group) = complete(cells) else {
                 continue;
             };
             println!("sweep: {}", param.name());
-            let swept: Vec<_> = group.into_iter().flatten().collect();
+            // A scenario with a value that admits no plan drops out.
+            let swept: Vec<Vec<_>> = group
+                .chunks(values.len())
+                .filter_map(|points| points.iter().map(|c| c.as_ref()).collect())
+                .collect();
             for (vi, &v) in values.iter().enumerate() {
-                let am = mean(swept.iter().map(|points| points[vi].accuracy[0]));
-                let ar = mean(swept.iter().map(|points| points[vi].accuracy[1]));
-                let g = mean(swept.iter().map(|points| points[vi].info_gain));
+                let am = mean(swept.iter().map(|points| points[vi].1.accuracy(KINDS[0])));
+                let ar = mean(swept.iter().map(|points| points[vi].1.accuracy(KINDS[1])));
+                let g = mean(swept.iter().map(|points| points[vi].0));
                 println!("  {v:>6}: model {am:.3}  random {ar:.3}  info gain {g:.5}");
                 rows.push(format!("{},{v},{am},{ar},{g}", param.name()));
             }

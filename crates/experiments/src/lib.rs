@@ -14,18 +14,19 @@
 //! --fast                      shrink everything for a smoke run
 //! --out DIR                   output directory (default results/)
 //! --threads N|auto            trial engine threads (default FLOW_RECON_THREADS, else auto)
-//! --obs                       record metrics into the manifest (or FLOW_RECON_OBS=1)
-//! --trace                     record the causal flight trace (or FLOW_RECON_TRACE=1)
+//! --obs                       record metrics into the manifest
+//! --trace                     record the causal flight trace
 //! --resume                    continue from <name>.ckpt.jsonl when present
 //! --checkpoint-every N        checkpoint every N completed grid cells
-//! --kill-after-checkpoints N  stop as if interrupted after checkpoint N
-//!                             (or FLOW_RECON_KILL_AFTER_CKPT=N)
+//! --kill-after-checkpoints N  stop as if interrupted after checkpoint N ≥ 1;
+//!                             needs --checkpoint-every (or FLOW_RECON_KILL_AFTER_CKPT=N)
 //! ```
 //!
 //! `--trace` and the last three act on the trial-running programs;
-//! `ablation_evaluators`, `calibrate`, `diagnose`, `latency_table` and
+//! `ablation_evaluators`, `diagnose`, `latency_table` and
 //! `render_figures` run no trials, take `--resume` as a no-op and refuse
-//! a checkpoint interval or kill-point.
+//! a checkpoint interval or kill-point. A malformed option ends a
+//! program with exit status 2 and the usage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

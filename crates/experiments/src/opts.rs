@@ -19,13 +19,11 @@ pub struct ExpOpts {
     /// Trial execution policy (`--threads`, falling back to the
     /// `FLOW_RECON_THREADS` environment variable, then to auto).
     pub policy: ExecPolicy,
-    /// Collect observability metrics (`--obs`, or the `FLOW_RECON_OBS`
-    /// environment variable). Results are byte-identical either way;
-    /// this only controls whether the run's manifest carries metrics
-    /// and per-cell progress is printed.
+    /// Collect observability metrics (`--obs`). Results are
+    /// byte-identical either way; this only controls whether the run's
+    /// manifest carries metrics and per-cell progress is printed.
     pub obs: bool,
-    /// Record a causal flight trace (`--trace`, or the
-    /// `FLOW_RECON_TRACE` environment variable). Like `--obs`, results
+    /// Record a causal flight trace (`--trace`). Like `--obs`, results
     /// are byte-identical either way; tracing only adds
     /// `<experiment>.flightrec.jsonl` (and a Chrome/Perfetto
     /// `<experiment>.trace.json`) next to the CSVs.
@@ -41,8 +39,9 @@ pub struct ExpOpts {
     pub checkpoint_every: usize,
     /// Deterministic kill-point for the chaos gates
     /// (`--kill-after-checkpoints N`, or the `FLOW_RECON_KILL_AFTER_CKPT`
-    /// environment variable): after writing checkpoint N the run stops
-    /// exactly as if interrupted.
+    /// environment variable; N ≥ 1, and only with `--checkpoint-every`):
+    /// after writing checkpoint N the run stops exactly as if
+    /// interrupted.
     pub kill_after_checkpoints: Option<usize>,
 }
 
@@ -67,21 +66,10 @@ impl Default for ExpOpts {
     }
 }
 
-/// Whether the environment variable `name` is set to anything but
-/// empty or `0` (`FLOW_RECON_OBS`, `FLOW_RECON_TRACE`).
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The `FLOW_RECON_KILL_AFTER_CKPT` kill-point, if set to a positive
-/// integer — the env form lets the chaos CI gate cut a run without
-/// changing the command line under test.
-fn kill_from_env() -> Option<usize> {
-    std::env::var("FLOW_RECON_KILL_AFTER_CKPT")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
+/// The environment form of `--kill-after-checkpoints`, which lets the
+/// chaos CI gates cut a run without changing the command line under
+/// test.
+const KILL_ENV_VAR: &str = "FLOW_RECON_KILL_AFTER_CKPT";
 
 /// A malformed command line or environment setting. Its message names
 /// the flag or variable and what it expects.
@@ -107,21 +95,30 @@ fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, OptsError
         .map_err(|_| OptsError(format!("{flag} expects an integer, got `{value}`")))
 }
 
+/// A kill-point: checkpoint 0 is never written, so it must be positive.
+fn kill_point(value: &str, error: impl FnOnce() -> String) -> Result<usize, OptsError> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(OptsError(error())),
+    }
+}
+
 impl ExpOpts {
     /// Parses `--configs N --trials N --seed N --out DIR --fast
     /// --threads N|auto --obs --trace --resume --checkpoint-every N
     /// --kill-after-checkpoints N` from an iterator of arguments
     /// (without the program name). A flag absent from the command line
     /// falls back to its environment variable where it has one
-    /// (`FLOW_RECON_THREADS`, `FLOW_RECON_OBS`, `FLOW_RECON_TRACE`,
-    /// `FLOW_RECON_KILL_AFTER_CKPT`), then to [`ExpOpts::default`];
-    /// `FLOW_RECON_THREADS` is not read when `--threads` is given.
+    /// (`FLOW_RECON_THREADS`, `FLOW_RECON_KILL_AFTER_CKPT`), then to
+    /// [`ExpOpts::default`]; neither variable is read when its flag is
+    /// given.
     ///
     /// # Errors
     ///
     /// [`OptsError`] on an unknown flag, a flag without its value, a
-    /// malformed value, or a malformed `FLOW_RECON_THREADS`: failing
-    /// loudly beats silently ignoring a typo.
+    /// malformed value, a malformed environment variable, or a kill-point
+    /// without `--checkpoint-every` (it would never fire): failing loudly
+    /// beats silently ignoring a typo.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, OptsError> {
         let mut opts = ExpOpts::default();
         let mut threads = None;
@@ -142,7 +139,10 @@ impl ExpOpts {
                 "--resume" => opts.resume = true,
                 "--checkpoint-every" => opts.checkpoint_every = integer(&a, &value()?)?,
                 "--kill-after-checkpoints" => {
-                    opts.kill_after_checkpoints = Some(integer(&a, &value()?)?);
+                    let v = value()?;
+                    opts.kill_after_checkpoints = Some(kill_point(&v, || {
+                        format!("{a} expects a positive integer, got `{v}`")
+                    })?);
                 }
                 "--threads" => {
                     let v = value()?;
@@ -168,9 +168,18 @@ impl ExpOpts {
                 Err(_) => ExecPolicy::auto(),
             },
         };
-        opts.obs |= env_flag("FLOW_RECON_OBS");
-        opts.trace |= env_flag("FLOW_RECON_TRACE");
-        opts.kill_after_checkpoints = opts.kill_after_checkpoints.or_else(kill_from_env);
+        if opts.kill_after_checkpoints.is_none() {
+            if let Ok(raw) = std::env::var(KILL_ENV_VAR) {
+                opts.kill_after_checkpoints = Some(kill_point(&raw, || {
+                    format!("invalid {KILL_ENV_VAR}=`{raw}`: expected a positive integer")
+                })?);
+            }
+        }
+        if opts.kill_after_checkpoints.is_some() && opts.checkpoint_every == 0 {
+            return Err(OptsError(format!(
+                "a kill-point (--kill-after-checkpoints or {KILL_ENV_VAR}) needs --checkpoint-every N"
+            )));
+        }
         if opts.fast {
             opts.configs = opts.configs.min(6);
             opts.trials = opts.trials.min(20);
@@ -178,36 +187,54 @@ impl ExpOpts {
         Ok(opts)
     }
 
-    /// Parses from the process's actual arguments. On an [`OptsError`]
-    /// it prints the message and the usage to stderr and exits with
-    /// status 2.
-    #[must_use]
-    pub fn from_env() -> Self {
+    /// [`ExpOpts::parse`] for the programs that run no trials, and so
+    /// no supervised grid (`ablation_evaluators`, `diagnose`,
+    /// `latency_table`, `render_figures`): `--resume` is harmless there
+    /// (a fresh run is equivalent to resuming nothing), but a checkpoint
+    /// interval or kill-point would silently do nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExpOpts::parse`], and [`OptsError`] when a checkpoint
+    /// interval or kill-point is set.
+    pub fn parse_without_trials<I: IntoIterator<Item = String>>(
+        args: I,
+    ) -> Result<Self, OptsError> {
+        let opts = Self::parse(args)?;
+        if opts.checkpoint_every > 0 || opts.kill_after_checkpoints.is_some() {
+            return Err(OptsError(
+                "--checkpoint-every and --kill-after-checkpoints act only on the \
+                 programs that run trials"
+                    .to_string(),
+            ));
+        }
+        Ok(opts)
+    }
+
+    /// Parses the process's actual arguments with `parse`. On an
+    /// [`OptsError`] it prints the message and the usage to stderr and
+    /// exits with status 2.
+    fn from_args(parse: fn(std::env::Args) -> Result<Self, OptsError>) -> Self {
         let mut args = std::env::args();
         let program = args.next().unwrap_or_default();
-        Self::parse(args).unwrap_or_else(|e| {
+        parse(args).unwrap_or_else(|e| {
             eprintln!("{e}\nusage: {program} {USAGE}");
             std::process::exit(2)
         })
     }
 
-    /// Guard for the programs that run no trials, and so no supervised
-    /// grid (`ablation_evaluators`, `calibrate`, `diagnose`,
-    /// `latency_table`, `render_figures`): `--resume` is harmless there
-    /// (a fresh run is equivalent to resuming nothing), but a checkpoint
-    /// interval or kill-point would silently do nothing — fail loudly
-    /// instead of pretending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--checkpoint-every` or `--kill-after-checkpoints`
-    /// was requested.
-    pub fn forbid_checkpointing(&self, bin: &str) {
-        assert!(
-            self.checkpoint_every == 0 && self.kill_after_checkpoints.is_none(),
-            "{bin} has no checkpoint-aware job loop; --checkpoint-every and \
-             --kill-after-checkpoints are only supported by the programs that run trials"
-        );
+    /// [`ExpOpts::parse`] of the process's actual arguments; a malformed
+    /// option exits with status 2 and the usage.
+    #[must_use]
+    pub fn from_env() -> Self {
+        Self::from_args(Self::parse)
+    }
+
+    /// [`ExpOpts::parse_without_trials`] of the process's actual
+    /// arguments; a malformed option exits with status 2 and the usage.
+    #[must_use]
+    pub fn from_env_without_trials() -> Self {
+        Self::from_args(Self::parse_without_trials)
     }
 
     /// Ensures the output directory exists and returns the path of a file
@@ -296,14 +323,21 @@ mod tests {
     }
 
     #[test]
-    fn forbid_checkpointing_accepts_resume_only() {
-        parse("--resume").forbid_checkpointing("latency_table"); // must not panic
+    fn programs_without_trials_accept_resume_only() {
+        assert!(ExpOpts::parse_without_trials(args("--resume")).is_ok());
+        let e = ExpOpts::parse_without_trials(args("--checkpoint-every 1")).expect_err("refused");
+        assert!(e
+            .0
+            .starts_with("--checkpoint-every and --kill-after-checkpoints act only"));
     }
 
     #[test]
-    #[should_panic(expected = "no checkpoint-aware job loop")]
-    fn forbid_checkpointing_rejects_interval() {
-        parse("--checkpoint-every 1").forbid_checkpointing("latency_table");
+    fn kill_point_needs_a_positive_value_and_an_interval() {
+        assert_eq!(
+            error("--checkpoint-every 1 --kill-after-checkpoints 0"),
+            "--kill-after-checkpoints expects a positive integer, got `0`"
+        );
+        assert!(error("--kill-after-checkpoints 1").ends_with("needs --checkpoint-every N"));
     }
 
     #[test]

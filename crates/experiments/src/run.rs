@@ -163,9 +163,10 @@ impl<'a> Run<'a> {
     /// no cell and writes no checkpoint, as the grid may be the shortened
     /// sample's. A cell must be a pure function of `ctx`, its index and
     /// the options, as retries and `--resume` recompute or reload it. A
-    /// run has one grid. Under `--obs`, the cells' metrics and the
-    /// `jobs.*` counters join the manifest and each finished cell prints
-    /// a progress line to stderr.
+    /// run has one grid. Under `--obs`, the cells' metrics (the
+    /// planner's `core.planner.*` spans of any planning inside a cell
+    /// among them) and the `jobs.*` counters join the manifest and each
+    /// finished cell prints a progress line to stderr.
     ///
     /// # Errors
     ///
@@ -213,6 +214,9 @@ impl<'a> Run<'a> {
 
         let (ctx, opts, clock) = (Arc::clone(ctx), opts.clone(), self.clock);
         let outcome = jobs::run_units_traced(&spec, move |unit, recorder, flight| {
+            // The planner reports through the thread-local recorder, as
+            // in `Run::sample`; the cell's attempt thread is its own.
+            obs::local::install(recorder.fork());
             let mut c = Cell {
                 unit,
                 opts: &opts,
@@ -220,6 +224,7 @@ impl<'a> Run<'a> {
                 flight,
             };
             let result = cell(&ctx, &mut c);
+            c.recorder.merge(obs::local::take());
             if opts.obs {
                 let secs = clock.elapsed_secs();
                 eprintln!(

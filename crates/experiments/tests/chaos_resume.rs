@@ -27,8 +27,6 @@ fn run_bin(exe: &str, dir: &Path, extra: &[&str]) -> i32 {
         .args(extra)
         .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
-        .env_remove("FLOW_RECON_OBS")
-        .env_remove("FLOW_RECON_TRACE")
         .status()
         .expect("sweep binary runs");
     status.code().expect("sweep binary exits with a code")
@@ -303,8 +301,6 @@ fn sigint_during_sampling_stops_the_run() {
         .arg(&dir)
         .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
-        .env_remove("FLOW_RECON_OBS")
-        .env_remove("FLOW_RECON_TRACE")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()

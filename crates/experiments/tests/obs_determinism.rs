@@ -1,7 +1,6 @@
-//! Observability must be free: enabling the recorder (`--obs` /
-//! `FLOW_RECON_OBS=1`) may add a manifest full of metrics, but every
-//! CSV must stay byte-identical to the recorder-off run, at any thread
-//! count. This is the contract that lets the recorder ride along in
+//! Observability must be free: enabling the recorder (`--obs`) may add
+//! a manifest full of metrics, but every CSV must stay byte-identical to
+//! the recorder-off run, at any thread count. This is the contract that lets the recorder ride along in
 //! production sweeps without invalidating published numbers.
 //!
 //! Also property-checks the histogram merge laws the parallel recorder
@@ -28,11 +27,13 @@ fn run(program: &str, exe: &str, out_dir: &Path, threads: &str, obs_on: bool) {
         "--out",
     ])
     .arg(out_dir);
-    // Scrub the ambient variable so "off" really is off, then opt in
-    // explicitly for the "on" runs.
-    cmd.env_remove("FLOW_RECON_OBS");
     if obs_on {
-        cmd.env("FLOW_RECON_OBS", "1");
+        cmd.arg("--obs");
+    }
+    for (key, _) in std::env::vars() {
+        if key.starts_with("FLOW_RECON_") {
+            cmd.env_remove(key);
+        }
     }
     let status = cmd.status().expect("program runs");
     assert!(
@@ -45,7 +46,7 @@ fn run(program: &str, exe: &str, out_dir: &Path, threads: &str, obs_on: bool) {
 /// its CSV must not move, and only the recorder-on manifests may carry
 /// metrics — among them the trial engine's `attack.trials`, the
 /// simulator's probe RTT histogram and the planner's spans, which the
-/// runner records while sampling.
+/// runner records while sampling and inside every grid cell.
 fn check_recorder_is_free(program: &str, exe: &str) {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("obs_determinism")
@@ -104,9 +105,45 @@ fn csvs_byte_identical_with_recorder_on_and_off_across_threads() {
     for (program, exe) in [
         ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
         ("countermeasures", env!("CARGO_BIN_EXE_countermeasures")),
+        ("sweep_parameters", env!("CARGO_BIN_EXE_sweep_parameters")),
     ] {
         check_recorder_is_free(program, exe);
     }
+}
+
+/// The planner's evolve-span count in `program`'s recorder-on manifest.
+fn planner_evolutions(program: &str, exe: &str) -> u64 {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("obs_determinism")
+        .join(format!("{program}-planner"));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    run(program, exe, &dir, "2", true);
+    let text = std::fs::read_to_string(dir.join(format!("{program}.manifest.jsonl")))
+        .expect("manifest exists");
+    let manifest: serde::Value = serde_json::from_str(&text).expect("manifest is JSON");
+    ["metrics", "histograms", "core.planner.evolve_secs", "count"]
+        .iter()
+        .try_fold(&manifest, |v, key| {
+            v.as_object()?
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+        })
+        .and_then(|count| count.as_num()?.as_u64())
+        .expect("planner spans recorded")
+}
+
+/// Planning inside a grid cell is recorded like planning while
+/// sampling: both programs sample the same configurations, and
+/// `robustness_rates`' cells also plan the believed-rate variants.
+#[test]
+fn planner_spans_inside_cells_reach_the_manifest() {
+    let counter = planner_evolutions("countermeasures", env!("CARGO_BIN_EXE_countermeasures"));
+    let rates = planner_evolutions("robustness_rates", env!("CARGO_BIN_EXE_robustness_rates"));
+    assert!(
+        rates > counter,
+        "robustness_rates recorded {rates} evolutions, countermeasures {counter}"
+    );
 }
 
 proptest! {

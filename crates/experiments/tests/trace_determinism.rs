@@ -42,8 +42,6 @@ fn run_fault_sweep(dir: &Path, extra: &[&str]) -> i32 {
         .args(extra)
         .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
-        .env_remove("FLOW_RECON_OBS")
-        .env_remove("FLOW_RECON_TRACE")
         .status()
         .expect("fault_sweep runs");
     status.code().expect("fault_sweep exits with a code")

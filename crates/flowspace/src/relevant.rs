@@ -90,13 +90,6 @@ impl FlowRates {
         );
         set.iter().map(|f| self.per_step[f.index()]).sum()
     }
-
-    /// Probability that flow `f` does **not** arrive within `steps` steps:
-    /// `e^{-λ_f Δ · steps}`.
-    #[must_use]
-    pub fn absence_probability(&self, f: FlowId, steps: u32) -> f64 {
-        (-self.rate(f) * f64::from(steps)).exp()
-    }
 }
 
 /// The relevant flow identifiers `flowIds_ℓ(j)` for rule `j` given the set
@@ -147,22 +140,6 @@ pub fn irrelevant_rate(rules: &RuleSet, rates: &FlowRates, cached: &[RuleId], j:
     (rates.total() - effective_rate(rules, rates, cached, j)).max(0.0)
 }
 
-/// The un-normalized transition weight for "a flow relevant to rule `j`
-/// arrives during this step": `(γ e^{-γ}) · e^{-Γ}` (§IV-A1).
-#[must_use]
-pub fn arrival_weight(rules: &RuleSet, rates: &FlowRates, cached: &[RuleId], j: RuleId) -> f64 {
-    let gamma = effective_rate(rules, rates, cached, j);
-    let big_gamma = irrelevant_rate(rules, rates, cached, j);
-    gamma * (-gamma).exp() * (-big_gamma).exp()
-}
-
-/// The weight for "no flow at all arrives during this step":
-/// `e^{-Σ_f λ_f Δ}`.
-#[must_use]
-pub fn null_weight(rates: &FlowRates) -> f64 {
-    (-rates.total()).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,13 +167,6 @@ mod tests {
         assert!((r.total() - 0.03).abs() < 1e-12);
         let s = FlowSet::from_flows(3, [FlowId(0), FlowId(2)]);
         assert!((r.sum_over(&s) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absence_probability_is_exponential() {
-        let r = FlowRates::from_per_step(vec![0.1]);
-        let p = r.absence_probability(FlowId(0), 10);
-        assert!((p - (-1.0f64).exp()).abs() < 1e-12);
     }
 
     #[test]
@@ -265,16 +235,5 @@ mod tests {
                 assert!((g + big - rates.total()).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn arrival_weight_formula() {
-        let rules = fig2c();
-        let rates = FlowRates::from_per_step(vec![0.01, 0.02, 0.03, 0.04]);
-        let g = effective_rate(&rules, &rates, &[], RuleId(0));
-        let big = irrelevant_rate(&rules, &rates, &[], RuleId(0));
-        let w = arrival_weight(&rules, &rates, &[], RuleId(0));
-        assert!((w - g * (-g).exp() * (-big).exp()).abs() < 1e-15);
-        assert!((null_weight(&rates) - (-0.1f64).exp()).abs() < 1e-12);
     }
 }

@@ -2,11 +2,14 @@
 //! signatures cannot reasonably grow a `&mut Recorder` parameter
 //! (the planner's internals, deep in `core`).
 //!
-//! The harness installs an enabled recorder on the main thread before
-//! planning, and takes it back afterwards. Worker threads spawned by
-//! the trial engine never install one — they thread an explicit
-//! recorder through `attack::TrialRun::run_observed` instead — so the thread-local
-//! stays disabled there and every call below is a cheap no-op.
+//! The experiments' supervised runner installs a recorder on the main
+//! thread around sampling, and on each grid cell's own thread around the
+//! cell, and takes it back afterwards, so planning inside a cell is
+//! recorded like planning while sampling. Worker threads spawned by the
+//! trial engine or the planner's scoring never install one — trials
+//! thread an explicit recorder through `attack::TrialRun::run_observed`
+//! instead — so the thread-local stays disabled there and every call
+//! below is a cheap no-op.
 
 use crate::recorder::Recorder;
 use crate::walltime::WallSpan;

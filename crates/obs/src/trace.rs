@@ -628,25 +628,6 @@ impl FlightRecorder {
         out
     }
 
-    /// The `k` slowest delivered probes as `(ProbeId, rtt)`, slowest
-    /// first; ties broken by key order.
-    #[must_use]
-    pub fn slowest_probes(&self, k: usize) -> Vec<(ProbeId, f64)> {
-        let mut delivered: Vec<(ProbeId, f64)> = Vec::new();
-        for (ctx, rec) in self.keyed_records() {
-            if let (TraceEv::Delivered { rtt }, Some(token)) = (&rec.ev, rec.probe) {
-                delivered.push((ProbeId { ctx, token }, *rtt));
-            }
-        }
-        delivered.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        delivered.truncate(k);
-        delivered
-    }
-
     /// One JSON line per record (no header), `(ctx, seq)` order.
     fn record_lines(&self, out: &mut String) {
         let Some(inner) = self.inner.as_deref() else {
@@ -943,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_slowest_summaries() {
+    fn counts_and_delivered_summaries() {
         let mut f = FlightRecorder::enabled();
         f.begin(1);
         f.log(0.0, Some(0), TraceEv::Inject { flow: 1 });
@@ -953,10 +934,6 @@ mod tests {
         let counts = f.counts_by_kind();
         assert_eq!(counts["inject"], 2);
         assert_eq!(counts["delivered"], 2);
-        let slow = f.slowest_probes(1);
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].0.token, 0);
-        assert_eq!(slow[0].1, 4e-3);
         assert_eq!(f.delivered_probes().len(), 2);
     }
 }

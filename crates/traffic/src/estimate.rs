@@ -4,28 +4,11 @@
 //! The paper grants the attacker knowledge of each λ_f, noting that "more
 //! realistically, the attacker might only be able to estimate λ_f from a
 //! known rate λ_j of covering rule rule_j, e.g., by setting
-//! λ_f = λ_j / |rule_j|", or infer rates "through previous compromises of
-//! flow logs". Both estimators live here; the `robustness_rates`
-//! experiment quantifies their impact on attack accuracy.
+//! λ_f = λ_j / |rule_j|". That estimator lives here; the
+//! `robustness_rates` experiment quantifies its impact on attack
+//! accuracy.
 
 use flowspace::{FlowId, RuleSet};
-
-/// Maximum-likelihood per-flow rates from a compromised flow log:
-/// `λ̂_f = (#arrivals of f) / duration`.
-///
-/// # Panics
-///
-/// Panics if `duration` is not positive or a logged flow is outside the
-/// universe.
-#[must_use]
-pub fn from_flow_log(log: &[(FlowId, f64)], duration: f64, universe: usize) -> Vec<f64> {
-    assert!(duration > 0.0, "duration must be positive");
-    let mut counts = vec![0usize; universe];
-    for &(f, _) in log {
-        counts[f.index()] += 1;
-    }
-    counts.iter().map(|&c| c as f64 / duration).collect()
-}
 
 /// Aggregates true per-flow rates into per-rule match rates: each flow
 /// contributes to its highest-priority covering rule (the rule its misses
@@ -69,10 +52,7 @@ pub fn rule_split(rules: &RuleSet, per_rule: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poisson;
     use flowspace::{FlowSet, Rule, Timeout};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn rules() -> RuleSet {
         // rule0 covers {0} (pri 20); rule1 covers {0,1,2} (pri 10). Flow 3
@@ -89,17 +69,6 @@ mod tests {
             4,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn flow_log_mle_recovers_rates() {
-        let lambdas = [0.5, 2.0, 0.0, 1.0];
-        let mut rng = StdRng::seed_from_u64(1);
-        let log = poisson::schedule(&lambdas, 0.0, 5_000.0, &mut rng);
-        let est = from_flow_log(&log, 5_000.0, 4);
-        for (e, t) in est.iter().zip(&lambdas) {
-            assert!((e - t).abs() < 0.1, "estimated {e} vs true {t}");
-        }
     }
 
     #[test]
@@ -150,12 +119,6 @@ mod tests {
         // Within rule0's cover the split is even.
         assert!((split[0] - 0.35).abs() < 1e-12);
         assert!((split[1] - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration must be positive")]
-    fn bad_duration_rejected() {
-        let _ = from_flow_log(&[], 0.0, 4);
     }
 
     #[test]

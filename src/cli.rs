@@ -457,10 +457,7 @@ fn render_manifest(
         .and_then(Value::as_object)
         .unwrap_or(empty);
     if counters.is_empty() && histograms.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n  (no metrics recorded — rerun with --obs or FLOW_RECON_OBS=1)\n"
-        );
+        let _ = writeln!(out, "\n  (no metrics recorded — rerun with --obs)\n");
         return Ok(());
     }
 

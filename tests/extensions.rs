@@ -4,8 +4,7 @@
 //! evaluation loop, exercised through the public API.
 
 use flow_recon::attack::{
-    calibrate_threshold, plan_attack_full, scenario_net_config,
-    sweep::{sweep, SweepParameter},
+    calibrate_threshold, plan_attack, plan_attack_full, scenario_net_config, sweep::SweepParameter,
     AttackPlan, AttackerKind, ExecPolicy, TrialReport, TrialRun,
 };
 use flow_recon::flowspace::analysis;
@@ -82,7 +81,7 @@ fn multi_probe_and_adaptive_attackers_run_end_to_end() {
 #[should_panic(expected = "plan lacks a multi-probe tree")]
 fn multi_probe_without_plan_support_panics() {
     let sc = scenario(2);
-    let plan = flow_recon::attack::plan_attack(&sc, Evaluator::mean_field()).unwrap();
+    let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
     let _ = run(&sc, &plan, &[AttackerKind::MultiProbe], 1, 1);
 }
 
@@ -92,29 +91,25 @@ fn capacity_sweep_replans_each_point() {
     // way per scenario — the sweep_parameters experiment studies the
     // aggregate); here we verify each point is a fresh, valid plan.
     let sc = scenario(3);
-    let points = sweep(
-        &sc,
-        SweepParameter::Capacity,
-        &[1.0, 3.0, 6.0],
-        &[AttackerKind::Model, AttackerKind::Random],
-        20,
-        9,
-        ExecPolicy::auto(),
-    )
-    .unwrap();
-    assert_eq!(points.len(), 3);
-    for p in &points {
-        assert!(p.info_gain.is_finite() && p.info_gain >= 0.0);
-        assert_eq!(p.accuracy.len(), 2);
-        for &a in &p.accuracy {
-            assert!((0.0..=1.0).contains(&a));
-        }
-    }
+    let kinds = [AttackerKind::Model, AttackerKind::Random];
+    let gains: Vec<f64> = [1.0, 3.0, 6.0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, capacity)| {
+            let point = SweepParameter::Capacity.apply(&sc, capacity);
+            assert_eq!(point.capacity, capacity as usize);
+            let plan = plan_attack(&point, Evaluator::mean_field()).unwrap();
+            assert!(plan.optimal.info_gain.is_finite() && plan.optimal.info_gain >= 0.0);
+            let report = run(&point, &plan, &kinds, 20, 9 ^ ((i as u64) << 8));
+            for kind in kinds {
+                assert!((0.0..=1.0).contains(&report.accuracy(kind)));
+            }
+            plan.optimal.info_gain
+        })
+        .collect();
     // Different capacities genuinely produce different models.
     assert!(
-        points
-            .iter()
-            .any(|p| (p.info_gain - points[0].info_gain).abs() > 1e-12),
+        gains.iter().any(|g| (g - gains[0]).abs() > 1e-12),
         "sweep should not be a no-op"
     );
 }

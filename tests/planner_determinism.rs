@@ -9,7 +9,6 @@
 
 use flow_recon::model::compact::CompactModel;
 use flow_recon::model::exec::ExecPolicy;
-use flow_recon::model::leakage::{measure_leakage, measure_leakage_policy};
 use flow_recon::model::probe::ProbePlanner;
 use flow_recon::model::useq::Evaluator;
 use flow_recon::traffic::{NetworkScenario, ScenarioSampler};
@@ -82,25 +81,5 @@ fn parallel_probe_scoring_bit_identical_across_thread_counts() {
                 "scenario {i}: best_sequence_exhaustive differs at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn parallel_leakage_reports_bit_identical() {
-    let sc = scenario(29, 3, 6, 3);
-    let rates = sc.rates();
-    let serial =
-        measure_leakage(&sc.rules, &rates, sc.capacity, 150, Evaluator::mean_field()).expect("ok");
-    for threads in THREAD_COUNTS {
-        let parallel = measure_leakage_policy(
-            &sc.rules,
-            &rates,
-            sc.capacity,
-            150,
-            Evaluator::mean_field(),
-            ExecPolicy::with_threads(threads),
-        )
-        .expect("ok");
-        assert_eq!(parallel, serial, "leakage differs at {threads} threads");
     }
 }

@@ -7,7 +7,6 @@
 //! index)`, and the confusion-matrix reduction is commutative integer
 //! addition, so scheduling order cannot leak into the result.
 
-use attack::sweep::{sweep, SweepParameter};
 use attack::{
     plan_attack, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialReport, TrialRun,
 };
@@ -63,39 +62,6 @@ fn parallel_reports_bit_identical_across_scenarios_and_thread_counts() {
                 "scenario {i}: parallel({threads}) diverged from serial at seed {seed:#x}"
             );
         }
-    }
-}
-
-#[test]
-fn parallel_sweep_bit_identical_across_thread_counts() {
-    let sc = scenario(11, 3, 6, 3);
-    let kinds = [AttackerKind::Naive, AttackerKind::Model];
-    let values = [1.0, 2.0, 4.0, 6.0];
-    let serial = sweep(
-        &sc,
-        SweepParameter::Capacity,
-        &values,
-        &kinds,
-        9,
-        77,
-        ExecPolicy::Serial,
-    )
-    .expect("serial sweep");
-    for threads in THREAD_COUNTS {
-        let parallel = sweep(
-            &sc,
-            SweepParameter::Capacity,
-            &values,
-            &kinds,
-            9,
-            77,
-            ExecPolicy::Parallel { threads },
-        )
-        .expect("parallel sweep");
-        assert_eq!(
-            serial, parallel,
-            "sweep with {threads} thread(s) diverged from serial"
-        );
     }
 }
 
