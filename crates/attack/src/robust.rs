@@ -304,7 +304,6 @@ pub fn robust_probe(
     state: &mut RobustState,
 ) -> Option<RobustObservation> {
     let question_start = sim.now();
-    let question = obs::Span::begin(question_start);
     let mut backoff = policy.backoff_secs;
     let mut outcome = None;
     for attempt in 0..=policy.max_retries {
@@ -346,7 +345,8 @@ pub fn robust_probe(
             backoff = (backoff * 2.0).min(policy.backoff_cap_secs);
         }
     }
-    let elapsed = question.end(sim.now());
+    // Clamped, so that a confused clock never records a negative span.
+    let elapsed = (sim.now() - question_start).max(0.0);
     sim.recorder_mut()
         .observe(obs::metrics::QUESTION_SECS, elapsed);
     // Stamp the whole question as a span (logged at its start time so

@@ -22,6 +22,23 @@ use std::sync::Mutex;
 /// count, or `auto`/`0` for one thread per available core.
 pub const THREADS_ENV_VAR: &str = "FLOW_RECON_THREADS";
 
+/// A [`THREADS_ENV_VAR`] value that is neither a thread count nor
+/// `auto` (the value is kept).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThreadsEnvError(pub String);
+
+impl fmt::Display for ThreadsEnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid {THREADS_ENV_VAR}=`{}`: expected a thread count or `auto`",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for ThreadsEnvError {}
+
 /// How a batch of independent work items (trials, candidate probes) is
 /// scheduled.
 ///
@@ -60,20 +77,18 @@ impl ExecPolicy {
     }
 
     /// Reads [`THREADS_ENV_VAR`], falling back to [`ExecPolicy::auto`]
-    /// when unset.
+    /// when unset. The one reader of the variable, for the CLI and the
+    /// experiment programs alike.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the variable is set to something other than a thread
-    /// count or `auto` — a misconfigured run should fail loudly, not
-    /// silently change shape.
-    #[must_use]
-    pub fn from_env() -> Self {
+    /// [`ThreadsEnvError`] when the variable is set to something other
+    /// than a thread count or `auto`: a misconfigured run should fail
+    /// loudly, not silently change shape.
+    pub fn from_env() -> Result<Self, ThreadsEnvError> {
         match std::env::var(THREADS_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw).unwrap_or_else(|| {
-                panic!("invalid {THREADS_ENV_VAR}=`{raw}`: expected a thread count or `auto`")
-            }),
-            Err(_) => Self::auto(),
+            Ok(raw) => Self::parse(&raw).ok_or(ThreadsEnvError(raw)),
+            Err(_) => Ok(Self::auto()),
         }
     }
 

@@ -62,18 +62,18 @@ fn main() {
         // and each simulation keeps state only for the switches on that
         // path.
         let ks: &[usize] = if opts.fast { &[4] } else { &[4, 8, 16, 32] };
-        // The first detector-feasible draw, however many draws it takes.
+        // The first detector-feasible draw, however many draws it takes:
+        // the sample is empty only when an interrupt cut it short, and
+        // the grid then has no cell.
         let feasible = run.sample(&sampler_for(opts), (0.05, 0.95), 1, usize::MAX, |sc| {
             detector_plan(sc, opts.policy)
         });
-        let Some(config) = feasible.into_iter().next() else {
-            eprintln!("scalability: no detector-feasible configuration sampled");
-            std::process::exit(1);
-        };
         println!("\nfat-tree fabrics (attack plan fixed, topology scaled):");
         println!("      k  switches  links  hops  naive   model  random");
-        let ctx = Arc::new((config, ks.to_vec()));
-        let cells = run.grid(&ctx, ks.len(), |((sc, plan), ks), cell| {
+        let units = feasible.len() * ks.len();
+        let ctx = Arc::new((feasible, ks.to_vec()));
+        let cells = run.grid(&ctx, units, |(feasible, ks), cell| {
+            let (sc, plan) = &feasible[0];
             let k = ks[cell.unit];
             let net = NetConfig::fat_tree(sc.rules.clone(), k, sc.capacity, sc.delta);
             let hops = net

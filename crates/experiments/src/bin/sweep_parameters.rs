@@ -10,10 +10,9 @@
 //! batch, on the supervised runner, [`experiments::Run`].
 
 use attack::sweep::SweepParameter;
-use attack::{plan_attack, scenario_net_config, AttackerKind, TrialRun};
-use experiments::harness::{detector_plan, mean, sampler_for};
+use attack::{scenario_net_config, AttackerKind, TrialRun};
+use experiments::harness::{default_plan, detector_plan, mean, sampler_for};
 use experiments::run::{complete, Run};
-use recon_core::useq::Evaluator;
 use std::sync::Arc;
 
 const KINDS: [AttackerKind; 2] = [AttackerKind::Model, AttackerKind::Random];
@@ -51,7 +50,7 @@ fn main() {
             let (p, si, vi) = grid[cell.unit];
             let (param, values) = SWEEPS[p];
             let sc = param.apply(&scenarios[si].0, values[vi]);
-            let plan = plan_attack(&sc, Evaluator::mean_field()).ok()?;
+            let plan = default_plan(&sc, cell.opts.policy).ok()?;
             let report = cell.trials(&TrialRun {
                 scenario: &sc,
                 plan: &plan,

@@ -6,8 +6,8 @@
 //! [`collect_configs`] adds the trials for the Fig. 6/7 programs.
 
 use attack::{
-    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, TrialReport,
-    TrialRun,
+    plan_attack_full, scenario_net_config, AttackPlan, AttackerKind, ExecPolicy, PlanError,
+    TrialReport, TrialRun,
 };
 use ftcache::PolicyKind;
 use jobs::JobError;
@@ -115,12 +115,16 @@ pub fn sample_configs<P>(
     out
 }
 
-/// The paper's §VI-B feasibility filter, the `accept` most programs
-/// sample with: the default plan ([`attack::plan_attack`]'s, with
-/// candidate probes scored under `policy`), kept when its optimal probe
-/// can act as a detector for the target.
-#[must_use]
-pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<AttackPlan> {
+/// The default plan ([`attack::plan_attack`]'s), with candidate probes
+/// scored under `policy`: the same bits at any thread count.
+///
+/// # Errors
+///
+/// As [`plan_attack_full`].
+pub fn default_plan(
+    scenario: &NetworkScenario,
+    policy: ExecPolicy,
+) -> Result<AttackPlan, PlanError> {
     plan_attack_full(
         scenario,
         Evaluator::mean_field(),
@@ -129,8 +133,16 @@ pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<A
         policy,
         PolicyKind::Srt,
     )
-    .ok()
-    .filter(AttackPlan::is_detector)
+}
+
+/// The paper's §VI-B feasibility filter, the `accept` most programs
+/// sample with: the [`default_plan`], kept when its optimal probe can act
+/// as a detector for the target.
+#[must_use]
+pub fn detector_plan(scenario: &NetworkScenario, policy: ExecPolicy) -> Option<AttackPlan> {
+    default_plan(scenario, policy)
+        .ok()
+        .filter(AttackPlan::is_detector)
 }
 
 /// The trial seed of configuration `ci` in the programs that run every

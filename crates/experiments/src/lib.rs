@@ -19,7 +19,7 @@
 //! --resume                    continue from <name>.ckpt.jsonl when present
 //! --checkpoint-every N        checkpoint every N completed grid cells
 //! --kill-after-checkpoints N  stop as if interrupted after checkpoint N ≥ 1;
-//!                             needs --checkpoint-every (or FLOW_RECON_KILL_AFTER_CKPT=N)
+//!                             needs --checkpoint-every
 //! ```
 //!
 //! `--trace` and the last three act on the trial-running programs;

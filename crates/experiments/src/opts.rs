@@ -1,6 +1,6 @@
 //! Minimal command-line option parsing shared by the experiment binaries.
 
-use attack::{ExecPolicy, THREADS_ENV_VAR};
+use attack::ExecPolicy;
 use std::path::PathBuf;
 
 /// Options common to every experiment binary.
@@ -38,10 +38,9 @@ pub struct ExpOpts {
     /// pre-supervision engine.
     pub checkpoint_every: usize,
     /// Deterministic kill-point for the chaos gates
-    /// (`--kill-after-checkpoints N`, or the `FLOW_RECON_KILL_AFTER_CKPT`
-    /// environment variable; N ≥ 1, and only with `--checkpoint-every`):
-    /// after writing checkpoint N the run stops exactly as if
-    /// interrupted.
+    /// (`--kill-after-checkpoints N`; N ≥ 1, and only with
+    /// `--checkpoint-every`): after writing checkpoint N the run stops
+    /// exactly as if interrupted.
     pub kill_after_checkpoints: Option<usize>,
 }
 
@@ -65,11 +64,6 @@ impl Default for ExpOpts {
         }
     }
 }
-
-/// The environment form of `--kill-after-checkpoints`, which lets the
-/// chaos CI gates cut a run without changing the command line under
-/// test.
-const KILL_ENV_VAR: &str = "FLOW_RECON_KILL_AFTER_CKPT";
 
 /// A malformed command line or environment setting. Its message names
 /// the flag or variable and what it expects.
@@ -96,10 +90,12 @@ fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, OptsError
 }
 
 /// A kill-point: checkpoint 0 is never written, so it must be positive.
-fn kill_point(value: &str, error: impl FnOnce() -> String) -> Result<usize, OptsError> {
+fn kill_point(flag: &str, value: &str) -> Result<usize, OptsError> {
     match value.parse() {
         Ok(n) if n > 0 => Ok(n),
-        _ => Err(OptsError(error())),
+        _ => Err(OptsError(format!(
+            "{flag} expects a positive integer, got `{value}`"
+        ))),
     }
 }
 
@@ -108,15 +104,14 @@ impl ExpOpts {
     /// --threads N|auto --obs --trace --resume --checkpoint-every N
     /// --kill-after-checkpoints N` from an iterator of arguments
     /// (without the program name). A flag absent from the command line
-    /// falls back to its environment variable where it has one
-    /// (`FLOW_RECON_THREADS`, `FLOW_RECON_KILL_AFTER_CKPT`), then to
-    /// [`ExpOpts::default`]; neither variable is read when its flag is
-    /// given.
+    /// falls back to [`ExpOpts::default`], except that `--threads` falls
+    /// back to `FLOW_RECON_THREADS` first ([`ExecPolicy::from_env`]),
+    /// which is not read when the flag is given.
     ///
     /// # Errors
     ///
     /// [`OptsError`] on an unknown flag, a flag without its value, a
-    /// malformed value, a malformed environment variable, or a kill-point
+    /// malformed value, a malformed `FLOW_RECON_THREADS`, or a kill-point
     /// without `--checkpoint-every` (it would never fire): failing loudly
     /// beats silently ignoring a typo.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, OptsError> {
@@ -139,10 +134,7 @@ impl ExpOpts {
                 "--resume" => opts.resume = true,
                 "--checkpoint-every" => opts.checkpoint_every = integer(&a, &value()?)?,
                 "--kill-after-checkpoints" => {
-                    let v = value()?;
-                    opts.kill_after_checkpoints = Some(kill_point(&v, || {
-                        format!("{a} expects a positive integer, got `{v}`")
-                    })?);
+                    opts.kill_after_checkpoints = Some(kill_point(&a, &value()?)?);
                 }
                 "--threads" => {
                     let v = value()?;
@@ -159,26 +151,12 @@ impl ExpOpts {
         }
         opts.policy = match threads {
             Some(policy) => policy,
-            None => match std::env::var(THREADS_ENV_VAR) {
-                Ok(raw) => ExecPolicy::parse(&raw).ok_or_else(|| {
-                    OptsError(format!(
-                        "invalid {THREADS_ENV_VAR}=`{raw}`: expected a thread count or `auto`"
-                    ))
-                })?,
-                Err(_) => ExecPolicy::auto(),
-            },
+            None => ExecPolicy::from_env().map_err(|e| OptsError(e.to_string()))?,
         };
-        if opts.kill_after_checkpoints.is_none() {
-            if let Ok(raw) = std::env::var(KILL_ENV_VAR) {
-                opts.kill_after_checkpoints = Some(kill_point(&raw, || {
-                    format!("invalid {KILL_ENV_VAR}=`{raw}`: expected a positive integer")
-                })?);
-            }
-        }
         if opts.kill_after_checkpoints.is_some() && opts.checkpoint_every == 0 {
-            return Err(OptsError(format!(
-                "a kill-point (--kill-after-checkpoints or {KILL_ENV_VAR}) needs --checkpoint-every N"
-            )));
+            return Err(OptsError(
+                "--kill-after-checkpoints needs --checkpoint-every N".to_string(),
+            ));
         }
         if opts.fast {
             opts.configs = opts.configs.min(6);
@@ -270,7 +248,7 @@ mod tests {
     fn defaults() {
         let o = parse("");
         // Only the settings without an environment fallback: the suite
-        // may run with FLOW_RECON_* set.
+        // may run with FLOW_RECON_THREADS set.
         let d = ExpOpts::default();
         assert_eq!((o.configs, o.trials, o.seed), (d.configs, d.trials, d.seed));
         assert_eq!((&o.out, o.fast, o.resume), (&d.out, d.fast, d.resume));

@@ -16,7 +16,9 @@
 //! kill-point) exits 130: each CSV holds its header and only the rows
 //! whose cells all completed, the manifest reads `interrupted`, and the
 //! checkpoint stays for `--resume`. A signal during sampling stops the
-//! drawing; the grid then runs no cell and writes no checkpoint.
+//! drawing; the grid then runs no cell and writes no checkpoint, and
+//! every CSV written after the cut-short sample holds its header only,
+//! as no row drawn from it is the complete run's.
 
 use attack::{TrialReport, TrialRun};
 use jobs::{InterruptSource, JobError, JobSpec, JobStatus};
@@ -44,6 +46,8 @@ pub struct Run<'a> {
     files: Vec<String>,
     /// `(completed, total)` cells of a grid an interrupt stopped.
     interrupted: Option<(usize, usize)>,
+    /// Whether an interrupt cut the sampling short.
+    sample_cut: bool,
     write_failed: bool,
 }
 
@@ -132,6 +136,7 @@ impl<'a> Run<'a> {
             flight: FlightRecorder::disabled(),
             files: Vec::new(),
             interrupted: None,
+            sample_cut: false,
             write_failed: false,
         }
     }
@@ -140,7 +145,7 @@ impl<'a> Run<'a> {
     /// planner's `core.planner.*` spans of every `accept` call (which
     /// report through the thread-local recorder) join the manifest. A
     /// SIGINT/SIGTERM stops the drawing, and the run's grid then runs no
-    /// cell.
+    /// cell and its CSVs get no rows.
     pub fn sample<P>(
         &mut self,
         sampler: &ScenarioSampler,
@@ -153,6 +158,7 @@ impl<'a> Run<'a> {
         let seed = self.opts.seed;
         let configs = sample_configs(sampler, seed, absence, count, max_attempts, accept);
         self.recorder.merge(obs::local::take());
+        self.sample_cut = jobs::interrupt::interrupted();
         configs
     }
 
@@ -243,8 +249,10 @@ impl<'a> Run<'a> {
     }
 
     /// Writes `rows` under `header` to the CSV `file` in the output
-    /// directory, recorded for the manifest.
+    /// directory, recorded for the manifest; only the header when an
+    /// interrupt cut the sampling short.
     pub fn write_csv(&mut self, file: &str, header: &str, rows: &[String]) {
+        let rows = if self.sample_cut { &[] } else { rows };
         let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
         for line in std::iter::once(header).chain(rows.iter().map(String::as_str)) {
             body.push_str(line);

@@ -18,14 +18,13 @@ use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Runs one sweep binary hermetically (chaos/thread env cleared) and
-/// returns its exit code.
+/// Runs one sweep binary hermetically (thread env cleared) and returns
+/// its exit code.
 fn run_bin(exe: &str, dir: &Path, extra: &[&str]) -> i32 {
     let status = Command::new(exe)
         .args(["--seed", "7", "--configs", "2", "--fast", "--out"])
         .arg(dir)
         .args(extra)
-        .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
         .status()
         .expect("sweep binary runs");
@@ -299,7 +298,6 @@ fn sigint_during_sampling_stops_the_run() {
         .args(["--seed", "7", "--configs", "400", "--trials", "100"])
         .args(["--threads", "1", "--checkpoint-every", "1", "--out"])
         .arg(&dir)
-        .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -324,7 +322,13 @@ fn sigint_during_sampling_stops_the_run() {
         std::thread::sleep(Duration::from_millis(50));
     };
     assert_eq!(status.code(), Some(130), "interrupted exit code");
-    for file in ["fig6b.csv", "fig7a.csv"] {
+    for file in [
+        "fig6a.csv",
+        "fig6b.csv",
+        "fig7a.csv",
+        "fig7b.csv",
+        "suite_robust.csv",
+    ] {
         let csv = std::fs::read_to_string(dir.join(file)).expect("csv written");
         assert_eq!(
             csv.lines().count(),

@@ -7,7 +7,7 @@
 //! fan-in relies on: merge is commutative and associative, and merging
 //! equals recording the concatenated sample stream.
 
-use obs::Histogram;
+use obs::{metrics, Histogram, ManifestEntry, Recorder};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -81,23 +81,39 @@ fn check_recorder_is_free(program: &str, exe: &str) {
     // Every run writes a manifest; the recorder-on one carries metrics,
     // the recorder-off one is explicitly empty of them.
     for (dir, (_, obs_on)) in dirs.iter().zip(combos) {
-        let manifest = std::fs::read_to_string(dir.join(format!("{program}.manifest.jsonl")))
-            .expect("manifest exists");
-        assert!(
-            manifest.contains(&format!("\"experiment\":\"{program}\"")),
-            "{manifest}"
-        );
+        let (entry, recorder) = manifest(program, dir);
+        assert_eq!(entry.experiment, program);
         if obs_on {
-            assert!(manifest.contains("netsim.probe_rtt_hit_secs"), "{manifest}");
-            assert!(manifest.contains("attack.trials"), "{manifest}");
-            assert!(manifest.contains("core.planner.evolve_secs"), "{manifest}");
+            assert!(
+                recorder.histogram(metrics::PROBE_RTT_HIT).is_some(),
+                "{}",
+                recorder.render()
+            );
+            assert!(
+                recorder.counter(metrics::TRIALS) > 0,
+                "{}",
+                recorder.render()
+            );
+            assert!(
+                recorder.histogram(metrics::PLANNER_EVOLVE_SECS).is_some(),
+                "{}",
+                recorder.render()
+            );
         } else {
             assert!(
-                manifest.contains("\"counters\":{}"),
-                "recorder-off manifest should carry no counters: {manifest}"
+                recorder.is_empty(),
+                "recorder-off manifest should carry no metrics: {}",
+                recorder.render()
             );
         }
     }
+}
+
+/// `program`'s manifest in `dir`, read back.
+fn manifest(program: &str, dir: &Path) -> (ManifestEntry, Recorder) {
+    let line = std::fs::read_to_string(dir.join(format!("{program}.manifest.jsonl")))
+        .expect("manifest exists");
+    ManifestEntry::from_json_line(line.trim_end()).expect("manifest reads back")
 }
 
 #[test]
@@ -118,19 +134,11 @@ fn planner_evolutions(program: &str, exe: &str) -> u64 {
         .join(format!("{program}-planner"));
     std::fs::create_dir_all(&dir).expect("mkdir");
     run(program, exe, &dir, "2", true);
-    let text = std::fs::read_to_string(dir.join(format!("{program}.manifest.jsonl")))
-        .expect("manifest exists");
-    let manifest: serde::Value = serde_json::from_str(&text).expect("manifest is JSON");
-    ["metrics", "histograms", "core.planner.evolve_secs", "count"]
-        .iter()
-        .try_fold(&manifest, |v, key| {
-            v.as_object()?
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-        })
-        .and_then(|count| count.as_num()?.as_u64())
+    let (_, recorder) = manifest(program, &dir);
+    recorder
+        .histogram(metrics::PLANNER_EVOLVE_SECS)
         .expect("planner spans recorded")
+        .count()
 }
 
 /// Planning inside a grid cell is recorded like planning while

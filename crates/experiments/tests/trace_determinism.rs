@@ -2,12 +2,12 @@
 //! observation. CSVs are byte-identical with tracing on or off at any
 //! thread count, merged flight contents are independent of schedule and
 //! merge order, every delivered probe's RTT decomposition reconciles to
-//! float slack, and a traced interrupted run leaves a parseable
+//! float slack, and a traced interrupted run leaves a readable
 //! `.flightrec.jsonl` behind for forensics.
 
 use attack::{plan_attack, scenario_net_config, AttackerKind, ExecPolicy, ProbePolicy, TrialRun};
-use obs::trace::{probe_ctx, TraceEv};
-use obs::{FlightRecorder, Recorder};
+use obs::trace::{probe_ctx, validate_chrome_trace, TraceEv};
+use obs::{FlightDump, FlightRecorder, Recorder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +40,6 @@ fn run_fault_sweep(dir: &Path, extra: &[&str]) -> i32 {
         ])
         .arg(dir)
         .args(extra)
-        .env_remove("FLOW_RECON_KILL_AFTER_CKPT")
         .env_remove("FLOW_RECON_THREADS")
         .status()
         .expect("fault_sweep runs");
@@ -84,23 +83,20 @@ fn fault_sweep_csv_byte_identical_with_tracing_on_and_off() {
 
         let dump = std::fs::read_to_string(dir.join("fault_sweep.flightrec.jsonl"))
             .expect("traced run writes the flight dump");
-        let header = dump.lines().next().expect("dump has a header");
-        assert!(header.contains("\"kind\":\"flightrec\""), "{header}");
-        assert!(header.contains("\"source\":\"fault_sweep\""), "{header}");
-        assert!(dump.lines().count() > 1, "dump has records");
+        let dump = FlightDump::parse(&dump).expect("the flight dump reads back");
+        assert_eq!(dump.source, "fault_sweep");
+        assert!(!dump.records.is_empty(), "dump has records");
 
         let chrome = std::fs::read_to_string(dir.join("fault_sweep.trace.json"))
             .expect("traced run writes the Perfetto export");
-        assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
-        let parsed: serde::Value = serde_json::from_str(&chrome).expect("export parses as JSON");
-        drop(parsed);
+        assert_eq!(validate_chrome_trace(&chrome), Ok(dump.records.len()));
     }
 }
 
 /// Every delivered probe in a traced fault_sweep-style smoke reconciles:
-/// the recorded components sum to the recorded RTT within 1e-9.
+/// the components its dump records sum to its RTT within 1e-9.
 #[test]
-fn explain_reconciles_every_delivered_probe_in_smoke() {
+fn dump_reconciles_every_delivered_probe_in_smoke() {
     let sc = scenario(10, (0.3, 0.7));
     let plan = plan_attack(&sc, Evaluator::mean_field()).unwrap();
     let kinds = [
@@ -129,8 +125,8 @@ fn explain_reconciles_every_delivered_probe_in_smoke() {
             0,
             &mut flight,
         );
-        for probe in flight.delivered_probes() {
-            let b = flight.explain(probe).expect("delivered probe has events");
+        let dump = FlightDump::parse(&flight.dump_string("smoke")).expect("dump reads back");
+        for (probe, b) in dump.delivered() {
             let residual = b.residual().expect("delivered probe has an rtt");
             assert!(
                 residual.abs() < 1e-9,
@@ -148,7 +144,8 @@ fn explain_reconciles_every_delivered_probe_in_smoke() {
 }
 
 /// A traced kill-point run (the SIGINT-equivalent chaos gate) leaves a
-/// parseable flight dump whose supervisor events record the interrupt.
+/// flight dump that reads back, whose supervisor events record the
+/// interrupt.
 #[test]
 fn interrupted_traced_run_dumps_parseable_flightrec() {
     let dir = tmp("traced_interrupt");
@@ -167,20 +164,11 @@ fn interrupted_traced_run_dumps_parseable_flightrec() {
     assert_eq!(code, 130, "kill-point run exits as interrupted");
     let dump = std::fs::read_to_string(dir.join("fault_sweep.flightrec.jsonl"))
         .expect("interrupted traced run dumps its flight");
-    for (i, line) in dump.lines().enumerate() {
-        let _: serde::Value = serde_json::from_str(line)
-            .unwrap_or_else(|e| panic!("line {} unparseable: {e}", i + 1));
-    }
+    let dump = FlightDump::parse(&dump).expect("the flight dump reads back");
+    let counts = dump.counts_by_kind();
     assert!(
-        dump.lines()
-            .next()
-            .unwrap()
-            .contains("\"kind\":\"flightrec\""),
-        "{dump}"
-    );
-    assert!(
-        dump.contains("\"kind\":\"interrupted\""),
-        "supervisor must record the interrupt: {dump}"
+        counts.contains_key("interrupted"),
+        "supervisor must record the interrupt: {counts:?}"
     );
 }
 

@@ -98,21 +98,6 @@ impl FlowKey {
         }
     }
 
-    /// Inverse of [`FlowKey::for_eval`]: recover the flow id from a concrete
-    /// evaluation-topology header, if it is one.
-    #[must_use]
-    pub fn eval_flow_id(&self) -> Option<FlowId> {
-        if self.proto == Protocol::Icmp
-            && self.dst_ip == EVAL_BASE_IP + 16
-            && self.src_ip >= EVAL_BASE_IP
-            && self.src_ip < EVAL_BASE_IP + 16
-        {
-            Some(FlowId(self.src_ip - EVAL_BASE_IP))
-        } else {
-            None
-        }
-    }
-
     /// The reply direction of this flow (source and destination swapped).
     #[must_use]
     pub fn reversed(&self) -> Self {
@@ -158,30 +143,6 @@ mod tests {
         assert_eq!(FlowId(7).to_string(), "f7");
         assert_eq!(FlowId(7).index(), 7);
         assert_eq!(FlowId::from(3u32), FlowId(3));
-    }
-
-    #[test]
-    fn eval_mapping_round_trips() {
-        for i in 0..16 {
-            let key = FlowKey::for_eval(FlowId(i));
-            assert_eq!(key.eval_flow_id(), Some(FlowId(i)));
-        }
-    }
-
-    #[test]
-    fn eval_mapping_rejects_non_eval_headers() {
-        let mut key = FlowKey::for_eval(FlowId(0));
-        key.proto = Protocol::Tcp;
-        assert_eq!(key.eval_flow_id(), None);
-
-        let mut key = FlowKey::for_eval(FlowId(0));
-        key.dst_ip = EVAL_BASE_IP + 17;
-        assert_eq!(key.eval_flow_id(), None);
-
-        // The server itself is not one of the 16 client flows.
-        let mut key = FlowKey::for_eval(FlowId(0));
-        key.src_ip = EVAL_BASE_IP + 16;
-        assert_eq!(key.eval_flow_id(), None);
     }
 
     #[test]

@@ -125,14 +125,6 @@ impl ClockTable {
         self.entries.iter().filter(move |e| e.expiry > now)
     }
 
-    /// Whether `rule` is live at time `now`.
-    #[must_use]
-    pub fn contains_at(&self, rule: RuleId, now: f64) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.rule == rule && e.expiry > now)
-    }
-
     /// Drops entries whose deadline has passed.
     pub fn purge_expired(&mut self, now: f64) {
         self.entries.retain(|e| e.expiry > now);
@@ -279,8 +271,8 @@ mod tests {
         let rules = rules();
         let mut t = ClockTable::new(2);
         t.install(RuleId(0), 0.3, TimeoutKind::Idle, 0.0);
-        assert!(t.contains_at(RuleId(0), 0.2));
-        assert!(!t.contains_at(RuleId(0), 0.31));
+        assert_eq!(t.cached_rules_at(0.2), vec![RuleId(0)]);
+        assert!(t.cached_rules_at(0.31).is_empty());
         assert_eq!(t.lookup(FlowId(1), 0.31, &rules), None);
         assert_eq!(t.len_at(0.31), 0);
     }
@@ -292,7 +284,7 @@ mod tests {
         t.install(RuleId(1), 1.0, TimeoutKind::Idle, 0.0); // expires 1.0
         let evicted = t.install(RuleId(2), 0.7, TimeoutKind::Hard, 0.1);
         assert_eq!(evicted, Some(RuleId(0)));
-        assert!(t.contains_at(RuleId(1), 0.1) && t.contains_at(RuleId(2), 0.1));
+        assert_eq!(t.cached_rules_at(0.1), vec![RuleId(2), RuleId(1)]);
     }
 
     #[test]

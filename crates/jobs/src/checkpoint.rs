@@ -24,7 +24,7 @@
 //! *and* manifest metrics are byte-identical to an uninterrupted run's.
 
 use core::fmt;
-use obs::{Histogram, Recorder};
+use obs::Recorder;
 use serde::{Deserialize, Number, Value};
 use std::path::{Path, PathBuf};
 
@@ -211,62 +211,6 @@ fn field_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
     field(v, key).and_then(Value::as_str)
 }
 
-/// Rebuilds a [`Histogram`] from its metrics-JSON object
-/// (`{count,underflow,overflow,rejected,min,max,buckets:[[lo,c],…]}`).
-fn hist_from_json(h: &Value) -> Histogram {
-    let pairs: Vec<(f64, u64)> = field(h, "buckets")
-        .and_then(Value::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|pair| {
-                    let pair = pair.as_array()?;
-                    let lo = pair.first()?.as_num()?.as_f64();
-                    let c = pair.get(1)?.as_num()?.as_u64()?;
-                    Some((lo, c))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let f = |k| {
-        field(h, k)
-            .and_then(Value::as_num)
-            .map_or(0.0, Number::as_f64)
-    };
-    Histogram::from_parts(
-        &pairs,
-        field_u64(h, "underflow").unwrap_or(0),
-        field_u64(h, "overflow").unwrap_or(0),
-        field_u64(h, "rejected").unwrap_or(0),
-        f("min"),
-        f("max"),
-    )
-}
-
-/// Rebuilds a [`Recorder`] from a `metrics` object as written by
-/// [`Recorder::metrics_json`]. Integer counters and histogram buckets
-/// restore exactly; re-serializing the result reproduces the input.
-fn recorder_from_metrics(v: &Value) -> Result<Recorder, String> {
-    let mut rec = Recorder::enabled();
-    let counters = field(v, "counters")
-        .and_then(Value::as_object)
-        .ok_or("metrics object lacks \"counters\"")?;
-    for (name, val) in counters {
-        let n = val
-            .as_num()
-            .and_then(Number::as_u64)
-            .ok_or_else(|| format!("counter {name} is not a u64"))?;
-        rec.add(name, n);
-    }
-    let hists = field(v, "histograms")
-        .and_then(Value::as_object)
-        .ok_or("metrics object lacks \"histograms\"")?;
-    for (name, h) in hists {
-        rec.merge_histogram(name, hist_from_json(h));
-    }
-    Ok(rec)
-}
-
 /// Serializes the header line.
 fn header_line(meta: &CkptMeta) -> String {
     use obs::manifest::json_escape;
@@ -422,7 +366,8 @@ pub fn load<R: Deserialize>(
             .map_err(|e| corrupt(line_no, format!("bad unit result: {e}")))?;
         let metrics_value = field(&v, "metrics")
             .ok_or_else(|| corrupt(line_no, "unit line lacks \"metrics\"".into()))?;
-        let metrics = recorder_from_metrics(metrics_value).map_err(|m| corrupt(line_no, m))?;
+        let metrics = Recorder::from_metrics(metrics_value)
+            .map_err(|e| corrupt(line_no, format!("bad unit metrics: {e}")))?;
         units.push(LoadedUnit {
             unit,
             result,

@@ -690,6 +690,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::FlightDump;
     use std::sync::atomic::Ordering;
 
     fn spec(name: &str, total: usize) -> JobSpec {
@@ -706,27 +707,6 @@ mod tests {
         let dir = std::env::temp_dir().join("jobs-supervisor-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}.ckpt.jsonl"))
-    }
-
-    fn jstr<'a>(v: &'a serde::Value, key: &str) -> Option<&'a str> {
-        match v {
-            serde::Value::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str()),
-            _ => None,
-        }
-    }
-
-    fn ju64(v: &serde::Value, key: &str) -> Option<u64> {
-        match v {
-            serde::Value::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_num())
-                .and_then(serde::Number::as_u64),
-            _ => None,
-        }
     }
 
     #[test]
@@ -976,7 +956,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.status, JobStatus::Completed);
-        let counts = out.flight.counts_by_kind();
+        let dump = FlightDump::parse(&out.flight.dump_string("traced")).unwrap();
+        let counts = dump.counts_by_kind();
         assert_eq!(counts.get("inject"), Some(&3), "{counts:?}");
         assert_eq!(counts.get("unit_start"), Some(&3), "{counts:?}");
         assert_eq!(counts.get("unit_ok"), Some(&3), "{counts:?}");
@@ -1007,18 +988,12 @@ mod tests {
             Err(JobError::UnitFailed { unit: 2, .. }) => {}
             other => panic!("expected UnitFailed on unit 2, got {other:?}"),
         }
-        let dump = std::fs::read_to_string(&path).unwrap();
-        let mut lines = dump.lines();
-        let header: serde::Value = serde_json::from_str(lines.next().unwrap()).unwrap();
-        assert_eq!(jstr(&header, "kind"), Some("flightrec"));
-        assert_eq!(jstr(&header, "source"), Some("fatal"));
-        // Every record line parses, and the final events are the
-        // supervisor brackets of the failing unit.
-        let records: Vec<serde::Value> = lines.map(|l| serde_json::from_str(l).unwrap()).collect();
-        assert!(!records.is_empty());
-        let last = records.last().unwrap();
-        assert_eq!(jstr(last, "kind"), Some("unit_panic"));
-        assert_eq!(ju64(last, "unit"), Some(2));
+        // The dump reads back, and its final events are the supervisor
+        // brackets of the failing unit.
+        let dump = FlightDump::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(dump.source, "fatal");
+        let last = dump.records.last().unwrap();
+        assert_eq!((last.kind.as_str(), last.unit()), ("unit_panic", Some(2)));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1041,11 +1016,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.status, JobStatus::Interrupted);
-        let dump = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            dump.lines().skip(1).any(|l| l.contains("\"interrupted\"")),
-            "{dump}"
-        );
+        let dump = FlightDump::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(dump.counts_by_kind().get("interrupted"), Some(&1));
         let _ = std::fs::remove_file(&path);
     }
 }

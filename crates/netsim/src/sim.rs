@@ -867,6 +867,7 @@ mod tests {
     use super::*;
     use crate::config::{Defense, DelayPadding};
     use flowspace::{FlowSet, Rule, RuleSet, Timeout};
+    use obs::FlightDump;
 
     fn rules() -> RuleSet {
         // rule0 covers f0 (t=25 steps); rule1 covers f1,f2 (t=50). f3 is
@@ -962,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_explain_reconciles_every_delivered_probe() {
+    fn dumped_flight_reconciles_every_delivered_probe() {
         let ctx = obs::trace::probe_ctx(3, 7, 1);
         let mut s = Simulation::new(stormy_config(), 22);
         s.attach_flight(FlightRecorder::enabled(), ctx);
@@ -971,12 +972,11 @@ mod tests {
                 let _ = s.probe_with_timeout(f, 0.05);
             }
         }
-        let flight = s.take_flight();
-        let delivered = flight.delivered_probes();
+        let dump = FlightDump::parse(&s.take_flight().dump_string("sim")).unwrap();
+        let delivered = dump.delivered();
         assert!(!delivered.is_empty(), "some probes must deliver");
-        for probe in delivered {
+        for (probe, b) in delivered {
             assert_eq!(probe.ctx, ctx);
-            let b = flight.explain(probe).expect("delivered probe has events");
             let residual = b.residual().expect("delivered probe has an rtt");
             assert!(
                 residual.abs() < 1e-9,
@@ -1188,7 +1188,8 @@ mod tests {
             at_ingress,
             vec![(Some(0), "miss"), (Some(0), "install"), (Some(1), "hit")]
         );
-        assert_eq!(flight.delivered_probes().len(), 2);
+        let dump = FlightDump::parse(&flight.dump_string("sim")).unwrap();
+        assert_eq!(dump.delivered().len(), 2);
         // Timestamps are monotone.
         let times: Vec<f64> = flight.records().map(|(_, r)| r.time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));

@@ -1,5 +1,7 @@
 //! Fixed-bucket log-scale histograms with deterministic merge.
 
+use crate::read::{at, ReadError};
+use serde::Value;
 use std::fmt::Write as _;
 
 /// Exponent of the smallest bucketed value: `2^-20` s ≈ 0.95 µs. Smaller
@@ -213,34 +215,36 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Reconstructs a histogram from sparse `(lower_edge, count)` pairs
-    /// (as emitted in the run manifest) plus the scalar tallies. Pairs
-    /// whose edge does not map into the fixed layout are ignored.
-    #[must_use]
-    pub fn from_parts(
-        pairs: &[(f64, u64)],
-        underflow: u64,
-        overflow: u64,
-        rejected: u64,
-        min: f64,
-        max: f64,
-    ) -> Self {
+    /// Reads back one histogram object of
+    /// [`Recorder::metrics_json`](crate::Recorder::metrics_json)
+    /// (`{count,underflow,overflow,rejected,min,max,buckets:[[lower_edge,
+    /// count],…]}`): every edge must be a bucket's lower edge and the
+    /// tallies must add up to `count`, so what reads back writes the same
+    /// bytes again.
+    pub(crate) fn from_json(v: &Value) -> Result<Self, ReadError> {
         let mut h = Histogram::new();
-        for &(edge, c) in pairs {
-            if let Slot::Idx(i) = slot_of(edge) {
-                h.buckets[i] += c;
-                h.count += c;
+        for (edge, c) in at::<Vec<(f64, u64)>>(v, "buckets")? {
+            match slot_of(edge) {
+                Slot::Idx(i) if bucket_lower_edge(i) == edge => h.buckets[i] += c,
+                _ => return Err(ReadError(format!("{edge:e} is no bucket's lower edge"))),
             }
         }
-        h.underflow = underflow;
-        h.overflow = overflow;
-        h.rejected = rejected;
-        h.count += underflow + overflow;
-        if h.count > 0 {
-            h.min = min;
-            h.max = max;
+        h.underflow = at(v, "underflow")?;
+        h.overflow = at(v, "overflow")?;
+        h.rejected = at(v, "rejected")?;
+        h.count = h.buckets.iter().sum::<u64>() + h.underflow + h.overflow;
+        let count: u64 = at(v, "count")?;
+        if count != h.count {
+            return Err(ReadError(format!(
+                "\"count\" is {count}, but the tallies add up to {}",
+                h.count
+            )));
         }
-        h
+        if h.count > 0 {
+            h.min = at(v, "min")?;
+            h.max = at(v, "max")?;
+        }
+        Ok(h)
     }
 
     /// Renders an indented ASCII bar view of the non-empty buckets.
@@ -376,21 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_sparse_form() {
-        let mut h = Histogram::new();
-        for v in [1e-4, 1e-4, 5e-3, 0.0, 100.0] {
-            h.record(v);
-        }
-        let pairs: Vec<(f64, u64)> = h.nonzero_buckets().map(|(lo, _, c)| (lo, c)).collect();
-        let back = Histogram::from_parts(
-            &pairs,
-            h.underflow(),
-            h.overflow(),
-            h.rejected(),
-            h.min().unwrap(),
-            h.max().unwrap(),
-        );
-        assert_eq!(back, h);
+    fn json_reader_refuses_what_the_writer_never_writes() {
+        let read = |json: &str| Histogram::from_json(&crate::read::parse(json).unwrap());
+        let ok = "{\"count\":2,\"underflow\":1,\"overflow\":0,\"rejected\":3,\
+                  \"min\":0e0,\"max\":1e-4,\"buckets\":[[9.918212890625e-5,1]]}";
+        let h = read(ok).unwrap();
+        assert_eq!((h.count(), h.underflow(), h.rejected()), (2, 1, 3));
+        let off_edge = ok.replace("9.918212890625e-5", "1e-4");
+        assert!(read(&off_edge).unwrap_err().0.contains("lower edge"));
+        let miscounted = ok.replace("\"count\":2", "\"count\":5");
+        assert!(read(&miscounted).unwrap_err().0.contains("add up to 2"));
+        let no_min = ok.replace("\"min\":0e0,", "");
+        assert_eq!(read(&no_min).unwrap_err().0, "lacks \"min\"");
     }
 
     #[test]

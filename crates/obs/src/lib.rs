@@ -8,10 +8,10 @@
 //! * [`Counter`] — a monotonic `u64` accumulator;
 //! * [`Histogram`] — a fixed-bucket log-scale latency histogram whose
 //!   state is integer bucket counts, so merging is **exactly**
-//!   associative and commutative (no floating-point sums);
-//! * [`Span`] — durations measured against **virtual simulation time**
-//!   on the deterministic path; wall-clock reads live only in the
-//!   detlint-D2-allowlisted [`walltime`] module;
+//!   associative and commutative (no floating-point sums). Durations on
+//!   the deterministic path are differences of **virtual simulation
+//!   time**; wall-clock reads live only in the detlint-D2-allowlisted
+//!   [`walltime`] module;
 //! * [`Recorder`] — a per-thread sink for the above. Worker recorders
 //!   merge by unsigned addition, the same contract as the trial engine's
 //!   accuracy reduction, so enabling observability never changes any
@@ -19,19 +19,26 @@
 //!   allocates nothing.
 //! * [`manifest`] — the JSONL run-manifest record written next to every
 //!   experiment CSV (seed, config digest, git rev, detlint budget,
-//!   elapsed, metrics), consumed by `flow-recon diagnose`.
+//!   elapsed, metrics), read back by [`ManifestEntry::from_json_line`]
+//!   for `flow-recon diagnose`.
 //! * [`trace`] — the flight recorder: a bounded, deterministic causal
 //!   event trace ([`FlightRecorder`]) stamping every probe's chain with
-//!   a [`ProbeId`], decomposable into RTT components
-//!   ([`trace::Breakdown`]), dumpable on a crash and exportable as
-//!   Chrome trace-event / Perfetto JSON. See DESIGN.md §11.
+//!   a [`ProbeId`], dumpable on a crash and exportable as Chrome
+//!   trace-event / Perfetto JSON. Its dump reads back
+//!   ([`trace::FlightDump`]) into per-kind counts and each delivered
+//!   probe's RTT components ([`trace::Breakdown`]). See DESIGN.md §11.
 //! * [`write_atomic`] — the one write path for result files (CSVs,
 //!   SVGs, manifests, flight dumps, checkpoints): a killed run leaves
 //!   the previous file or the new one, never a torn one.
 //!
-//! The crate is dependency-free (std only): the deterministic crates
-//! below it must not grow hidden entropy or allocation pressure from
-//! their instrumentation. See DESIGN.md §7 ("Observability").
+//! Every format the crate writes has its one reader here, next to its
+//! writer: [`Recorder::from_metrics`], [`ManifestEntry::from_json_line`],
+//! [`trace::FlightDump::parse`] and [`trace::validate_chrome_trace`],
+//! each failing with a [`ReadError`]. The readers parse with the
+//! vendored `serde_json`, the crate's only dependencies (with `serde`);
+//! the writers are hand-rolled, so the instrumented hot paths gain no
+//! hidden entropy or allocation pressure. See DESIGN.md §7
+//! ("Observability").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,16 +47,16 @@ mod hist;
 pub mod local;
 pub mod manifest;
 pub mod metrics;
+mod read;
 mod recorder;
-mod span;
 pub mod trace;
 pub mod walltime;
 
 pub use hist::Histogram;
 pub use manifest::ManifestEntry;
+pub use read::ReadError;
 pub use recorder::{Counter, Recorder};
-pub use span::Span;
-pub use trace::{probe_ctx, Breakdown, CompKind, FlightRecorder, ProbeId, TraceEv};
+pub use trace::{probe_ctx, Breakdown, CompKind, FlightDump, FlightRecorder, ProbeId, TraceEv};
 
 use std::io;
 use std::path::Path;

@@ -4,13 +4,15 @@
 //! The manifest answers "what produced this CSV?" — seed, config
 //! digest, git revision, detlint panic budget, thread count, elapsed
 //! wall time — plus every metric the run's [`Recorder`] collected.
-//! `flow-recon diagnose` renders these files back into a report.
+//! [`ManifestEntry::from_json_line`] reads a line back, which is how
+//! `flow-recon diagnose` renders these files into a report.
 //!
-//! The JSON here is hand-rolled: `obs` stays dependency-free, and the
-//! schema is flat enough that an encoder would be more code than the
-//! emission. Floats use Rust's `{:e}` scientific notation, which is
+//! The JSON writer here is hand-rolled: the schema is flat enough that
+//! an encoder would be more code than the emission, and its bytes are
+//! the contract. Floats use Rust's `{:e}` scientific notation, which is
 //! both valid JSON and shortest-round-trip exact.
 
+use crate::read::{at, field, parse, ReadError};
 use crate::recorder::Recorder;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -169,6 +171,38 @@ impl ManifestEntry {
         let _ = write!(out, "],\"metrics\":{}}}", recorder.metrics_json());
         out
     }
+
+    /// Reads back a line written by [`ManifestEntry::to_json_line`]: the
+    /// entry and its metrics. A line without a `status` (written before
+    /// runs carried one) reads as `ok`: only a supervised run can be
+    /// interrupted, and those record their status.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError`] when the line is not JSON or a field is missing or
+    /// mistyped.
+    pub fn from_json_line(line: &str) -> Result<(ManifestEntry, Recorder), ReadError> {
+        let v = parse(line)?;
+        let entry = ManifestEntry {
+            experiment: at(&v, "experiment")?,
+            seed: at(&v, "seed")?,
+            configs: at(&v, "configs")?,
+            trials: at(&v, "trials")?,
+            threads: at(&v, "threads")?,
+            config_digest: at(&v, "config_digest")?,
+            git_rev: at(&v, "git_rev")?,
+            detlint_budget: at(&v, "detlint_budget")?,
+            elapsed_secs: at(&v, "elapsed_secs")?,
+            status: match field(&v, "status") {
+                Some(_) => at(&v, "status")?,
+                None => "ok".to_string(),
+            },
+            csv_files: at(&v, "csv_files")?,
+        };
+        let recorder =
+            Recorder::from_metrics(&at(&v, "metrics")?).map_err(|e| e.context("metrics"))?;
+        Ok((entry, recorder))
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +238,47 @@ mod tests {
         std::fs::write(&path, "[panic_budget]\nattack = 10\ncore = 5\n# note\n").unwrap();
         assert_eq!(detlint_budget(&path), 15);
         assert_eq!(detlint_budget(Path::new("/nonexistent/baseline.toml")), 0);
+    }
+
+    #[test]
+    fn json_line_reads_back_to_its_entry_and_recorder() {
+        let mut r = Recorder::enabled();
+        r.add("jobs.units_run", 21);
+        r.observe("netsim.probe_rtt_miss_secs", 4.07e-3);
+        let entry = ManifestEntry {
+            experiment: "fault_sweep".into(),
+            seed: 7,
+            configs: 4,
+            trials: 10,
+            threads: 2,
+            config_digest: "00deadbeef00".into(),
+            git_rev: "unknown".into(),
+            detlint_budget: 22,
+            elapsed_secs: 0.125,
+            status: "interrupted".into(),
+            csv_files: vec!["fault_sweep.csv".into(), "fault_sweep.svg".into()],
+        };
+        let line = entry.to_json_line(&r);
+        assert_eq!(ManifestEntry::from_json_line(&line), Ok((entry.clone(), r)));
+        let (_, off) =
+            ManifestEntry::from_json_line(&entry.to_json_line(&Recorder::disabled())).unwrap();
+        assert!(off.is_empty());
+
+        let without_status = line.replace("\"status\":\"interrupted\",", "");
+        let (read, _) = ManifestEntry::from_json_line(&without_status).unwrap();
+        assert_eq!(read.status, "ok");
+        let without_metrics = line.split(",\"metrics\"").next().unwrap().to_string() + "}";
+        assert_eq!(
+            ManifestEntry::from_json_line(&without_metrics)
+                .unwrap_err()
+                .0,
+            "lacks \"metrics\""
+        );
+        let bad_seed = line.replace("\"seed\":7", "\"seed\":\"seven\"");
+        assert!(ManifestEntry::from_json_line(&bad_seed)
+            .unwrap_err()
+            .0
+            .starts_with("\"seed\":"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use crate::hist::Histogram;
 use crate::manifest::{fmt_f64, json_escape};
+use crate::read::{object_at, ReadError};
+use serde::{Number, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -127,10 +129,7 @@ impl Recorder {
     }
 
     /// Folds a whole histogram into the named slot (bucket-count adds,
-    /// exact min/max — same contract as [`Recorder::merge`]). This is
-    /// how the jobs layer restores checkpointed metric deltas, whose
-    /// histograms arrive reconstructed via [`Histogram::from_parts`]
-    /// rather than observation by observation.
+    /// exact min/max — same contract as [`Recorder::merge`]).
     pub fn merge_histogram(&mut self, name: &str, h: Histogram) {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
@@ -237,6 +236,31 @@ impl Recorder {
             out.push_str(&h.render("  "));
         }
         out
+    }
+
+    /// Reads back a metrics object written by
+    /// [`Recorder::metrics_json`] (a manifest's or a checkpoint unit's
+    /// `"metrics"`): an enabled recorder whose `metrics_json` writes the
+    /// same bytes again.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError`] naming the counter or histogram that does not read
+    /// back.
+    pub fn from_metrics(v: &Value) -> Result<Recorder, ReadError> {
+        let mut rec = Recorder::enabled();
+        for (name, n) in object_at(v, "counters")? {
+            let n = n
+                .as_num()
+                .and_then(Number::as_u64)
+                .ok_or_else(|| ReadError(format!("counter {name} is not a u64")))?;
+            rec.add(name, n);
+        }
+        for (name, h) in object_at(v, "histograms")? {
+            let h = Histogram::from_json(h).map_err(|e| e.context(&format!("histogram {name}")))?;
+            rec.merge_histogram(name, h);
+        }
+        Ok(rec)
     }
 
     /// The metrics as a JSON object (the manifest's `"metrics"` field):
@@ -372,6 +396,33 @@ mod tests {
         let mut d = Recorder::disabled();
         d.merge_histogram("h", Histogram::new());
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn metrics_json_reads_back_to_the_same_bytes() {
+        let mut r = Recorder::enabled();
+        r.add("attack.trials", 240);
+        r.add("zero", 0);
+        for v in [0.0, 1e-9, 8.7e-5, 4.07e-3, 64.0, 1e9, -1.0, f64::NAN] {
+            r.observe("rtt", v);
+        }
+        r.observe("only_rejected", f64::INFINITY);
+        r.merge_histogram("empty", Histogram::new());
+        let h = r.histogram("rtt").unwrap();
+        assert_eq!((h.underflow(), h.overflow(), h.rejected()), (2, 2, 2));
+        for rec in [r, Recorder::enabled(), Recorder::disabled()] {
+            let json = rec.metrics_json();
+            let back = Recorder::from_metrics(&crate::read::parse(&json).unwrap()).unwrap();
+            assert_eq!(back.metrics_json(), json);
+            if rec.is_enabled() {
+                assert_eq!(back, rec);
+            }
+        }
+        let bad = crate::read::parse("{\"counters\":{\"x\":-1},\"histograms\":{}}").unwrap();
+        assert_eq!(
+            Recorder::from_metrics(&bad).unwrap_err().0,
+            "counter x is not a u64"
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! chain — link hops, table misses, packet-ins, flow-mod installs,
 //! injected faults, attack-side retries and verdicts — is stamped with
 //! it, in **sim time**. The result is a per-probe causal chain that can
-//! be decomposed ([`FlightRecorder::explain`]), dumped on a crash
-//! ([`FlightRecorder::dump_jsonl`]) or rendered on a Perfetto timeline
-//! ([`FlightRecorder::to_chrome_trace`]).
+//! be dumped, on a crash too ([`FlightRecorder::dump_jsonl`]), and read
+//! back ([`FlightDump::parse`]) to count events by kind and decompose
+//! each delivered probe's RTT ([`FlightDump::delivered`]), or rendered on
+//! a Perfetto timeline ([`FlightRecorder::to_chrome_trace`], checked by
+//! [`validate_chrome_trace`]).
 //!
 //! # Determinism under parallel merge
 //!
@@ -29,6 +31,8 @@
 //! any computation (CSVs are byte-identical with tracing on or off).
 
 use crate::manifest::{fmt_f64, json_escape};
+use crate::read::{at, field, parse, ReadError};
+use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -382,10 +386,10 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Sum of all components.
+    /// Sum of all components, added in [`Breakdown::components`] order.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.hop + self.jitter + self.controller + self.install + self.packet_in + self.pad
+        self.components().iter().map(|&(_, secs)| secs).sum()
     }
 
     /// `rtt - total()`, or `None` for undelivered probes. Within 1e-9
@@ -395,25 +399,30 @@ impl Breakdown {
         self.rtt.map(|r| r - self.total())
     }
 
-    fn add(&mut self, kind: CompKind, secs: f64) {
-        match kind {
-            CompKind::Hop => self.hop += secs,
-            CompKind::Jitter => self.jitter += secs,
-            CompKind::Controller => self.controller += secs,
-            CompKind::Install => self.install += secs,
-            CompKind::PacketIn => self.packet_in += secs,
-            CompKind::Pad => self.pad += secs,
-        }
+    /// Adds `secs` to the component a dump labels `comp`
+    /// ([`CompKind::name`]); an unknown label adds nothing.
+    fn add(&mut self, comp: &str, secs: f64) {
+        let slot = match comp {
+            "hop" => &mut self.hop,
+            "jitter" => &mut self.jitter,
+            "controller" => &mut self.controller,
+            "install" => &mut self.install,
+            "packet_in" => &mut self.packet_in,
+            "pad" => &mut self.pad,
+            _ => return,
+        };
+        *slot += secs;
     }
 
-    /// Component `(label, seconds)` pairs in canonical order.
+    /// Component `(label, seconds)` pairs in label order, the order
+    /// reports list them in.
     #[must_use]
     pub fn components(&self) -> [(&'static str, f64); 6] {
         [
-            ("hop", self.hop),
-            ("jitter", self.jitter),
             ("controller", self.controller),
+            ("hop", self.hop),
             ("install", self.install),
+            ("jitter", self.jitter),
             ("packet_in", self.packet_in),
             ("pad", self.pad),
         ]
@@ -576,58 +585,6 @@ impl FlightRecorder {
             })
     }
 
-    /// Every delivered probe in the recorder, in key order.
-    #[must_use]
-    pub fn delivered_probes(&self) -> Vec<ProbeId> {
-        let mut out = Vec::new();
-        for (ctx, rec) in self.keyed_records() {
-            if let (TraceEv::Delivered { .. }, Some(token)) = (&rec.ev, rec.probe) {
-                out.push(ProbeId { ctx, token });
-            }
-        }
-        out
-    }
-
-    fn keyed_records(&self) -> impl Iterator<Item = (u64, &TraceRecord)> {
-        self.inner
-            .as_deref()
-            .into_iter()
-            .flat_map(|i| i.events.iter())
-            .map(|(&(ctx, _), rec)| (ctx, rec))
-    }
-
-    /// Decomposes one probe's RTT into its recorded components. `None`
-    /// when no event mentions the probe (disabled recorder, evicted
-    /// records, or an unknown id).
-    #[must_use]
-    pub fn explain(&self, probe: ProbeId) -> Option<Breakdown> {
-        let inner = self.inner.as_deref()?;
-        let mut b = Breakdown::default();
-        let range = inner.events.range((probe.ctx, 0)..=(probe.ctx, u64::MAX));
-        for (_, rec) in range {
-            if rec.probe != Some(probe.token) {
-                continue;
-            }
-            b.events += 1;
-            match &rec.ev {
-                TraceEv::Component { kind, secs } => b.add(*kind, *secs),
-                TraceEv::Delivered { rtt } => b.rtt = Some(*rtt),
-                _ => {}
-            }
-        }
-        (b.events > 0).then_some(b)
-    }
-
-    /// Event counts by kind, in kind order — the `diagnose` summary.
-    #[must_use]
-    pub fn counts_by_kind(&self) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for (_, rec) in self.keyed_records() {
-            *out.entry(rec.ev.kind()).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// One JSON line per record (no header), `(ctx, seq)` order.
     fn record_lines(&self, out: &mut String) {
         let Some(inner) = self.inner.as_deref() else {
@@ -738,6 +695,191 @@ impl FlightRecorder {
     }
 }
 
+/// One record of a flight dump, read back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DumpRecord {
+    /// The emitting simulation's context (see [`probe_ctx`]).
+    pub ctx: u64,
+    /// The emission index within `ctx`.
+    pub seq: u64,
+    /// Sim time of the event, seconds.
+    pub time: f64,
+    /// Probe token within `ctx`, when attributable.
+    pub probe: Option<u64>,
+    /// The event's kind label ([`TraceEv::kind`]).
+    pub kind: String,
+    /// The whole line, the event's own fields among the rest.
+    line: Value,
+}
+
+impl DumpRecord {
+    /// The unit a supervisor bracket names (`unit_start`, `unit_ok`,
+    /// `unit_panic`, `watchdog_fire`, `interrupted`).
+    #[must_use]
+    pub fn unit(&self) -> Option<u64> {
+        at(&self.line, "unit").ok()
+    }
+}
+
+/// A flight dump ([`FlightRecorder::dump_string`]) read back: the
+/// header's provenance and every retained record, in `(ctx, seq)` order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightDump {
+    /// The program that dumped it.
+    pub source: String,
+    /// The recorder's retention bound.
+    pub capacity: u64,
+    /// Records recorded but not retained.
+    pub dropped: u64,
+    /// The retained records.
+    pub records: Vec<DumpRecord>,
+}
+
+impl FlightDump {
+    /// Reads a dump: its typed header, then one record per line. Blank
+    /// lines are skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError`] when the header is not a version-1 `flightrec`
+    /// header, a record line does not parse, or the header's record
+    /// count differs from the lines that follow (a cut-short dump).
+    pub fn parse(text: &str) -> Result<Self, ReadError> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| ReadError("empty flight dump".into()))?;
+        let header = parse(header).map_err(|e| e.context("header"))?;
+        if field(&header, "kind").and_then(Value::as_str) != Some("flightrec") {
+            return Err(ReadError(
+                "not a flight dump (header lacks \"kind\":\"flightrec\")".into(),
+            ));
+        }
+        let head = |key| at::<u64>(&header, key).map_err(|e| e.context("header"));
+        let version = head("version")?;
+        if version != FLIGHTREC_VERSION {
+            return Err(ReadError(format!(
+                "flight dump version {version}, this reader reads {FLIGHTREC_VERSION}"
+            )));
+        }
+        let (capacity, events, dropped) = (head("capacity")?, head("events")?, head("dropped")?);
+        let mut records = Vec::new();
+        for (i, line) in lines {
+            let record = Self::record(line).map_err(|e| e.context(&format!("line {}", i + 1)))?;
+            records.push(record);
+        }
+        if records.len() as u64 != events {
+            return Err(ReadError(format!(
+                "header promises {events} records, found {}",
+                records.len()
+            )));
+        }
+        Ok(FlightDump {
+            source: at(&header, "source").map_err(|e| e.context("header"))?,
+            capacity,
+            dropped,
+            records,
+        })
+    }
+
+    fn record(line: &str) -> Result<DumpRecord, ReadError> {
+        let line = parse(line)?;
+        Ok(DumpRecord {
+            ctx: at(&line, "ctx")?,
+            seq: at(&line, "seq")?,
+            time: at(&line, "time")?,
+            probe: at(&line, "probe")?,
+            kind: at(&line, "kind")?,
+            line,
+        })
+    }
+
+    /// Record counts by kind, in kind order.
+    #[must_use]
+    pub fn counts_by_kind(&self) -> BTreeMap<&str, u64> {
+        let mut out = BTreeMap::new();
+        for r in &self.records {
+            *out.entry(r.kind.as_str()).or_insert(0) += 1;
+        }
+        out
+    }
+
+    /// Every delivered probe with its RTT decomposition, in
+    /// `(ctx, token)` order: the components and the RTT of the records
+    /// attributed to it. A probe whose records were not all retained
+    /// decomposes into what was.
+    #[must_use]
+    pub fn delivered(&self) -> Vec<(ProbeId, Breakdown)> {
+        let mut probes: BTreeMap<ProbeId, Breakdown> = BTreeMap::new();
+        for r in &self.records {
+            let Some(token) = r.probe else { continue };
+            let b = probes.entry(ProbeId { ctx: r.ctx, token }).or_default();
+            b.events += 1;
+            match r.kind.as_str() {
+                "component" => {
+                    if let (Ok(comp), Ok(secs)) =
+                        (at::<String>(&r.line, "comp"), at(&r.line, "secs"))
+                    {
+                        b.add(&comp, secs);
+                    }
+                }
+                "delivered" => b.rtt = at(&r.line, "rtt").ok(),
+                _ => {}
+            }
+        }
+        probes
+            .into_iter()
+            .filter(|(_, b)| b.rtt.is_some())
+            .collect()
+    }
+}
+
+/// Checks a Chrome trace-event export ([`FlightRecorder::to_chrome_trace`])
+/// and returns its event count: a top-level `traceEvents` array whose
+/// entries all carry a string `name` and `ph` and numeric `ts`, `pid`
+/// and `tid`, with a `dur` on complete (`"X"`) slices and a scope `s` on
+/// instants (`"i"`).
+///
+/// # Errors
+///
+/// [`ReadError`] naming the first entry that breaks the format.
+pub fn validate_chrome_trace(text: &str) -> Result<usize, ReadError> {
+    let v = parse(text)?;
+    let events = field(&v, "traceEvents")
+        .and_then(Value::as_array)
+        .ok_or_else(|| ReadError("no top-level \"traceEvents\" array".into()))?;
+    for (i, ev) in events.iter().enumerate() {
+        let fail = |what: &str| ReadError(format!("traceEvents[{i}] {what}"));
+        let text = |key| field(ev, key).and_then(Value::as_str);
+        let num = |key| field(ev, key).and_then(Value::as_num);
+        if ev.as_object().is_none() {
+            return Err(fail("is not an object"));
+        }
+        if text("name").is_none() {
+            return Err(fail("lacks a string \"name\""));
+        }
+        for key in ["ts", "pid", "tid"] {
+            if num(key).is_none() {
+                return Err(fail(&format!("lacks a numeric \"{key}\"")));
+            }
+        }
+        match text("ph") {
+            None => return Err(fail("lacks a string \"ph\"")),
+            Some("X") if num("dur").is_none() => {
+                return Err(fail("is a complete slice without a numeric \"dur\""));
+            }
+            Some("i") if text("s").is_none() => {
+                return Err(fail("is an instant without a scope \"s\""));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(events.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,7 +896,8 @@ mod tests {
         assert!(!f.is_enabled());
         assert!(f.is_empty());
         assert_eq!(f.dropped(), 0);
-        assert!(f.explain(ProbeId { ctx: 7, token: 0 }).is_none());
+        let dump = FlightDump::parse(&f.dump_string("off")).unwrap();
+        assert!(dump.records.is_empty() && dump.delivered().is_empty());
     }
 
     #[test]
@@ -803,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_sums_components_against_rtt() {
+    fn delivered_probe_decomposes_into_its_components() {
         let mut f = FlightRecorder::enabled();
         f.begin(probe_ctx(1, 2, 0));
         let p = Some(0);
@@ -833,22 +976,24 @@ mod tests {
             },
         );
         f.log(2.15e-3, p, TraceEv::Delivered { rtt: 2.15e-3 });
-        let b = f
-            .explain(ProbeId {
+        // A second probe of the context that never delivered.
+        f.log(3e-3, Some(1), TraceEv::Inject { flow: 9 });
+        let dump = FlightDump::parse(&f.dump_string("t")).unwrap();
+        let delivered = dump.delivered();
+        assert_eq!(delivered.len(), 1);
+        let (id, b) = delivered[0];
+        assert_eq!(
+            id,
+            ProbeId {
                 ctx: probe_ctx(1, 2, 0),
-                token: 0,
-            })
-            .unwrap();
+                token: 0
+            }
+        );
+        assert_eq!((id.unit(), id.trial(), id.attacker()), (1, 2, 0));
         assert_eq!(b.rtt, Some(2.15e-3));
+        assert_eq!((b.hop, b.controller, b.jitter), (1e-4, 2e-3, 5e-5));
         assert!(b.residual().unwrap().abs() < 1e-12, "{b:?}");
         assert_eq!(b.events, 5);
-        // A different token in the same ctx is separate.
-        assert!(f
-            .explain(ProbeId {
-                ctx: probe_ctx(1, 2, 0),
-                token: 1
-            })
-            .is_none());
     }
 
     #[test]
@@ -931,9 +1076,226 @@ mod tests {
         f.log(1.0, Some(0), TraceEv::Delivered { rtt: 4e-3 });
         f.log(2.0, Some(1), TraceEv::Inject { flow: 2 });
         f.log(3.0, Some(1), TraceEv::Delivered { rtt: 9e-5 });
-        let counts = f.counts_by_kind();
+        let dump = FlightDump::parse(&f.dump_string("c")).unwrap();
+        let counts = dump.counts_by_kind();
         assert_eq!(counts["inject"], 2);
         assert_eq!(counts["delivered"], 2);
-        assert_eq!(f.delivered_probes().len(), 2);
+        assert_eq!(dump.delivered().len(), 2);
+    }
+
+    /// One event of every kind, each with its fields set.
+    fn every_event() -> Vec<(Option<u64>, TraceEv)> {
+        let comp = |kind| TraceEv::Component {
+            kind,
+            secs: 1.25e-4,
+        };
+        vec![
+            (Some(0), TraceEv::Inject { flow: 3 }),
+            (Some(0), TraceEv::Hit { node: 1, rule: 2 }),
+            (
+                Some(0),
+                TraceEv::Miss {
+                    node: 1,
+                    rule: 2,
+                    fresh: false,
+                },
+            ),
+            (Some(0), TraceEv::PacketIn { node: 1, rule: 2 }),
+            (
+                Some(0),
+                TraceEv::Install {
+                    node: 1,
+                    rule: 2,
+                    evicted: Some(4),
+                },
+            ),
+            (
+                Some(0),
+                TraceEv::Install {
+                    node: 1,
+                    rule: 5,
+                    evicted: None,
+                },
+            ),
+            (Some(1), TraceEv::Uncovered { node: 6 }),
+            (Some(0), TraceEv::Delivered { rtt: 4.07e-3 }),
+            (
+                None,
+                TraceEv::Fault {
+                    kind: "flow_mods_lost",
+                    node: Some(1),
+                },
+            ),
+            (
+                Some(1),
+                TraceEv::Fault {
+                    kind: "probe_timeouts",
+                    node: None,
+                },
+            ),
+            (Some(0), comp(CompKind::Hop)),
+            (Some(0), comp(CompKind::Jitter)),
+            (Some(0), comp(CompKind::Controller)),
+            (Some(0), comp(CompKind::Install)),
+            (Some(0), comp(CompKind::PacketIn)),
+            (Some(0), comp(CompKind::Pad)),
+            (
+                Some(1),
+                TraceEv::Retry {
+                    attempt: 0,
+                    backoff: 0.05,
+                },
+            ),
+            (Some(1), TraceEv::Outlier { rtt: 0.5 }),
+            (
+                Some(1),
+                TraceEv::Classified {
+                    rtt: 8.7e-5,
+                    hit: true,
+                },
+            ),
+            (
+                None,
+                TraceEv::Verdict {
+                    verdict: "present",
+                    attacker: "model",
+                },
+            ),
+            (
+                None,
+                TraceEv::Span {
+                    name: "question",
+                    secs: 0.1,
+                },
+            ),
+            (
+                None,
+                TraceEv::UnitStart {
+                    unit: 3,
+                    attempt: 0,
+                },
+            ),
+            (
+                None,
+                TraceEv::UnitOk {
+                    unit: 3,
+                    attempt: 0,
+                },
+            ),
+            (
+                None,
+                TraceEv::UnitPanic {
+                    unit: 3,
+                    attempt: 1,
+                },
+            ),
+            (
+                None,
+                TraceEv::WatchdogFire {
+                    unit: 3,
+                    attempt: 2,
+                    limit_ms: 500,
+                },
+            ),
+            (None, TraceEv::Interrupted { unit: 4 }),
+        ]
+    }
+
+    #[test]
+    fn dump_reads_back_to_the_retained_records() {
+        let mut f = FlightRecorder::with_capacity(20);
+        f.begin(probe_ctx(2, 1, 1));
+        for (i, (probe, ev)) in every_event().into_iter().enumerate() {
+            f.log(i as f64 * 1e-3 + 1.0 / 3.0, probe, ev);
+        }
+        let dump = FlightDump::parse(&f.dump_string("round_trip")).unwrap();
+        assert_eq!(dump.source, "round_trip");
+        assert_eq!((dump.capacity, dump.dropped), (20, 6));
+        let inner = f.inner.as_deref().unwrap();
+        assert_eq!(dump.records.len(), inner.events.len());
+        for (read, (&(ctx, seq), rec)) in dump.records.iter().zip(&inner.events) {
+            assert_eq!((read.ctx, read.seq), (ctx, seq));
+            assert_eq!(read.time.to_bits(), rec.time.to_bits());
+            assert_eq!((read.probe, read.kind.as_str()), (rec.probe, rec.ev.kind()));
+            let fields = parse(&format!("{{{}}}", rec.ev.args_json())).unwrap();
+            for (key, value) in fields.as_object().unwrap() {
+                assert_eq!(field(&read.line, key), Some(value), "{key} of {:?}", rec.ev);
+            }
+        }
+        // Every component label adds to its own slot of the breakdown.
+        let delivered = dump.delivered();
+        assert_eq!(delivered.len(), 1);
+        let (_, b) = delivered[0];
+        assert!(
+            b.components().iter().all(|&(_, secs)| secs == 1.25e-4),
+            "{b:?}"
+        );
+        let interrupted = dump.records.last().unwrap();
+        assert_eq!(
+            (interrupted.kind.as_str(), interrupted.unit()),
+            ("interrupted", Some(4))
+        );
+    }
+
+    #[test]
+    fn dump_reader_refuses_what_the_writer_never_writes() {
+        let mut f = FlightRecorder::enabled();
+        f.begin(1);
+        f.log(0.0, Some(0), TraceEv::Inject { flow: 1 });
+        f.log(1.0, Some(0), TraceEv::Delivered { rtt: 4e-3 });
+        let dump = f.dump_string("x");
+        let err = |text: &str| FlightDump::parse(text).unwrap_err().0;
+        assert_eq!(err(""), "empty flight dump");
+        let cut: String = dump.lines().take(2).map(|l| format!("{l}\n")).collect();
+        assert_eq!(err(&cut), "header promises 2 records, found 1");
+        assert!(err(&dump.replace("flightrec", "manifest")).starts_with("not a flight dump"));
+        assert_eq!(
+            err(&dump.replace("\"version\":1", "\"version\":2")),
+            "flight dump version 2, this reader reads 1"
+        );
+        assert!(err(&dump.replace("\"seq\":1", "\"seq\":-1")).starts_with("line 3: \"seq\""));
+    }
+
+    #[test]
+    fn chrome_trace_check_accepts_the_export_and_names_what_is_wrong() {
+        let mut f = FlightRecorder::enabled();
+        f.begin(probe_ctx(0, 1, 2));
+        for (probe, ev) in every_event() {
+            f.log(0.25, probe, ev);
+        }
+        f.begin(SUPERVISOR_CTX);
+        f.log(
+            0.0,
+            None,
+            TraceEv::UnitOk {
+                unit: 0,
+                attempt: 0,
+            },
+        );
+        assert_eq!(validate_chrome_trace(&f.to_chrome_trace()), Ok(f.len()));
+        let check = |text: &str| validate_chrome_trace(text).unwrap_err().0;
+        assert_eq!(
+            check("{\"notTraceEvents\":[]}"),
+            "no top-level \"traceEvents\" array"
+        );
+        assert_eq!(
+            check("{\"traceEvents\":[3]}"),
+            "traceEvents[0] is not an object"
+        );
+        assert_eq!(
+            check("{\"traceEvents\":[{\"name\":\"x\"}]}"),
+            "traceEvents[0] lacks a numeric \"ts\""
+        );
+        let slice = "{\"name\":\"x\",\"ph\":\"X\",\"ts\":0,\"pid\":0,\"tid\":0}";
+        assert_eq!(
+            check(&format!("{{\"traceEvents\":[{slice}]}}")),
+            "traceEvents[0] is a complete slice without a numeric \"dur\""
+        );
+        let instant = slice.replace("\"X\"", "\"i\"");
+        assert_eq!(
+            check(&format!("{{\"traceEvents\":[{instant}]}}")),
+            "traceEvents[0] is an instant without a scope \"s\""
+        );
+        assert!(check("{\"traceEvents\":[").starts_with("JSON error"));
     }
 }

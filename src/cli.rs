@@ -19,11 +19,13 @@ use attack::{
     TrialRun,
 };
 use ftcache::PolicyKind;
+use obs::metrics;
+use obs::trace::{validate_chrome_trace, DumpRecord, SUPERVISOR_CTX};
+use obs::{FlightDump, ManifestEntry, ProbeId, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::leakage::measure_leakage;
 use recon_core::useq::Evaluator;
-use serde::{Number, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use traffic::{NetworkScenario, ScenarioSampler};
@@ -45,16 +47,23 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a usage message when the command is missing or an option
-    /// has no value.
+    /// Returns a usage message when the command is missing, an option
+    /// has no value, or the command does not take an option.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut it = args.into_iter();
         let command = it.next().ok_or_else(usage)?;
+        let takes = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|&(_, takes)| takes);
         let mut options = Vec::new();
         while let Some(k) = it.next() {
             let k = k
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got {k:?}\n{}", usage()))?;
+            if takes.is_some_and(|takes| !takes.split(' ').any(|t| t == k)) {
+                return Err(format!("{command} does not take --{k}\n{}", usage()));
+            }
             let v = it.next().ok_or_else(|| format!("--{k} expects a value"))?;
             options.push((k.to_string(), v));
         }
@@ -77,6 +86,16 @@ impl Args {
         }
     }
 }
+
+/// Each subcommand with the options it takes, as [`usage`] lists them.
+const COMMANDS: [(&str, &str); 6] = [
+    ("sample", "seed bits rules capacity absence-lo absence-hi"),
+    ("plan", "scenario multi adaptive"),
+    ("leakage", "scenario"),
+    ("simulate", "scenario trials seed threads fault-rate policy"),
+    ("diagnose", "manifest results svg"),
+    ("trace", "flightrec top svg validate"),
+];
 
 /// The usage banner.
 #[must_use]
@@ -210,7 +229,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 Some(v) => ExecPolicy::parse(v).ok_or_else(|| {
                     format!("--threads: expected a thread count or `auto`, got {v:?}")
                 })?,
-                None => ExecPolicy::from_env(),
+                None => ExecPolicy::from_env().map_err(|e| e.to_string())?,
             };
             let fault_rate: f64 = args.get_parse("fault-rate", 0.0)?;
             let plan = plan_attack(&sc, Evaluator::mean_field()).map_err(|e| e.to_string())?;
@@ -301,9 +320,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("reading {}: {e}", path.display()))?;
                 for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let v: Value = serde_json::from_str(line)
+                    let (entry, recorder) = ManifestEntry::from_json_line(line)
                         .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-                    render_manifest(&mut out, path, &v, &mut hists)?;
+                    render_manifest(&mut out, path, &entry, &recorder);
+                    hists.extend(
+                        recorder
+                            .histograms()
+                            .map(|(n, h)| (n.to_string(), h.clone())),
+                    );
                 }
                 // A flight dump next to the manifest (written by a traced
                 // sweep or a crash-forensics dump) rides along in the report.
@@ -311,7 +335,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 if let Some(stem) = name.strip_suffix(".manifest.jsonl") {
                     let fr = path.with_file_name(format!("{stem}.flightrec.jsonl"));
                     if fr.exists() {
-                        render_flight_summary(&mut out, &fr, 5)?;
+                        let dump = read_flight_dump(&fr)?;
+                        let _ = writeln!(out, "== {} ==", fr.display());
+                        render_flight_header(&mut out, &dump);
+                        render_flight_slowest(&mut out, &dump, 5);
+                        out.push('\n');
                     }
                 }
             }
@@ -324,19 +352,24 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
         "trace" => {
             if let Some(path) = args.get("validate") {
-                return validate_chrome_trace(path);
+                let text =
+                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+                let events = validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+                return Ok(format!(
+                    "{path}: valid Chrome trace JSON ({events} events)\n"
+                ));
             }
             let path = args
                 .get("flightrec")
                 .ok_or("--flightrec FILE (or --validate FILE) is required")?;
             let top: usize = args.get_parse("top", 5)?;
             let mut out = String::new();
-            let (header, recs) = parse_flightrec(Path::new(path))?;
-            render_flight_header(&mut out, &header, &recs);
-            render_flight_timeline(&mut out, &recs);
-            render_flight_slowest(&mut out, &recs, top);
+            let dump = read_flight_dump(Path::new(path))?;
+            render_flight_header(&mut out, &dump);
+            render_flight_timeline(&mut out, &dump.records);
+            render_flight_slowest(&mut out, &dump, top);
             if let Some(svg_path) = args.get("svg") {
-                obs::write_atomic(svg_path, flight_svg(&recs))
+                obs::write_atomic(svg_path, flight_svg(&dump.records))
                     .map_err(|e| format!("writing {svg_path}: {e}"))?;
                 let _ = writeln!(out, "wrote {svg_path}");
             }
@@ -349,145 +382,45 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
 // ---- diagnose helpers ------------------------------------------------------
 
-fn jget<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    v.as_object()?
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-}
-
-fn jstr(v: &Value, key: &str) -> String {
-    jget(v, key)
-        .and_then(Value::as_str)
-        .unwrap_or("?")
-        .to_string()
-}
-
-fn ju64(v: &Value, key: &str) -> u64 {
-    jget(v, key)
-        .and_then(Value::as_num)
-        .and_then(Number::as_u64)
-        .unwrap_or(0)
-}
-
-fn jf64(v: &Value, key: &str) -> f64 {
-    jget(v, key)
-        .and_then(Value::as_num)
-        .map_or(0.0, Number::as_f64)
-}
-
-fn counter_val(counters: &[(String, Value)], name: &str) -> u64 {
-    counters
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_num())
-        .and_then(Number::as_u64)
-        .unwrap_or(0)
-}
-
-/// Rebuilds an [`obs::Histogram`] from its manifest JSON object
-/// (`{count,underflow,overflow,rejected,min,max,buckets:[[lo,c],…]}`).
-fn hist_from_json(h: &Value) -> obs::Histogram {
-    let pairs: Vec<(f64, u64)> = jget(h, "buckets")
-        .and_then(Value::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|pair| {
-                    let pair = pair.as_array()?;
-                    let lo = pair.first()?.as_num()?.as_f64();
-                    let c = pair.get(1)?.as_num()?.as_u64()?;
-                    Some((lo, c))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    obs::Histogram::from_parts(
-        &pairs,
-        ju64(h, "underflow"),
-        ju64(h, "overflow"),
-        ju64(h, "rejected"),
-        jf64(h, "min"),
-        jf64(h, "max"),
-    )
-}
-
-/// Renders one manifest line into the report and collects its
-/// histograms for the optional SVG.
-fn render_manifest(
-    out: &mut String,
-    path: &Path,
-    v: &Value,
-    hists_out: &mut Vec<(String, obs::Histogram)>,
-) -> Result<(), CliError> {
+/// Renders one manifest entry and its metrics into the report: the run's
+/// header, the metrics, then the answer-rate, fault, cache and
+/// supervisor summaries drawn from the counters.
+fn render_manifest(out: &mut String, path: &Path, entry: &ManifestEntry, recorder: &Recorder) {
     let _ = writeln!(out, "== {} ==", path.display());
-    let _ = writeln!(out, "  experiment      {}", jstr(v, "experiment"));
-    let _ = writeln!(out, "  seed            {}", ju64(v, "seed"));
+    let _ = writeln!(out, "  experiment      {}", entry.experiment);
+    let _ = writeln!(out, "  seed            {}", entry.seed);
     let _ = writeln!(
         out,
         "  configs/trials  {} x {}",
-        ju64(v, "configs"),
-        ju64(v, "trials")
+        entry.configs, entry.trials
     );
-    let _ = writeln!(out, "  threads         {}", ju64(v, "threads"));
-    let _ = writeln!(out, "  config digest   {}", jstr(v, "config_digest"));
-    let _ = writeln!(out, "  git rev         {}", jstr(v, "git_rev"));
-    let _ = writeln!(out, "  detlint budget  {}", ju64(v, "detlint_budget"));
-    let _ = writeln!(out, "  elapsed         {:.2} s", jf64(v, "elapsed_secs"));
-    // Manifests written before runs carried a status are complete "ok"
-    // runs by definition — only the supervised path can interrupt.
-    let status = jget(v, "status")
-        .and_then(Value::as_str)
-        .unwrap_or("ok")
-        .to_string();
-    let _ = writeln!(out, "  status          {status}");
-    let csvs: Vec<&str> = jget(v, "csv_files")
-        .and_then(Value::as_array)
-        .map(|a| a.iter().filter_map(Value::as_str).collect())
-        .unwrap_or_default();
-    let _ = writeln!(out, "  files           {}", csvs.join(", "));
-
-    let metrics = jget(v, "metrics")
-        .ok_or_else(|| format!("{}: manifest has no \"metrics\" field", path.display()))?;
-    let empty: &[(String, Value)] = &[];
-    let counters = jget(metrics, "counters")
-        .and_then(Value::as_object)
-        .unwrap_or(empty);
-    let histograms = jget(metrics, "histograms")
-        .and_then(Value::as_object)
-        .unwrap_or(empty);
-    if counters.is_empty() && histograms.is_empty() {
+    let _ = writeln!(out, "  threads         {}", entry.threads);
+    let _ = writeln!(out, "  config digest   {}", entry.config_digest);
+    let _ = writeln!(out, "  git rev         {}", entry.git_rev);
+    let _ = writeln!(out, "  detlint budget  {}", entry.detlint_budget);
+    let _ = writeln!(out, "  elapsed         {:.2} s", entry.elapsed_secs);
+    let _ = writeln!(out, "  status          {}", entry.status);
+    let _ = writeln!(out, "  files           {}", entry.csv_files.join(", "));
+    if recorder.is_empty() {
         let _ = writeln!(out, "\n  (no metrics recorded — rerun with --obs)\n");
-        return Ok(());
+        return;
     }
-
-    if !counters.is_empty() {
-        let _ = writeln!(out, "\ncounters:");
-        for (name, val) in counters {
-            let _ = writeln!(
-                out,
-                "  {name:<44} {}",
-                val.as_num().and_then(Number::as_u64).unwrap_or(0)
-            );
-        }
-    }
+    out.push('\n');
+    out.push_str(&recorder.render());
 
     // Answer-rate breakdown per attacker, from the paired
     // `attack.answered.*` / `attack.inconclusive.*` counters.
-    let mut kinds: Vec<&str> = counters
-        .iter()
-        .filter_map(|(k, _)| {
-            k.strip_prefix("attack.answered.")
-                .or_else(|| k.strip_prefix("attack.inconclusive."))
-        })
-        .collect();
-    kinds.sort_unstable();
-    kinds.dedup();
+    let kinds = suffixes(recorder, |name| {
+        name.strip_prefix(metrics::ANSWERED_PREFIX)
+            .or_else(|| name.strip_prefix(metrics::INCONCLUSIVE_PREFIX))?
+            .strip_prefix('.')
+    });
     if !kinds.is_empty() {
         let _ = writeln!(out, "\nanswer rate by attacker:");
         for kind in kinds {
-            let answered = counter_val(counters, &format!("attack.answered.{kind}"));
-            let inconclusive = counter_val(counters, &format!("attack.inconclusive.{kind}"));
+            let answered = recorder.counter(&format!("{}.{kind}", metrics::ANSWERED_PREFIX));
+            let inconclusive =
+                recorder.counter(&format!("{}.{kind}", metrics::INCONCLUSIVE_PREFIX));
             let total = answered + inconclusive;
             let rate = if total > 0 {
                 answered as f64 / total as f64
@@ -501,36 +434,21 @@ fn render_manifest(
         }
     }
 
-    let faults: Vec<_> = counters
-        .iter()
-        .filter_map(|(k, val)| Some((k.strip_prefix("netsim.fault.")?, val)))
-        .collect();
-    if !faults.is_empty() {
-        let _ = writeln!(out, "\nfault injection counters:");
-        for (name, val) in faults {
-            let _ = writeln!(
-                out,
-                "  {name:<28} {}",
-                val.as_num().and_then(Number::as_u64).unwrap_or(0)
-            );
-        }
-    }
+    render_counter_group(out, recorder, "fault injection counters:", "netsim.fault.");
 
     // Per-policy ingress cache counters, from the suffixed
     // `netsim.cache.<metric>.<policy>` counters the trial engine records.
-    let mut cache_policies: Vec<&str> = counters
-        .iter()
-        .filter_map(|(k, _)| k.strip_prefix("netsim.cache.")?.split('.').nth(1))
-        .collect();
-    cache_policies.sort_unstable();
-    cache_policies.dedup();
-    if !cache_policies.is_empty() {
+    let policies = suffixes(recorder, |name| {
+        name.strip_prefix("netsim.cache.")?.split('.').nth(1)
+    });
+    if !policies.is_empty() {
         let _ = writeln!(out, "\ningress cache counters by policy:");
-        for p in cache_policies {
-            let hits = counter_val(counters, &format!("netsim.cache.hits.{p}"));
-            let misses = counter_val(counters, &format!("netsim.cache.misses.{p}"));
-            let evictions = counter_val(counters, &format!("netsim.cache.evictions.{p}"));
-            let installs = counter_val(counters, &format!("netsim.cache.installs.{p}"));
+        for p in policies {
+            let count = |prefix: &str| recorder.counter(&format!("{prefix}.{p}"));
+            let hits = count(metrics::CACHE_HITS_PREFIX);
+            let misses = count(metrics::CACHE_MISSES_PREFIX);
+            let evictions = count(metrics::CACHE_EVICTIONS_PREFIX);
+            let installs = count(metrics::CACHE_INSTALLS_PREFIX);
             let lookups = hits + misses;
             let rate = if lookups > 0 {
                 hits as f64 / lookups as f64
@@ -547,38 +465,37 @@ fn render_manifest(
 
     // Supervision counters from the crash-safe job layer (`jobs.*`),
     // present whenever a sweep ran under `jobs::run_units` with --obs.
-    let supervisor: Vec<_> = counters
-        .iter()
-        .filter_map(|(k, val)| Some((k.strip_prefix("jobs.")?, val)))
+    render_counter_group(out, recorder, "supervisor:", "jobs.");
+    out.push('\n');
+}
+
+/// The distinct values `suffix` picks out of the counter names, sorted.
+fn suffixes<'a>(
+    recorder: &'a Recorder,
+    suffix: impl Fn(&'a str) -> Option<&'a str>,
+) -> Vec<&'a str> {
+    let mut out: Vec<&str> = recorder
+        .counters()
+        .filter_map(|(name, _)| suffix(name))
         .collect();
-    if !supervisor.is_empty() {
-        let _ = writeln!(out, "\nsupervisor:");
-        for (name, val) in supervisor {
-            let _ = writeln!(
-                out,
-                "  {name:<28} {}",
-                val.as_num().and_then(Number::as_u64).unwrap_or(0)
-            );
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// A titled section listing the counters named `prefix*`, the prefix
+/// stripped; nothing when there are none.
+fn render_counter_group(out: &mut String, recorder: &Recorder, title: &str, prefix: &str) {
+    let group: Vec<(&str, u64)> = recorder
+        .counters()
+        .filter_map(|(name, v)| Some((name.strip_prefix(prefix)?, v)))
+        .collect();
+    if !group.is_empty() {
+        let _ = writeln!(out, "\n{title}");
+        for (name, v) in group {
+            let _ = writeln!(out, "  {name:<28} {v}");
         }
     }
-
-    for (name, hv) in histograms {
-        let h = hist_from_json(hv);
-        let fmt_opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.3e}"));
-        let _ = writeln!(
-            out,
-            "\nhistogram {name}: n={} min={} max={} p50={} p99={}",
-            h.count(),
-            fmt_opt(h.min()),
-            fmt_opt(h.max()),
-            fmt_opt(h.quantile(0.5)),
-            fmt_opt(h.quantile(0.99)),
-        );
-        out.push_str(&h.render("  "));
-        hists_out.push((name.clone(), h));
-    }
-    out.push('\n');
-    Ok(())
 }
 
 /// A small self-contained SVG: one horizontal band of bars per
@@ -626,94 +543,44 @@ fn diagnose_svg(hists: &[(String, obs::Histogram)]) -> String {
 
 // ---- trace helpers ---------------------------------------------------------
 
-/// One parsed flight-recorder record line, holding only the fields the
-/// reports need (ids, attribution, and the RTT/component payloads).
-struct FlightLine {
-    ctx: u64,
-    time: f64,
-    probe: Option<u64>,
-    kind: String,
-    comp: Option<String>,
-    secs: Option<f64>,
-    rtt: Option<f64>,
-    unit: Option<u64>,
-}
-
-/// The supervisor context marker (`obs::trace::SUPERVISOR_CTX`).
-const SUPERVISOR_CTX: u64 = u64::MAX;
-
-/// Decodes a packed probe context for display.
+/// A probe context for display: `u<unit> t<trial> a<attacker>`, or
+/// `supervisor` for the job supervisor's brackets.
 fn ctx_label(ctx: u64) -> String {
     if ctx == SUPERVISOR_CTX {
-        "supervisor".to_string()
-    } else {
-        format!(
-            "u{} t{} a{}",
-            ctx >> 40,
-            (ctx >> 8) & 0xFFFF_FFFF,
-            ctx & 0xFF
-        )
+        return "supervisor".to_string();
     }
+    let id = ProbeId { ctx, token: 0 };
+    format!("u{} t{} a{}", id.unit(), id.trial(), id.attacker())
 }
 
-/// Reads a `.flightrec.jsonl` dump: the typed header plus every record.
-fn parse_flightrec(path: &Path) -> Result<(Value, Vec<FlightLine>), CliError> {
+/// Reads a `.flightrec.jsonl` dump.
+fn read_flight_dump(path: &Path) -> Result<FlightDump, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_text = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty flight dump", path.display()))?;
-    let header: Value = serde_json::from_str(header_text)
-        .map_err(|e| format!("parsing {} header: {e}", path.display()))?;
-    if jget(&header, "kind").and_then(Value::as_str) != Some("flightrec") {
-        return Err(format!(
-            "{}: not a flight dump (header lacks \"kind\":\"flightrec\")",
-            path.display()
-        ));
-    }
-    let mut recs = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("{} line {}: {e}", path.display(), i + 2))?;
-        recs.push(FlightLine {
-            ctx: ju64(&v, "ctx"),
-            time: jf64(&v, "time"),
-            probe: jget(&v, "probe")
-                .and_then(Value::as_num)
-                .and_then(Number::as_u64),
-            kind: jstr(&v, "kind"),
-            comp: jget(&v, "comp").and_then(Value::as_str).map(String::from),
-            secs: jget(&v, "secs").and_then(Value::as_num).map(Number::as_f64),
-            rtt: jget(&v, "rtt").and_then(Value::as_num).map(Number::as_f64),
-            unit: jget(&v, "unit")
-                .and_then(Value::as_num)
-                .and_then(Number::as_u64),
-        });
-    }
-    Ok((header, recs))
+    FlightDump::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Header + per-kind counts, shared by `trace` and `diagnose`.
-fn render_flight_header(out: &mut String, header: &Value, recs: &[FlightLine]) {
+fn render_flight_header(out: &mut String, dump: &FlightDump) {
     let _ = writeln!(
         out,
         "flight recorder: source {}  events {} (dropped {}, capacity {})",
-        jstr(header, "source"),
-        ju64(header, "events"),
-        ju64(header, "dropped"),
-        ju64(header, "capacity"),
+        dump.source,
+        dump.records.len(),
+        dump.dropped,
+        dump.capacity,
     );
-    let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for r in recs {
-        *counts.entry(r.kind.as_str()).or_insert(0) += 1;
-    }
-    let joined: Vec<String> = counts.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    let joined: Vec<String> = dump
+        .counts_by_kind()
+        .iter()
+        .map(|(k, n)| format!("{k} {n}"))
+        .collect();
     let _ = writeln!(out, "  counts: {}", joined.join(", "));
-    let supervision: Vec<String> = recs
+    let supervision: Vec<String> = dump
+        .records
         .iter()
         .filter(|r| r.ctx == SUPERVISOR_CTX)
-        .map(|r| match r.unit {
+        .map(|r| match r.unit() {
             Some(u) => format!("{}(u{u})", r.kind),
             None => r.kind.clone(),
         })
@@ -727,10 +594,10 @@ fn render_flight_header(out: &mut String, header: &Value, recs: &[FlightLine]) {
 /// events only — supervisor brackets use logical unit time and are
 /// summarized by [`render_flight_header`] instead). `!` marks a fault,
 /// `D` a delivery, `.` any other event.
-fn render_flight_timeline(out: &mut String, recs: &[FlightLine]) {
+fn render_flight_timeline(out: &mut String, recs: &[DumpRecord]) {
     const COLS: usize = 60;
     const MAX_LANES: usize = 20;
-    let sim: Vec<&FlightLine> = recs.iter().filter(|r| r.ctx != SUPERVISOR_CTX).collect();
+    let sim: Vec<&DumpRecord> = recs.iter().filter(|r| r.ctx != SUPERVISOR_CTX).collect();
     let Some((tmin, tmax)) = sim
         .iter()
         .map(|r| r.time)
@@ -778,80 +645,47 @@ fn render_flight_timeline(out: &mut String, recs: &[FlightLine]) {
     }
 }
 
-/// Per-probe component sums and RTT, keyed `(ctx, probe)`.
-type FlightBreakdowns =
-    std::collections::BTreeMap<(u64, u64), (Option<f64>, std::collections::BTreeMap<String, f64>)>;
-
-fn flight_breakdowns(recs: &[FlightLine]) -> FlightBreakdowns {
-    let mut out = FlightBreakdowns::new();
-    for r in recs {
-        let Some(probe) = r.probe else { continue };
-        let entry = out.entry((r.ctx, probe)).or_default();
-        match r.kind.as_str() {
-            "component" => {
-                if let (Some(comp), Some(secs)) = (&r.comp, r.secs) {
-                    *entry.1.entry(comp.clone()).or_insert(0.0) += secs;
-                }
-            }
-            "delivered" => entry.0 = r.rtt,
-            _ => {}
-        }
-    }
-    out
-}
-
 /// The top-K slowest delivered probes with their RTT decomposition.
-fn render_flight_slowest(out: &mut String, recs: &[FlightLine], top: usize) {
-    let breakdowns = flight_breakdowns(recs);
-    let mut delivered: Vec<(&(u64, u64), f64)> = breakdowns
-        .iter()
-        .filter_map(|(key, (rtt, _))| rtt.map(|r| (key, r)))
-        .collect();
-    delivered.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
+fn render_flight_slowest(out: &mut String, dump: &FlightDump, top: usize) {
+    let mut delivered = dump.delivered();
+    delivered.sort_by(|(a_id, a), (b_id, b)| {
+        b.rtt
+            .partial_cmp(&a.rtt)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(b.0))
+            .then(a_id.cmp(b_id))
     });
     if delivered.is_empty() {
         let _ = writeln!(out, "  (no delivered probes recorded)");
         return;
     }
     let _ = writeln!(out, "top {} slowest probes:", top.min(delivered.len()));
-    for ((ctx, probe), rtt) in delivered.into_iter().take(top) {
-        let comps = &breakdowns[&(*ctx, *probe)].1;
-        let parts: Vec<String> = comps
+    for (id, b) in delivered.into_iter().take(top) {
+        let (Some(rtt), Some(residual)) = (b.rtt, b.residual()) else {
+            continue;
+        };
+        let parts: Vec<String> = b
+            .components()
             .iter()
-            .filter(|(_, &secs)| secs != 0.0)
+            .filter(|&&(_, secs)| secs != 0.0)
             .map(|(name, secs)| format!("{name} {secs:.3e}"))
             .collect();
-        let residual = rtt - comps.values().sum::<f64>();
         let _ = writeln!(
             out,
-            "  {:<16} probe {probe:<3} rtt {rtt:.3e} s = {} (residual {residual:.1e})",
-            ctx_label(*ctx),
+            "  {:<16} probe {:<3} rtt {rtt:.3e} s = {} (residual {residual:.1e})",
+            ctx_label(id.ctx),
+            id.token,
             parts.join(" + "),
         );
     }
 }
 
-/// The `diagnose` view of a flight dump: header, counts and the top-K
-/// slowest probes (no timeline).
-fn render_flight_summary(out: &mut String, path: &Path, top: usize) -> Result<(), CliError> {
-    let (header, recs) = parse_flightrec(path)?;
-    let _ = writeln!(out, "== {} ==", path.display());
-    render_flight_header(out, &header, &recs);
-    render_flight_slowest(out, &recs, top);
-    out.push('\n');
-    Ok(())
-}
-
 /// A small self-contained SVG timeline: one band per probe context,
 /// event ticks colored by category.
-fn flight_svg(recs: &[FlightLine]) -> String {
+fn flight_svg(recs: &[DumpRecord]) -> String {
     const WIDTH: usize = 640;
     const LANE: usize = 16;
     const LABEL: usize = 130;
-    let sim: Vec<&FlightLine> = recs.iter().filter(|r| r.ctx != SUPERVISOR_CTX).collect();
+    let sim: Vec<&DumpRecord> = recs.iter().filter(|r| r.ctx != SUPERVISOR_CTX).collect();
     let mut ctxs: Vec<u64> = sim.iter().map(|r| r.ctx).collect();
     ctxs.sort_unstable();
     ctxs.dedup();
@@ -911,46 +745,6 @@ fn flight_svg(recs: &[FlightLine]) -> String {
     s
 }
 
-/// Validates a Chrome trace-event JSON export (the `trace.json` files
-/// our sweeps write): a top-level `traceEvents` array whose entries all
-/// carry `name`/`ph`/`ts`/`pid`/`tid`, with `dur` on complete (`"X"`)
-/// slices and a scope on instants (`"i"`). This is what the CI
-/// trace-smoke gate runs before uploading the artifact.
-fn validate_chrome_trace(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let events = jget(&v, "traceEvents")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{path}: no top-level \"traceEvents\" array"))?;
-    for (i, ev) in events.iter().enumerate() {
-        let fail = |what: &str| format!("{path}: traceEvents[{i}] {what}");
-        if ev.as_object().is_none() {
-            return Err(fail("is not an object"));
-        }
-        if jget(ev, "name").and_then(Value::as_str).is_none() {
-            return Err(fail("lacks a string \"name\""));
-        }
-        for key in ["ts", "pid", "tid"] {
-            if jget(ev, key).and_then(Value::as_num).is_none() {
-                return Err(fail(&format!("lacks a numeric \"{key}\"")));
-            }
-        }
-        let ph = jget(ev, "ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| fail("lacks a string \"ph\""))?;
-        if ph == "X" && jget(ev, "dur").and_then(Value::as_num).is_none() {
-            return Err(fail("is a complete slice without a numeric \"dur\""));
-        }
-        if ph == "i" && jget(ev, "s").and_then(Value::as_str).is_none() {
-            return Err(fail("is an instant without a scope \"s\""));
-        }
-    }
-    Ok(format!(
-        "{path}: valid Chrome trace JSON ({} events)\n",
-        events.len()
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,6 +758,27 @@ mod tests {
         assert!(Args::parse(std::iter::empty()).is_err());
         assert!(Args::parse(["plan".into(), "oops".into()]).is_err());
         assert!(Args::parse(["plan".into(), "--scenario".into()]).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_options_the_command_does_not_take() {
+        let err = Args::parse(
+            "simulate --scenario s.json --trails 5"
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap_err();
+        assert!(err.starts_with("simulate does not take --trails"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+        assert!(Args::parse(["diagnose".into(), "--top".into(), "3".into()]).is_err());
+        // Every option the usage lists is taken.
+        for (command, takes) in COMMANDS {
+            for key in takes.split(' ') {
+                assert!(usage().contains(&format!("--{key} ")), "{command} --{key}");
+                let line = [command.to_string(), format!("--{key}"), "1".into()];
+                assert!(Args::parse(line).is_ok(), "{command} --{key}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use flow_recon::ftcache::PolicyKind;
 use flow_recon::model::leakage::measure_leakage;
 use flow_recon::model::useq::Evaluator;
 use flow_recon::netsim::Simulation;
-use flow_recon::obs::{probe_ctx, FlightRecorder};
+use flow_recon::obs::{probe_ctx, FlightDump, FlightRecorder};
 use flow_recon::traffic::{NetworkScenario, ScenarioSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -195,17 +195,13 @@ fn tracing_works_through_the_full_stack() {
     sim.run_until(1.0);
     let observed = sim.probe(flow);
     let flight = sim.take_flight();
-    let delivered = flight.delivered_probes();
+    // The dump is a header line, then one line per retained record.
+    let dump = FlightDump::parse(&flight.dump_string("full_stack")).expect("dump reads back");
+    assert_eq!(dump.source, "full_stack");
+    assert_eq!(dump.records.len(), flight.len());
+    let delivered = dump.delivered();
     assert_eq!(delivered.len(), 1);
-    let b = flight
-        .explain(delivered[0])
-        .expect("delivered probe has events");
+    let (_, b) = delivered[0];
     assert_eq!(b.rtt, Some(observed.rtt));
-    // The dump is a header line, then one line per record.
-    let dump = flight.dump_string("full_stack");
-    let mut lines = dump.lines();
-    assert!(lines
-        .next()
-        .is_some_and(|h| h.contains("\"kind\":\"flightrec\"")));
-    assert_eq!(lines.count(), flight.len());
+    assert!(b.residual().is_some_and(|r| r.abs() < 1e-9), "{b:?}");
 }

@@ -13,7 +13,7 @@ use attack::{
 use ftcache::PolicyKind;
 use netsim::{FaultPlan, NetConfig};
 use obs::manifest::fnv1a;
-use obs::{FlightRecorder, Recorder};
+use obs::{FlightDump, FlightRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_core::useq::Evaluator;
@@ -454,7 +454,8 @@ fn tournament_flight_contents_pinned() {
         &mut flight,
     );
     assert_eq!((flight.len(), flight.dropped()), (620, 0));
-    let counts: Vec<(&str, u64)> = flight.counts_by_kind().into_iter().collect();
+    let dump = FlightDump::parse(&flight.dump_string("pin")).expect("dump reads back");
+    let counts: Vec<(&str, u64)> = dump.counts_by_kind().into_iter().collect();
     assert_eq!(
         counts,
         [
