@@ -4,7 +4,7 @@
 use attack::{plan_attack, AttackerKind, ExecPolicy, TrialRun};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowspace::FlowId;
-use netsim::Simulation;
+use netsim::{NetConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recon_bench::paper_scale_scenario;
@@ -25,18 +25,26 @@ fn bench_simulator(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("replay_15s_window_16_flows", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        let schedule = poisson::schedule(&sc.lambdas, 0.0, sc.window_secs, &mut rng);
-        b.iter(|| {
-            let mut sim = Simulation::new(&net, 2);
-            for &(f, t) in &schedule {
-                sim.schedule_flow(f, t);
-            }
-            sim.run_until(sc.window_secs);
-            sim.ingress_stats()
+    // The same replay on the evaluation topology (4 reply segments) and
+    // on a k = 16 fat tree (a 5-switch path, 6 reply segments).
+    let fat_tree = NetConfig::fat_tree(sc.rules.clone(), 16, sc.capacity, sc.delta);
+    let mut rng = StdRng::seed_from_u64(4);
+    let schedule = poisson::schedule(&sc.lambdas, 0.0, sc.window_secs, &mut rng);
+    for (name, net) in [
+        ("replay_15s_window_16_flows", &net),
+        ("replay_15s_window_16_flows_fat_tree_k16", &fat_tree),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sim = Simulation::new(net, 2);
+                for &(f, t) in &schedule {
+                    sim.schedule_flow(f, t);
+                }
+                sim.run_until(sc.window_secs);
+                sim.ingress_stats()
+            });
         });
-    });
+    }
     g.finish();
 
     let mut g = c.benchmark_group("end_to_end");

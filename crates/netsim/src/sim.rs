@@ -186,9 +186,6 @@ pub struct Simulation {
     /// loss, table-full reject) empties the buffer, and a lost
     /// packet-in is never parked.
     parked: Vec<Vec<ParkedPacket>>,
-    /// Genuine (non-probe) flow arrivals at the ingress switch: ground
-    /// truth for `X̂`.
-    history: Vec<(FlowId, f64)>,
     /// Completed probe observations by token.
     probe_results: Vec<Option<ProbeObservation>>,
     /// Dedicated RNG stream for fault draws (see [`FAULT_STREAM_SALT`]).
@@ -265,7 +262,6 @@ impl Simulation {
             rng: StdRng::seed_from_u64(seed),
             now: 0.0,
             queue: EventQueue::new(),
-            history: Vec::new(),
             probe_results: Vec::new(),
             fault_rng,
             jitter,
@@ -395,19 +391,6 @@ impl Simulation {
         );
         let hop = self.path.iter().position(|&n| n == node)?;
         Some(&self.switches[hop])
-    }
-
-    /// Genuine (non-probe) flow arrivals observed so far, in time order.
-    #[must_use]
-    pub fn history(&self) -> &[(FlowId, f64)] {
-        &self.history
-    }
-
-    /// Whether `flow` genuinely arrived in `[since, now]` — the ground
-    /// truth `X̂` the attackers are evaluated against.
-    #[must_use]
-    pub fn occurred_since(&self, flow: FlowId, since: f64) -> bool {
-        self.history.iter().any(|&(f, t)| f == flow && t >= since)
     }
 
     /// Schedules a genuine packet of `flow` to enter the network at
@@ -656,9 +639,6 @@ impl Simulation {
         match kind {
             EventKind::AtSwitch { hop, packet } => {
                 let node = self.path[hop];
-                if hop == 0 && packet.probe.is_none() {
-                    self.history.push((packet.flow, packet.injected_at));
-                }
                 let lookup = self.switches[hop].lookup(packet.flow, time, &self.rules);
                 match lookup {
                     Lookup::Hit { pad, rule } => {
@@ -819,6 +799,20 @@ impl Simulation {
                     return;
                 }
                 let segments = self.path.len() + 1; // server link + hops + host link
+                if packet.probe.is_none() {
+                    // Nothing reads a genuine packet's reply, so it is not
+                    // scheduled and its base samples are not drawn: the
+                    // latency stream jumps the words they would read,
+                    // which leaves every later draw in place. The jitter
+                    // extras come from the fault stream, where burst
+                    // toggles must keep their places: draw them.
+                    let words = segments as u128 * Gaussian::WORDS_PER_SAMPLE;
+                    self.rng.set_word_pos(self.rng.get_word_pos() + words);
+                    for _ in 0..segments {
+                        self.jitter_extra(time);
+                    }
+                    return;
+                }
                 let mut delay = 0.0;
                 let mut base_sum = 0.0;
                 let mut extra_sum = 0.0;
@@ -830,12 +824,7 @@ impl Simulation {
                 }
                 self.femit_comp(time, packet.probe, CompKind::Hop, base_sum);
                 self.femit_comp(time, packet.probe, CompKind::Jitter, extra_sum);
-                // A genuine packet's reply is drawn above, keeping every
-                // later draw in place, but not scheduled: nothing reads
-                // its arrival.
-                if packet.probe.is_some() {
-                    self.push(time + delay, EventKind::ReplyArrives { packet });
-                }
+                self.push(time + delay, EventKind::ReplyArrives { packet });
             }
             EventKind::ReplyArrives { packet } => {
                 let rtt = time - packet.injected_at;
@@ -1032,16 +1021,19 @@ mod tests {
     }
 
     #[test]
-    fn genuine_traffic_recorded_probes_not() {
+    fn genuine_reply_is_jumped_not_scheduled() {
         let mut s = sim(4);
         s.schedule_flow(FlowId(1), 0.05);
         s.run_until(0.2);
-        let _ = s.probe(FlowId(0));
-        assert_eq!(s.history().len(), 1);
-        assert_eq!(s.history()[0].0, FlowId(1));
-        assert!(s.occurred_since(FlowId(1), 0.0));
-        assert!(!s.occurred_since(FlowId(1), 0.1));
-        assert!(!s.occurred_since(FlowId(0), 0.0));
+        // The miss installed rule1, the packet reached the server, and
+        // its reply left nothing queued. The latency stream still stands
+        // where drawing every segment would leave it: one setup sample
+        // and `path.len() + 1` segments each way, each a Box–Muller
+        // sample of four words.
+        assert_eq!(s.ingress_stats().installs, 1);
+        assert_eq!(s.queue.peek_time(), None);
+        let samples = 1 + 2 * (s.path.len() as u128 + 1);
+        assert_eq!(s.rng.get_word_pos(), samples * 4);
     }
 
     #[test]
