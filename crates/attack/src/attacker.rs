@@ -144,7 +144,7 @@ impl Attacker {
     /// Fault-tolerant variant of [`Attacker::decide`]: every probe goes
     /// through the robust measurement loop (timeout, retries, MAD
     /// outlier rejection, drift-aware classification — see
-    /// [`crate::robust`]). A question whose measurements exhaust the
+    /// [`robust_probe`](crate::robust_probe)). A question whose measurements exhaust the
     /// retry budget returns [`Verdict::Inconclusive`]; the handled
     /// faults are tallied in `state.counters`.
     ///

@@ -1,15 +1,14 @@
-//! Attacker-side calibration of the hit/miss classification threshold.
+//! The attacker's hit/miss classification threshold and its drift
+//! envelope.
 //!
-//! §III-A's example attack calibrates with the attacker's *own* flow: a
-//! fresh flow's response time is `t_fetch + t_setup`, an immediately
-//! repeated one is `t_fetch`. Collecting a handful of each lets the
-//! attacker place a threshold between the two populations without knowing
-//! anything about the switch — grounding the paper's assumption that the
-//! adversary "can estimate the delay suffered by its probe packets …
-//! reliably".
+//! The robust attacker seeds the threshold from the measured §VI-A
+//! hit/miss populations ([`RobustState::new`]) and re-derives it from
+//! its own sample window when the envelope drifts. The paper's grounding
+//! is its assumption that the adversary "can estimate the delay suffered
+//! by its probe packets … reliably".
+//!
+//! [`RobustState::new`]: crate::RobustState::new
 
-use flowspace::FlowId;
-use netsim::Simulation;
 use serde::{Deserialize, Serialize};
 
 /// Consecutive envelope violations after which
@@ -28,8 +27,6 @@ pub struct CalibratedThreshold {
     pub max_hit: f64,
     /// Smallest observed cold (miss) RTT.
     pub min_miss: f64,
-    /// Samples per population.
-    pub samples: usize,
     /// Consecutive recent observations that fell outside the stored
     /// `max_hit`/`min_miss` envelope (reset by a conforming sample).
     pub drift_run: u32,
@@ -42,12 +39,6 @@ impl CalibratedThreshold {
     #[must_use]
     pub fn classify(&self, rtt: f64) -> bool {
         rtt < self.threshold
-    }
-
-    /// Whether the two calibration populations were separable at all.
-    #[must_use]
-    pub fn is_separable(&self) -> bool {
-        self.max_hit < self.min_miss
     }
 
     /// Feeds a fresh observation into drift tracking: an RTT classified
@@ -78,131 +69,20 @@ impl CalibratedThreshold {
     }
 }
 
-/// Calibrates a threshold using `scratch` — a flow the attacker controls
-/// (its own address), covered by some rule so that a cold probe misses and
-/// a warm re-probe hits. Each round waits `cool_down` seconds so the
-/// scratch rule expires again before the next cold sample.
-///
-/// Returns the geometric midpoint between the slowest hit and fastest
-/// miss; if the populations overlap (e.g. a padding defense is active),
-/// the midpoint still splits them as well as possible and
-/// [`CalibratedThreshold::is_separable`] reports the overlap.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn calibrate_threshold(
-    sim: &mut Simulation,
-    scratch: FlowId,
-    samples: usize,
-    cool_down: f64,
-) -> CalibratedThreshold {
-    assert!(samples > 0, "need at least one calibration sample");
-    let mut max_hit = f64::MIN;
-    let mut min_miss = f64::MAX;
-    for _ in 0..samples {
-        let cold = sim.probe(scratch);
-        let warm = sim.probe(scratch);
-        min_miss = min_miss.min(cold.rtt);
-        max_hit = max_hit.max(warm.rtt);
-        let t = sim.now() + cool_down;
-        sim.run_until(t);
-    }
-    CalibratedThreshold {
-        threshold: (max_hit * min_miss).sqrt(),
-        max_hit,
-        min_miss,
-        samples,
-        drift_run: 0,
-        drift_violations: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowspace::{FlowSet, Rule, RuleSet, Timeout};
-    use netsim::NetConfig;
 
-    fn sim() -> Simulation {
-        let rules = RuleSet::new(
-            vec![Rule::from_flow_set(
-                FlowSet::from_flows(2, [FlowId(0)]),
-                1,
-                Timeout::idle(25), // 0.5 s at Δ = 0.02
-            )],
-            2,
-        )
-        .unwrap();
-        Simulation::new(NetConfig::eval_topology(rules, 2, 0.02), 31)
-    }
-
-    #[test]
-    fn calibration_separates_and_classifies() {
-        let mut s = sim();
-        let cal = calibrate_threshold(&mut s, FlowId(0), 20, 1.0);
-        assert!(cal.is_separable(), "{cal:?}");
-        assert!(cal.threshold > cal.max_hit && cal.threshold < cal.min_miss);
-        // The calibrated threshold agrees with the built-in 1 ms rule on
-        // fresh observations.
-        let t = s.now() + 1.0;
-        s.run_until(t);
-        let cold = s.probe(FlowId(0));
-        assert!(!cal.classify(cold.rtt));
-        assert_eq!(cal.classify(cold.rtt), cold.hit);
-        let warm = s.probe(FlowId(0));
-        assert!(cal.classify(warm.rtt));
-        assert_eq!(cal.classify(warm.rtt), warm.hit);
-    }
-
-    #[test]
-    fn cool_down_makes_cold_samples_cold() {
-        // Without a cool-down, the second round's "cold" probe would hit
-        // the still-cached rule; the calibration guards against that by
-        // waiting out the TTL. Verify min_miss stays miss-sized.
-        let mut s = sim();
-        let cal = calibrate_threshold(&mut s, FlowId(0), 10, 1.0);
-        assert!(
-            cal.min_miss > 1.0e-3,
-            "min miss {:.4} ms",
-            cal.min_miss * 1e3
-        );
-        assert!(cal.max_hit < 0.5e-3, "max hit {:.4} ms", cal.max_hit * 1e3);
-    }
-
-    #[test]
-    fn padding_defense_breaks_separability() {
-        let rules = RuleSet::new(
-            vec![Rule::from_flow_set(
-                FlowSet::from_flows(2, [FlowId(0)]),
-                1,
-                Timeout::idle(25),
-            )],
-            2,
-        )
-        .unwrap();
-        let mut cfg = NetConfig::eval_topology(rules, 2, 0.02);
-        cfg.defense = netsim::Defense {
-            // Pad far more packets than calibration sends per rule life.
-            delay_first: Some(netsim::DelayPadding {
-                packets: 100,
-                pad_secs: 4.0e-3,
-            }),
-            ..netsim::Defense::default()
-        };
-        let mut s = Simulation::new(cfg, 5);
-        let cal = calibrate_threshold(&mut s, FlowId(0), 10, 1.0);
-        assert!(
-            !cal.is_separable(),
-            "padding should blur the channel: {cal:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_samples_rejected() {
-        let mut s = sim();
-        let _ = calibrate_threshold(&mut s, FlowId(0), 0, 1.0);
+    /// A threshold at the geometric midpoint of a separable envelope.
+    fn envelope() -> CalibratedThreshold {
+        let (max_hit, min_miss) = (0.2e-3f64, 2.0e-3f64);
+        CalibratedThreshold {
+            threshold: (max_hit * min_miss).sqrt(),
+            max_hit,
+            min_miss,
+            drift_run: 0,
+            drift_violations: 0,
+        }
     }
 
     #[test]
@@ -214,11 +94,9 @@ mod tests {
             threshold: (4.0e-3f64 * 1.0e-3).sqrt(),
             max_hit: 4.0e-3,
             min_miss: 1.0e-3,
-            samples: 10,
             drift_run: 0,
             drift_violations: 0,
         };
-        assert!(!cal.is_separable());
         assert!(cal.threshold > cal.min_miss && cal.threshold < cal.max_hit);
         assert!(cal.classify(cal.threshold * 0.9));
         assert!(!cal.classify(cal.threshold * 1.1));
@@ -226,8 +104,7 @@ mod tests {
 
     #[test]
     fn drift_detection_needs_a_run_of_violations() {
-        let mut s = sim();
-        let mut cal = calibrate_threshold(&mut s, FlowId(0), 20, 1.0);
+        let mut cal = envelope();
         assert!(!cal.drift_detected());
         // Conforming samples never trigger.
         for _ in 0..10 {
@@ -251,8 +128,7 @@ mod tests {
 
     #[test]
     fn fast_misses_also_count_as_drift() {
-        let mut s = sim();
-        let mut cal = calibrate_threshold(&mut s, FlowId(0), 10, 1.0);
+        let mut cal = envelope();
         // Samples classified as misses but faster than every calibration
         // miss: the miss floor has dropped (e.g. the controller got
         // faster) — the envelope is violated from the other side.

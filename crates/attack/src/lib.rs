@@ -39,7 +39,7 @@ mod timing;
 mod trial;
 
 pub use attacker::{Attacker, AttackerKind};
-pub use calibrate::{calibrate_threshold, CalibratedThreshold, DRIFT_LIMIT};
+pub use calibrate::{CalibratedThreshold, DRIFT_LIMIT};
 pub use plan::{plan_attack, plan_attack_full, AttackPlan, PlanError};
 pub use recon_core::exec::{ExecPolicy, THREADS_ENV_VAR};
 pub use robust::{

@@ -96,12 +96,6 @@ impl FaultCounters {
         self.inconclusive += other.inconclusive;
         self.recalibrations += other.recalibrations;
     }
-
-    /// Whether nothing was ever counted.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == FaultCounters::default()
-    }
 }
 
 /// A bounded per-class (hit vs miss) RTT sample window for MAD outlier
@@ -171,7 +165,7 @@ impl RttWindow {
 
     /// Whether `rtt` lies farther than `k` MADs from the median of the
     /// class it was classified into. Never rejects while the class
-    /// holds fewer than [`MIN_CLASS_SAMPLES`] samples.
+    /// holds fewer than `MIN_CLASS_SAMPLES` (5) samples.
     #[must_use]
     pub fn is_outlier(&self, rtt: f64, hit: bool, k: f64) -> bool {
         let class = if hit { &self.hits } else { &self.misses };
@@ -245,7 +239,6 @@ impl RobustState {
                 // miss floor is the 1.3 ms controller round-trip bound.
                 max_hit: 0.15e-3,
                 min_miss: 1.3e-3,
-                samples: 0,
                 drift_run: 0,
                 drift_violations: 0,
             },
@@ -281,10 +274,10 @@ impl RobustState {
             self.calibration.min_miss = min_miss;
             self.calibration.threshold = (max_hit * min_miss).sqrt();
         } else if max_hit > 0.0 && min_miss < f64::MAX {
-            // Overlapping populations: keep the envelope honest (so
-            // is_separable reports the overlap) but leave the threshold
-            // where it is — the geometric midpoint of garbage is worse
-            // than the last good split.
+            // Overlapping populations: keep the envelope honest (it
+            // records the overlap, max_hit ≥ min_miss) but leave the
+            // threshold where it is — the geometric midpoint of garbage
+            // is worse than the last good split.
             self.calibration.max_hit = max_hit;
             self.calibration.min_miss = min_miss;
         }

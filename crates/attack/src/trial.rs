@@ -240,7 +240,7 @@ pub struct TrialRun<'a> {
     pub net: &'a NetConfig,
     /// `Some` routes the attackers' measurements through the robust
     /// probe loop (timeouts, retries, outlier rejection — see
-    /// [`crate::robust`]): the entry point for fault-injected networks,
+    /// [`robust_probe`](crate::robust_probe)): the entry point for fault-injected networks,
     /// where attackers degrade to [`Verdict::Inconclusive`] instead of
     /// hanging or silently misclassifying, and the report's
     /// `fault_counters` tally what was absorbed. On a fault-free `net`
@@ -712,7 +712,10 @@ mod tests {
         let kinds = [AttackerKind::Naive, AttackerKind::Random];
         let r = run_plain(&sc, &plan, &kinds, 5, 3);
         assert_eq!(r.fault_counters.len(), kinds.len());
-        assert!(r.fault_counters.iter().all(FaultCounters::is_zero));
+        assert!(r
+            .fault_counters
+            .iter()
+            .all(|c| *c == FaultCounters::default()));
         for (k, a) in &r.by_attacker {
             assert_eq!(a.inconclusive, 0, "{k:?}");
             assert_eq!(r.answer_rate(*k), 1.0);
@@ -858,8 +861,10 @@ mod tests {
                 "threads={threads}: tracing must not change results"
             );
             assert!(!flight.is_empty());
+            let dump = obs::FlightDump::parse(&flight.dump_string("unit")).unwrap();
+            let unit = |ctx| obs::ProbeId { ctx, token: 0 }.unit();
             assert!(
-                flight.records().all(|(id, _)| id.unit() == 3),
+                dump.records.iter().all(|r| unit(r.ctx) == 3),
                 "every record carries the caller's unit"
             );
             match &reference {

@@ -6,7 +6,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flowspace::relevant::FlowRates;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traffic::{NetworkScenario, ScenarioSampler};
@@ -32,10 +31,4 @@ pub fn small_scenario(seed: u64) -> NetworkScenario {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     sampler.sample_forced((0.3, 0.7), &mut rng)
-}
-
-/// Per-step rates for a scenario (convenience re-export for benches).
-#[must_use]
-pub fn rates_of(scenario: &NetworkScenario) -> FlowRates {
-    scenario.rates()
 }

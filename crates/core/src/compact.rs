@@ -309,21 +309,17 @@ impl CompactModel {
     /// # Panics
     ///
     /// Panics if `state` is out of range.
+    // detlint::allow(D10): tests/reachable_model.rs checks the state set against its closure
     #[must_use]
     pub fn state_mask(&self, state: usize) -> u32 {
         self.states[state]
-    }
-
-    /// The cached rules of a state, ascending id.
-    #[must_use]
-    pub fn state_rules(&self, state: usize) -> Vec<RuleId> {
-        mask_rules(self.states[state])
     }
 
     /// Index of the state holding exactly `rules`: `None` over capacity,
     /// for an id outside the rule set, or for a subset unreachable from
     /// the empty cache (one holding a rule that is no flow's
     /// highest-priority match).
+    // detlint::allow(D10): tests/reachable_model.rs looks up the states a FlowTable reaches
     #[must_use]
     pub fn state_of(&self, rules: &[RuleId]) -> Option<usize> {
         let mut mask = 0u32;
@@ -347,6 +343,7 @@ impl CompactModel {
 
     /// Probability (under `dist`) that `rule` is cached; 0 for an id
     /// outside the rule set or a rule no reachable state holds.
+    // detlint::allow(D10): compared with the basic model in tests/model_vs_simulation.rs
     #[must_use]
     pub fn prob_rule_cached(&self, dist: &Distribution, rule: RuleId) -> f64 {
         let Some(bit) = self.rule_bit(rule) else {
@@ -538,7 +535,7 @@ mod tests {
     fn state_round_trips() {
         let m = model(2);
         for s in 0..m.n_states() {
-            let rules = m.state_rules(s);
+            let rules = mask_rules(m.state_mask(s));
             assert_eq!(m.state_of(&rules), Some(s));
             assert_eq!(rules.len() as u32, m.state_mask(s).count_ones());
             assert!(rules.len() <= m.capacity());
@@ -574,7 +571,7 @@ mod tests {
         }
         for id in [0, 8, 11] {
             let s = m.state_of(&[RuleId(id)]).expect("in range");
-            assert_eq!(m.state_rules(s), vec![RuleId(id)]);
+            assert_eq!(mask_rules(m.state_mask(s)), vec![RuleId(id)]);
             assert!(m.prob_rule_cached(&d, RuleId(id)) > 0.0);
         }
     }
@@ -646,7 +643,10 @@ mod tests {
         // After the probe, every surviving state contains rule2.
         for i in 0..m.n_states() {
             if miss.mass(i) > 1e-15 {
-                assert!(m.state_rules(i).contains(&RuleId(2)), "state {i}");
+                assert!(
+                    mask_rules(m.state_mask(i)).contains(&RuleId(2)),
+                    "state {i}"
+                );
             }
         }
     }
@@ -658,7 +658,7 @@ mod tests {
         let miss = m.apply_probe(&d, FlowId(3), false);
         for i in 0..m.n_states() {
             if miss.mass(i) > 1e-15 {
-                assert_eq!(m.state_rules(i), vec![RuleId(2)]);
+                assert_eq!(mask_rules(m.state_mask(i)), vec![RuleId(2)]);
             }
         }
     }

@@ -8,8 +8,7 @@
 /// ```
 ///
 /// `timeouts[j]` is `t_j` in steps; `capacity` is `n`. Returned as `f64`
-/// because the count overflows `u128` already for modest parameters; use
-/// [`basic_state_count_exact`] when an exact integer is needed.
+/// because the count overflows `u128` already for modest parameters.
 ///
 /// # Panics
 ///
@@ -39,9 +38,10 @@ pub fn basic_state_count(timeouts: &[u32], capacity: usize) -> f64 {
     total
 }
 
-/// Exact integer version of [`basic_state_count`]; `None` on overflow.
-#[must_use]
-pub fn basic_state_count_exact(timeouts: &[u32], capacity: usize) -> Option<u128> {
+/// Exact integer version of [`basic_state_count`], for the tests that
+/// count states; `None` on overflow.
+#[cfg(test)]
+pub(crate) fn basic_state_count_exact(timeouts: &[u32], capacity: usize) -> Option<u128> {
     assert!(
         timeouts.len() <= 30,
         "subset enumeration supports at most 30 rules"

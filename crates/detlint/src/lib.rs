@@ -38,6 +38,11 @@
 //! * **D9** — every `Cargo.toml` dependency must resolve to the
 //!   workspace or `crates/vendor/` (the offline seed build has no
 //!   network).
+//! * **D10** — every bare `pub` item of a library crate must be named
+//!   by some non-test code: a program, a bench, an example, another
+//!   library, or the benchmark's `flowbench/src` ([`unnamed`]). The rule
+//!   is name-based, so a name that collides with another in use hides a
+//!   finding.
 //!
 //! Findings can be emitted as SARIF 2.1.0 (`--format sarif`) for GitHub
 //! code scanning.
@@ -55,6 +60,7 @@ pub mod manifest;
 pub mod parser;
 pub mod rules;
 pub mod sarif;
+pub mod unnamed;
 
 pub use rules::{FileCtx, FileReport, Finding, SaltDef};
 
@@ -77,6 +83,9 @@ pub struct Report {
 
 /// Directory subtrees scanned, relative to the workspace root.
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+
+/// The benchmark's sources: read for D10 callers, never linted.
+const READ_ONLY_ROOT: &str = "flowbench/src";
 
 /// Recursively collects `.rs` files under `dir` into `out`.
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -163,6 +172,25 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
 
     report.findings.extend(rules::check_salt_uniqueness(&salts));
     report.findings.extend(dataflow::check_dataflow(&units));
+
+    // The order of the benchmark's files is immaterial: D10 only asks
+    // whether a name occurs.
+    let mut read_only_files = Vec::new();
+    let read_only = root.join(READ_ONLY_ROOT);
+    if read_only.is_dir() {
+        walk(&read_only, &mut read_only_files)?;
+    }
+    let readers = read_only_files
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map(|src| lexer::lex(&src))
+                .map_err(|e| format!("read {}: {e}", path.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    report
+        .findings
+        .extend(unnamed::check_unnamed(&units, &readers));
     report.findings.extend(manifest::check_manifests(root)?);
 
     let baseline_file = root.join(BASELINE_PATH);

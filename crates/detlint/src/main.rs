@@ -49,7 +49,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: detlint [--root <workspace-dir>] [--print-budget] \
                      [--check-budget] [--format text|sarif] [--output <file>]\n\n\
-                     Checks the workspace against the determinism rules D1-D9\n\
+                     Checks the workspace against the determinism rules D1-D10\n\
                      (see DESIGN.md, \"Determinism policy\").\n\
                      --print-budget dumps the actual panic counts as\n\
                      baseline.toml content instead of failing on mismatch.\n\
@@ -141,7 +141,7 @@ fn main() -> ExitCode {
     }
     if report.findings.is_empty() {
         println!(
-            "detlint: {} files clean (D1-D9); panic budget: {}",
+            "detlint: {} files clean (D1-D10); panic budget: {}",
             report.files_scanned,
             report
                 .panic_counts

@@ -43,7 +43,7 @@ pub const WALLCLOCK_ALLOWLIST: &[&str] = &[
 ];
 
 /// Rule identifiers understood by `detlint::allow(...)`.
-pub const KNOWN_RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9"];
+pub const KNOWN_RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10"];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

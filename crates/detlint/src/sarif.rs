@@ -37,6 +37,10 @@ const RULE_HELP: &[(&str, &str)] = &[
         "D9",
         "Cargo.toml deps must resolve to the workspace or crates/vendor",
     ),
+    (
+        "D10",
+        "Every pub library item must be named by some non-test code",
+    ),
     ("allow", "detlint::allow annotations must be well-formed"),
 ];
 

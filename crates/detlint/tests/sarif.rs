@@ -241,7 +241,7 @@ fn every_shipped_rule_is_described_in_the_driver() {
     let doc = to_sarif(&[], "0.0.0");
     assert_well_formed(&doc);
     for rule in [
-        "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "allow",
+        "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "allow",
     ] {
         assert!(
             doc.contains(&format!("{{\"id\": \"{rule}\"")),

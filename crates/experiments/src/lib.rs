@@ -23,9 +23,9 @@
 //! ```
 //!
 //! `--trace` and the last three act on the trial-running programs;
-//! `ablation_evaluators`, `diagnose`, `latency_table` and
-//! `render_figures` run no trials, take `--resume` as a no-op and refuse
-//! a checkpoint interval or kill-point. A malformed option ends a
+//! `ablation_evaluators`, `latency_table` and `render_figures` run no
+//! trials, take `--resume` as a no-op and refuse a checkpoint interval
+//! or kill-point. A malformed option ends a
 //! program with exit status 2 and the usage.
 
 #![forbid(unsafe_code)]

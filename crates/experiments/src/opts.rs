@@ -166,8 +166,8 @@ impl ExpOpts {
     }
 
     /// [`ExpOpts::parse`] for the programs that run no trials, and so
-    /// no supervised grid (`ablation_evaluators`, `diagnose`,
-    /// `latency_table`, `render_figures`): `--resume` is harmless there
+    /// no supervised grid (`ablation_evaluators`, `latency_table`,
+    /// `render_figures`): `--resume` is harmless there
     /// (a fresh run is equivalent to resuming nothing), but a checkpoint
     /// interval or kill-point would silently do nothing.
     ///

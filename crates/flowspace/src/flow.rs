@@ -97,18 +97,6 @@ impl FlowKey {
             proto: Protocol::Icmp,
         }
     }
-
-    /// The reply direction of this flow (source and destination swapped).
-    #[must_use]
-    pub fn reversed(&self) -> Self {
-        FlowKey {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
 }
 
 impl fmt::Display for FlowKey {
@@ -143,23 +131,6 @@ mod tests {
         assert_eq!(FlowId(7).to_string(), "f7");
         assert_eq!(FlowId(7).index(), 7);
         assert_eq!(FlowId::from(3u32), FlowId(3));
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let key = FlowKey {
-            src_ip: 1,
-            dst_ip: 2,
-            src_port: 30,
-            dst_port: 40,
-            proto: Protocol::Tcp,
-        };
-        let rev = key.reversed();
-        assert_eq!(rev.src_ip, 2);
-        assert_eq!(rev.dst_ip, 1);
-        assert_eq!(rev.src_port, 40);
-        assert_eq!(rev.dst_port, 30);
-        assert_eq!(rev.reversed(), key);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::{FlowId, FlowKey, FlowSet, Priority, Protocol, Rule, RuleSet, RuleSetError, Timeout};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A ternary match over one 32-bit header field.
@@ -185,7 +185,6 @@ impl fmt::Display for HeaderPattern {
 #[serde(from = "Vec<FlowKey>", into = "Vec<FlowKey>")]
 pub struct HeaderUniverse {
     keys: Vec<FlowKey>,
-    index: BTreeMap<FlowKey, FlowId>,
 }
 
 impl From<Vec<FlowKey>> for HeaderUniverse {
@@ -204,17 +203,10 @@ impl HeaderUniverse {
     /// Builds a universe from concrete flow keys (duplicates collapse).
     #[must_use]
     pub fn new<I: IntoIterator<Item = FlowKey>>(keys: I) -> Self {
-        let mut out = HeaderUniverse {
-            keys: Vec::new(),
-            index: BTreeMap::new(),
-        };
-        for k in keys {
-            out.index.entry(k).or_insert_with(|| {
-                out.keys.push(k);
-                FlowId(out.keys.len() as u32 - 1)
-            });
+        let mut seen = BTreeSet::new();
+        HeaderUniverse {
+            keys: keys.into_iter().filter(|k| seen.insert(*k)).collect(),
         }
-        out
     }
 
     /// The paper's evaluation universe: 16 client hosts sending ICMP to a
@@ -234,12 +226,6 @@ impl HeaderUniverse {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
-    }
-
-    /// The id assigned to a concrete key, if present.
-    #[must_use]
-    pub fn flow_id(&self, key: &FlowKey) -> Option<FlowId> {
-        self.index.get(key).copied()
     }
 
     /// The concrete key of a flow id.
@@ -357,9 +343,8 @@ mod tests {
         let u = HeaderUniverse::new([k, k, FlowKey::for_eval(FlowId(5))]);
         assert_eq!(u.len(), 2);
         assert!(!u.is_empty());
-        assert_eq!(u.flow_id(&k), Some(FlowId(0)));
         assert_eq!(*u.key(FlowId(0)), k);
-        assert_eq!(u.flow_id(&FlowKey::for_eval(FlowId(9))), None);
+        assert_eq!(*u.key(FlowId(1)), FlowKey::for_eval(FlowId(5)));
     }
 
     #[test]

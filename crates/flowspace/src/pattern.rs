@@ -122,13 +122,6 @@ impl TernaryPattern {
         self.mask
     }
 
-    /// Number of cared (non-wildcard) positions; a natural specificity
-    /// measure (a microflow rule has `specificity() == bits()`).
-    #[must_use]
-    pub fn specificity(self) -> u32 {
-        self.mask.count_ones()
-    }
-
     /// Whether this pattern covers flow `f` (only the low `bits` bits of the
     /// flow index are considered).
     #[must_use]
@@ -162,65 +155,6 @@ impl TernaryPattern {
             }
         }
         s
-    }
-
-    /// The most specific pattern covering everything both patterns cover
-    /// in common, or `None` if they are disjoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the patterns span different bit widths.
-    #[must_use]
-    pub fn intersect(self, other: TernaryPattern) -> Option<TernaryPattern> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        Some(TernaryPattern::new(
-            self.bits,
-            self.value | other.value,
-            self.mask | other.mask,
-        ))
-    }
-
-    /// Whether every flow this pattern covers is also covered by `other`
-    /// (i.e. `other` is equal or strictly more general).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the patterns span different bit widths.
-    #[must_use]
-    pub fn subsumed_by(self, other: TernaryPattern) -> bool {
-        assert_eq!(self.bits, other.bits, "patterns over different widths");
-        // `other` must care about a subset of our cared positions and
-        // agree on all of them.
-        other.mask & !self.mask == 0 && (self.value & other.mask) == other.value
-    }
-
-    /// Iterates every concrete value the pattern covers (2^wildcards of
-    /// them), in increasing order.
-    pub fn expand(self) -> impl Iterator<Item = FlowId> {
-        let limit = if self.bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.bits) - 1
-        };
-        let wild = limit & !self.mask;
-        let count = 1u64 << wild.count_ones();
-        (0..count).map(move |i| {
-            // Scatter the i-th combination into the wildcard positions.
-            let mut v = self.value;
-            let mut remaining = i;
-            let mut bits = wild;
-            while bits != 0 {
-                let low = bits & bits.wrapping_neg();
-                if remaining & 1 == 1 {
-                    v |= low;
-                }
-                remaining >>= 1;
-                bits &= bits - 1;
-            }
-            FlowId(v)
-        })
     }
 
     /// Enumerates all `3^bits` patterns over `bits` bits.
@@ -315,7 +249,7 @@ mod tests {
         assert!(p.covers(FlowId(0b0111)));
         assert!(!p.covers(FlowId(0b0100))); // bit 0 wrong
         assert!(!p.covers(FlowId(0b1101))); // bit 3 wrong
-        assert_eq!(p.specificity(), 3);
+        assert_eq!(p.mask().count_ones(), 3);
     }
 
     #[test]
@@ -358,48 +292,6 @@ mod tests {
         let s = p.to_flow_set(16);
         for i in 0..16 {
             assert_eq!(s.contains(FlowId(i)), p.covers(FlowId(i)));
-        }
-    }
-
-    #[test]
-    fn intersect_matches_set_intersection() {
-        let universe = 16;
-        let pats: Vec<_> = TernaryPattern::enumerate(4).collect();
-        for &a in &pats {
-            for &b in &pats {
-                let expected = a
-                    .to_flow_set(universe)
-                    .intersection(&b.to_flow_set(universe));
-                match a.intersect(b) {
-                    Some(c) => assert_eq!(c.to_flow_set(universe), expected, "{a} ∩ {b}"),
-                    None => assert!(expected.is_empty(), "{a} ∩ {b}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn subsumption_matches_set_inclusion() {
-        let universe = 16;
-        let pats: Vec<_> = TernaryPattern::enumerate(4).collect();
-        for &a in &pats {
-            for &b in &pats {
-                let expected = a.to_flow_set(universe).is_subset(&b.to_flow_set(universe));
-                assert_eq!(a.subsumed_by(b), expected, "{a} ⊆ {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn expand_yields_exactly_the_cover() {
-        for s in ["01*1", "****", "1010", "1**0"] {
-            let p: TernaryPattern = s.parse().unwrap();
-            let expanded: Vec<FlowId> = p.expand().collect();
-            let expected: Vec<FlowId> = p.to_flow_set(16).iter().collect();
-            let mut sorted = expanded.clone();
-            sorted.sort();
-            assert_eq!(sorted, expected, "{s}");
-            assert_eq!(expanded.len(), 1 << (4 - p.specificity()));
         }
     }
 

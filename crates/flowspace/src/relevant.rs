@@ -133,13 +133,6 @@ pub fn effective_rate(rules: &RuleSet, rates: &FlowRates, cached: &[RuleId], j: 
     rates.sum_over(&relevant_flow_ids(rules, cached, j))
 }
 
-/// The rate `Γ_{ℓ,j}` of flows *irrelevant* to rule `j` in the given cache
-/// state (the paper sums over the full flow universe).
-#[must_use]
-pub fn irrelevant_rate(rules: &RuleSet, rates: &FlowRates, cached: &[RuleId], j: RuleId) -> f64 {
-    (rates.total() - effective_rate(rules, rates, cached, j)).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,8 +224,8 @@ mod tests {
         for cached in [vec![], vec![RuleId(0)], vec![RuleId(0), RuleId(1)]] {
             for j in rules.ids() {
                 let g = effective_rate(&rules, &rates, &cached, j);
-                let big = irrelevant_rate(&rules, &rates, &cached, j);
-                assert!((g + big - rates.total()).abs() < 1e-12);
+                let rest = FlowSet::full(4).difference(&relevant_flow_ids(&rules, &cached, j));
+                assert!((g + rates.sum_over(&rest) - rates.total()).abs() < 1e-12);
             }
         }
     }

@@ -63,6 +63,7 @@ impl Timeout {
     /// # Panics
     ///
     /// Panics if `steps == 0`.
+    // detlint::allow(D10): the one constructor of the hard timeouts ftcache and the models handle; tests/reachable_model.rs builds them
     #[must_use]
     pub fn hard(steps: u32) -> Self {
         assert!(steps > 0, "timeout must be at least one step");

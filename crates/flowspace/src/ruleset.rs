@@ -9,7 +9,8 @@ use std::fmt;
 ///
 /// Construction validates the paper's structural assumptions:
 ///
-/// * every rule's cover set ranges over the same flow universe;
+/// * every rule's cover set ranges over the same flow universe, as a
+///   bitset of exactly the words that universe needs;
 /// * priorities form a **total order** (all distinct) — the paper requires
 ///   this so "the highest priority rule that covers f" is always unique;
 /// * there is at least one rule.
@@ -36,6 +37,12 @@ pub enum RuleSetError {
         /// Universe declared to [`RuleSet::new`].
         expected: usize,
     },
+    /// A rule's cover bitset does not fit its universe (a deserialized
+    /// set with missing words or bits past the universe).
+    MalformedCover {
+        /// Index of the offending rule in the input vector.
+        input_index: usize,
+    },
     /// Two rules share a priority, so `>` would not be a total order.
     DuplicatePriority(u32),
 }
@@ -47,6 +54,10 @@ impl fmt::Display for RuleSetError {
             RuleSetError::UniverseMismatch { input_index, found, expected } => write!(
                 f,
                 "rule at input index {input_index} ranges over universe {found}, expected {expected}"
+            ),
+            RuleSetError::MalformedCover { input_index } => write!(
+                f,
+                "rule at input index {input_index} has a cover bitset that does not fit its universe"
             ),
             RuleSetError::DuplicatePriority(p) => {
                 write!(f, "priority {p} used by more than one rule")
@@ -75,6 +86,9 @@ impl RuleSet {
                     found: r.covers().universe_size(),
                     expected: universe,
                 });
+            }
+            if !r.covers().is_well_formed() {
+                return Err(RuleSetError::MalformedCover { input_index: i });
             }
         }
         let mut sorted = rules;

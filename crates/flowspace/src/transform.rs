@@ -5,8 +5,8 @@
 //! "maintaining the same functionality as the original rule policies" — and
 //! notes that "our Markov model can serve as a tool to measure the
 //! information leakage of the rule structure". This module provides the
-//! transformation operations; `recon-core`'s `leakage` module provides the
-//! measurement.
+//! merge, the defense the experiments evaluate; `recon-core`'s `leakage`
+//! module provides the measurement.
 //!
 //! Since the paper's models identify a rule with the set of flows it
 //! covers (§IV: "we are not concerned with the action prescribed by a
@@ -16,7 +16,7 @@
 //! require merged rules to share an action; that check belongs to the
 //! policy layer above this crate.
 
-use crate::{FlowSet, Rule, RuleId, RuleSet, Timeout};
+use crate::{Rule, RuleId, RuleSet, Timeout};
 
 /// Why a requested transformation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +25,6 @@ pub enum TransformError {
     NoSuchRule(RuleId),
     /// The two rules to merge are the same rule.
     SameRule(RuleId),
-    /// The split part must be a nonempty proper subset of the rule's cover.
-    BadSplit,
     /// The transformation would leave zero rules.
     WouldBeEmpty,
 }
@@ -36,12 +34,6 @@ impl std::fmt::Display for TransformError {
         match self {
             TransformError::NoSuchRule(r) => write!(f, "no such rule: {r}"),
             TransformError::SameRule(r) => write!(f, "cannot merge {r} with itself"),
-            TransformError::BadSplit => {
-                write!(
-                    f,
-                    "split part must be a nonempty proper subset of the rule's cover"
-                )
-            }
             TransformError::WouldBeEmpty => write!(f, "transformation would leave no rules"),
         }
     }
@@ -111,48 +103,6 @@ pub fn merge_rules(rules: &RuleSet, a: RuleId, b: RuleId) -> Result<RuleSet, Tra
     RuleSet::new(out, rules.universe_size()).map_err(|_| TransformError::WouldBeEmpty)
 }
 
-/// Splits rule `r` into two rules: one covering `part`, one covering the
-/// rest of `r`'s cover. The part inherits `r`'s priority; the rest is
-/// placed directly below it (other priorities are shifted up as needed to
-/// stay distinct). Refines the structure: probes become more telling,
-/// which *increases* leakage — the inverse of the merging defense, useful
-/// for studying the trade-off.
-///
-/// # Errors
-///
-/// [`TransformError::NoSuchRule`] / [`TransformError::BadSplit`].
-pub fn split_rule(rules: &RuleSet, r: RuleId, part: &FlowSet) -> Result<RuleSet, TransformError> {
-    check(rules, r)?;
-    let target = rules.rule(r);
-    if part.is_empty() || !part.is_subset(target.covers()) || part == target.covers() {
-        return Err(TransformError::BadSplit);
-    }
-    let rest = target.covers().difference(part);
-    // Rebuild with doubled priorities so a slot exists below the target.
-    let mut out: Vec<Rule> = Vec::with_capacity(rules.len() + 1);
-    for (id, rule) in rules.iter() {
-        if id == r {
-            out.push(Rule::from_flow_set(
-                part.clone(),
-                rule.priority() * 2 + 1,
-                rule.timeout(),
-            ));
-            out.push(Rule::from_flow_set(
-                rest.clone(),
-                rule.priority() * 2,
-                rule.timeout(),
-            ));
-        } else {
-            out.push(Rule::from_flow_set(
-                rule.covers().clone(),
-                rule.priority() * 2 + 1,
-                rule.timeout(),
-            ));
-        }
-    }
-    RuleSet::new(out, rules.universe_size()).map_err(|_| TransformError::WouldBeEmpty)
-}
-
 /// All unordered pairs of distinct rules that overlap or are adjacent in
 /// priority — the natural candidates for the merging defense.
 #[must_use]
@@ -179,7 +129,7 @@ pub fn covers_preserved(before: &RuleSet, after: &RuleSet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowId;
+    use crate::{FlowId, FlowSet};
 
     fn rule(universe: usize, flows: &[u32], priority: u32, t: u32) -> Rule {
         Rule::from_flow_set(
@@ -226,57 +176,6 @@ mod tests {
             merge_rules(&rules, RuleId(0), RuleId(9)),
             Err(TransformError::NoSuchRule(RuleId(9)))
         );
-    }
-
-    #[test]
-    fn split_refines_and_preserves_covers() {
-        let rules = base();
-        let part = FlowSet::from_flows(8, [FlowId(1)]);
-        let split = split_rule(&rules, RuleId(0), &part).unwrap();
-        assert_eq!(split.len(), 4);
-        assert!(covers_preserved(&rules, &split));
-        // f1's highest cover is now the microflow part with the original
-        // relative priority intact.
-        let hit = split.highest_covering(FlowId(1)).unwrap();
-        assert_eq!(split.rule(hit).covers().len(), 1);
-        // f0 falls to the "rest" rule directly below.
-        let rest = split.highest_covering(FlowId(0)).unwrap();
-        assert_eq!(split.rule(rest).covers().len(), 1);
-        assert!(split.outranks(hit, rest));
-    }
-
-    #[test]
-    fn split_rejects_bad_parts() {
-        let rules = base();
-        let whole = rules.rule(RuleId(0)).covers().clone();
-        assert_eq!(
-            split_rule(&rules, RuleId(0), &whole),
-            Err(TransformError::BadSplit)
-        );
-        let empty = FlowSet::empty(8);
-        assert_eq!(
-            split_rule(&rules, RuleId(0), &empty),
-            Err(TransformError::BadSplit)
-        );
-        let outside = FlowSet::from_flows(8, [FlowId(7)]);
-        assert_eq!(
-            split_rule(&rules, RuleId(0), &outside),
-            Err(TransformError::BadSplit)
-        );
-    }
-
-    #[test]
-    fn split_preserves_relative_priority_order() {
-        let rules = base();
-        let part = FlowSet::from_flows(8, [FlowId(1)]);
-        let split = split_rule(&rules, RuleId(1), &part).unwrap();
-        // Rule 0 still outranks both split parts; rule 2 is still below.
-        assert_eq!(
-            split.highest_covering(FlowId(0)),
-            split.highest_covering(FlowId(0))
-        );
-        let prios: Vec<u32> = split.rules().iter().map(Rule::priority).collect();
-        assert!(prios.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub enum InterruptSource {
 
 impl InterruptSource {
     /// A fresh [`InterruptSource::Manual`] and its flag.
+    // detlint::allow(D10): test double, the supervisor tests raise it instead of the process-wide flag
     #[must_use]
     pub fn manual() -> (Self, Arc<AtomicBool>) {
         let flag = Arc::new(AtomicBool::new(false));

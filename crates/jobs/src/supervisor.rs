@@ -274,7 +274,7 @@ pub fn stream_key(seed: u64, unit: usize, attempt: usize) -> u64 {
 }
 
 /// The deterministic retry delay before `attempt` (1-based retries) of
-/// `unit`: capped exponential base plus jitter drawn via [`stream_key`]
+/// `unit`: capped exponential base plus jitter drawn via `stream_key`
 /// from the [`JOBS_STREAM_SALT`] stream. Trial RNG streams are
 /// untouched by design: backoff consumes only this private stream, so
 /// retried units reproduce byte-identical results.
@@ -962,7 +962,7 @@ mod tests {
         assert_eq!(counts.get("unit_start"), Some(&3), "{counts:?}");
         assert_eq!(counts.get("unit_ok"), Some(&3), "{counts:?}");
         // Brackets sort last: SUPERVISOR_CTX is the maximal context.
-        let last = out.flight.records().last().map(|(id, _)| id.ctx).unwrap();
+        let last = dump.records.last().map(|r| r.ctx).unwrap();
         assert_eq!(last, SUPERVISOR_CTX);
     }
 
@@ -993,7 +993,10 @@ mod tests {
         let dump = FlightDump::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(dump.source, "fatal");
         let last = dump.records.last().unwrap();
-        assert_eq!((last.kind.as_str(), last.unit()), ("unit_panic", Some(2)));
+        assert_eq!(
+            (last.kind.as_str(), last.int("unit")),
+            ("unit_panic", Some(2))
+        );
         let _ = std::fs::remove_file(&path);
     }
 

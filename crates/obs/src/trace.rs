@@ -354,13 +354,13 @@ impl TraceEv {
 
 /// One retained flight-recorder record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
+struct TraceRecord {
     /// Sim time of the event, seconds.
-    pub time: f64,
+    time: f64,
     /// Probe token within the emitting context, when attributable.
-    pub probe: Option<u64>,
+    probe: Option<u64>,
     /// The structured event.
-    pub ev: TraceEv,
+    ev: TraceEv,
 }
 
 /// Per-probe RTT decomposition: additive components in sim seconds,
@@ -568,23 +568,6 @@ impl FlightRecorder {
         self.inner.as_deref().map_or(0, |i| i.dropped)
     }
 
-    /// Retained records in `(ctx, seq)` order.
-    pub fn records(&self) -> impl Iterator<Item = (ProbeId, &TraceRecord)> {
-        self.inner
-            .as_deref()
-            .into_iter()
-            .flat_map(|i| i.events.iter())
-            .map(|(&(ctx, _), rec)| {
-                (
-                    ProbeId {
-                        ctx,
-                        token: rec.probe.unwrap_or(u64::MAX),
-                    },
-                    rec,
-                )
-            })
-    }
-
     /// One JSON line per record (no header), `(ctx, seq)` order.
     fn record_lines(&self, out: &mut String) {
         let Some(inner) = self.inner.as_deref() else {
@@ -713,11 +696,13 @@ pub struct DumpRecord {
 }
 
 impl DumpRecord {
-    /// The unit a supervisor bracket names (`unit_start`, `unit_ok`,
-    /// `unit_panic`, `watchdog_fire`, `interrupted`).
+    /// An integer field of the event: the `unit` a supervisor bracket
+    /// names (`unit_start`, `unit_ok`, `unit_panic`, `watchdog_fire`,
+    /// `interrupted`), a switch event's `node` and `rule`, an injected
+    /// packet's `flow`.
     #[must_use]
-    pub fn unit(&self) -> Option<u64> {
-        at(&self.line, "unit").ok()
+    pub fn int(&self, key: &str) -> Option<u64> {
+        at(&self.line, key).ok()
     }
 }
 
@@ -920,7 +905,8 @@ mod tests {
         }
         assert_eq!(f.len(), 3);
         assert_eq!(f.dropped(), 2);
-        let ctxs: Vec<u64> = f.records().map(|(id, _)| id.ctx).collect();
+        let dump = FlightDump::parse(&f.dump_string("retention")).unwrap();
+        let ctxs: Vec<u64> = dump.records.iter().map(|r| r.ctx).collect();
         assert_eq!(ctxs, vec![2, 3, 4]);
     }
 
@@ -1232,7 +1218,7 @@ mod tests {
         );
         let interrupted = dump.records.last().unwrap();
         assert_eq!(
-            (interrupted.kind.as_str(), interrupted.unit()),
+            (interrupted.kind.as_str(), interrupted.int("unit")),
             ("interrupted", Some(4))
         );
     }

@@ -12,7 +12,7 @@ use std::time::Instant;
 /// A wall-clock duration measurement for harness-level metrics
 /// (experiment elapsed time, planner CPU cost). Never used on the
 /// deterministic simulation path — virtual-time spans
-/// ([`crate::Span`]) cover that.
+/// ([`TraceEv::Span`](crate::TraceEv::Span)) cover that.
 #[derive(Debug, Clone, Copy)]
 pub struct WallSpan {
     start: Instant,

@@ -15,4 +15,4 @@ pub mod estimate;
 pub mod poisson;
 mod sampler;
 
-pub use sampler::{NetworkScenario, SampleError, ScenarioSampler};
+pub use sampler::{NetworkScenario, SampleError, ScenarioError, ScenarioSampler};

@@ -48,7 +48,77 @@ impl NetworkScenario {
     pub fn all_flows(&self) -> impl Iterator<Item = FlowId> {
         (0..self.rules.universe_size() as u32).map(FlowId)
     }
+
+    /// Checks what the sampler guarantees and deserialization does not:
+    /// the [`RuleSet::new`] invariants with the rules in descending
+    /// priority order, timeouts of at least one step (as the [`Timeout`]
+    /// constructors assert), one finite non-negative rate per flow, a positive
+    /// finite Δ and window, room for at least one rule, and a target
+    /// inside the universe.
+    ///
+    /// # Errors
+    ///
+    /// A [`ScenarioError`] naming the first field that fails.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let fail = |msg: String| Err(ScenarioError(msg));
+        let universe = self.rules.universe_size();
+        match RuleSet::new(self.rules.rules().to_vec(), universe) {
+            Err(e) => return fail(format!("rules: {e}")),
+            Ok(sorted) if sorted != self.rules => {
+                return fail("rules: not listed in descending priority order".into())
+            }
+            Ok(_) => {}
+        }
+        if let Some(j) = self
+            .rules
+            .rules()
+            .iter()
+            .position(|r| r.timeout().steps == 0)
+        {
+            return fail(format!("rules: rule {j} has a zero-step timeout"));
+        }
+        if self.lambdas.len() != universe {
+            return fail(format!(
+                "lambdas: {} rates for {universe} flows",
+                self.lambdas.len()
+            ));
+        }
+        let bad_rate = |(_, l): &(usize, &f64)| !l.is_finite() || **l < 0.0;
+        if let Some((f, l)) = self.lambdas.iter().enumerate().find(bad_rate) {
+            return fail(format!(
+                "lambdas: flow {f} has rate {l}, expected finite and ≥ 0"
+            ));
+        }
+        for (field, value) in [("delta", self.delta), ("window_secs", self.window_secs)] {
+            if !value.is_finite() || value <= 0.0 {
+                return fail(format!("{field}: {value} is not positive and finite"));
+            }
+        }
+        if self.capacity == 0 {
+            return fail("capacity: 0, the switch must hold at least one rule".into());
+        }
+        if self.target.index() >= universe {
+            return fail(format!(
+                "target: {} is outside the universe of {universe} flows",
+                self.target
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`NetworkScenario`] read from outside the sampler is not one
+/// the models accept ([`NetworkScenario::validate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioError(pub String);
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// Error from scenario sampling.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -58,7 +58,7 @@ run_interrupted() {
     }
 }
 
-# Preflight: the determinism lint (rules D1-D9, including the D5-D8
+# Preflight: the determinism lint (rules D1-D10, including the D5-D8
 # dataflow pass) must pass before any experiment runs — a hash-iteration
 # order, wall-clock read, unsalted RNG stream, non-total float order,
 # inverted lock pair, or impure cache policy would silently invalidate

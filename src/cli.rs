@@ -116,7 +116,10 @@ pub fn usage() -> String {
 fn load_scenario(args: &Args) -> Result<NetworkScenario, CliError> {
     let path = args.get("scenario").ok_or("--scenario FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+    let sc: NetworkScenario =
+        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    sc.validate().map_err(|e| format!("{path}: {e}"))?;
+    Ok(sc)
 }
 
 /// Runs one invocation and returns what should be printed to stdout.
@@ -580,7 +583,7 @@ fn render_flight_header(out: &mut String, dump: &FlightDump) {
         .records
         .iter()
         .filter(|r| r.ctx == SUPERVISOR_CTX)
-        .map(|r| match r.unit() {
+        .map(|r| match r.int("unit") {
             Some(u) => format!("{}(u{u})", r.kind),
             None => r.kind.clone(),
         })

@@ -1,13 +1,12 @@
 //! Integration tests for the extension features: multi-probe and adaptive
-//! attackers, parameter sweeps, rule transformations, leakage measurement,
-//! threshold calibration and tracing — everything beyond the paper's core
-//! evaluation loop, exercised through the public API.
+//! attackers, parameter sweeps, rule transformations, leakage measurement
+//! and tracing — everything beyond the paper's core evaluation loop,
+//! exercised through the public API.
 
 use flow_recon::attack::{
-    calibrate_threshold, plan_attack, plan_attack_full, scenario_net_config, sweep::SweepParameter,
-    AttackPlan, AttackerKind, ExecPolicy, TrialReport, TrialRun,
+    plan_attack, plan_attack_full, scenario_net_config, sweep::SweepParameter, AttackPlan,
+    AttackerKind, ExecPolicy, TrialReport, TrialRun,
 };
-use flow_recon::flowspace::analysis;
 use flow_recon::flowspace::transform::{covers_preserved, merge_candidates, merge_rules};
 use flow_recon::ftcache::PolicyKind;
 use flow_recon::model::leakage::measure_leakage;
@@ -142,46 +141,6 @@ fn merging_rules_preserves_covers_and_lowers_mean_leakage_in_aggregate() {
         after_sum <= before_sum * 1.1,
         "merging should not inflate leakage: {before_sum} -> {after_sum}"
     );
-}
-
-#[test]
-fn structure_analysis_consistent_with_rule_set() {
-    let sc = scenario(20);
-    let stats = analysis::stats(&sc.rules);
-    assert_eq!(stats.rules, sc.rules.len());
-    assert_eq!(stats.uncovered_flows, sc.rules.uncovered().len());
-    // Every dead rule's effective cover is empty; every live rule's isn't.
-    for j in sc.rules.ids() {
-        let dead = analysis::dead_rules(&sc.rules).contains(&j);
-        assert_eq!(analysis::effective_cover(&sc.rules, j).is_empty(), dead);
-    }
-    // The DOT export mentions every rule.
-    let dot = analysis::to_dot(&sc.rules);
-    for j in sc.rules.ids() {
-        assert!(dot.contains(&format!("r{} [", j.0)), "{dot}");
-    }
-}
-
-#[test]
-fn calibration_then_attack_pipeline() {
-    // The attacker calibrates its threshold on its own scratch flow, then
-    // uses the calibrated classifier on real probe RTTs.
-    let sc = scenario(30);
-    let net = flow_recon::attack::scenario_net_config(&sc);
-    let mut sim = Simulation::new(net, 77);
-    // Pick a covered flow as the scratch.
-    let scratch = sc
-        .all_flows()
-        .find(|&f| sc.rules.covering_count(f) > 0)
-        .expect("some flow is covered");
-    let cal = calibrate_threshold(&mut sim, scratch, 10, 2.0);
-    assert!(cal.is_separable());
-    // Fresh observation classified identically by calibration and the
-    // built-in threshold.
-    let t = sim.now() + 2.0;
-    sim.run_until(t);
-    let obs = sim.probe(scratch);
-    assert_eq!(cal.classify(obs.rtt), obs.hit);
 }
 
 #[test]

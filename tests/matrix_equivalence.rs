@@ -7,7 +7,7 @@
 //! them, and zero-mass sources contribute `+0.0` terms that cannot change
 //! any bit of a non-negative accumulator. These properties exercise that
 //! claim over random (sub)stochastic matrices — including rows with no
-//! outgoing edges, which `normalize_rows` must turn into self-loops.
+//! outgoing edges, which the legacy normalization turns into self-loops.
 
 use flow_recon::model::{CsrMatrix, Distribution, MatrixBuilder};
 use proptest::prelude::*;
@@ -137,19 +137,21 @@ fn masses_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
-/// Builds both implementations from one identical `add_edge` call
-/// sequence; `damp` scales every weight (1.0 → stochastic after
-/// normalization; < 1.0 rows become substochastic when applied *after*
-/// normalized weights, see `substochastic_pair`).
+/// Builds the legacy matrix from the raw edges and normalizes it, then
+/// builds the CSR from the legacy rows with the same `add_edge` call
+/// sequence, so both hold the same stochastic weights.
 fn stochastic_pair(n: usize, edges: &Edges) -> (LegacyMatrix, CsrMatrix) {
     let mut legacy = LegacyMatrix::new(n);
-    let mut builder = MatrixBuilder::new(n);
     for &(from, to, w) in edges {
         legacy.add_edge(from, to, w);
-        builder.add_edge(from, to, w);
     }
     legacy.normalize_rows();
-    builder.normalize_rows();
+    let mut builder = MatrixBuilder::new(n);
+    for (from, row) in legacy.rows.iter().enumerate() {
+        for &(to, p) in row {
+            builder.add_edge(from, to, p);
+        }
+    }
     (legacy, builder.freeze())
 }
 

@@ -3,8 +3,8 @@
 
 use flow_recon::flowspace::{FlowId, FlowSet, Rule, RuleId, RuleSet, Timeout};
 use flow_recon::netsim::{FaultPlan, Gaussian, JitterBursts, NetConfig, Simulation};
-use flow_recon::obs::trace::{probe_ctx, TraceEv};
-use flow_recon::obs::FlightRecorder;
+use flow_recon::obs::trace::probe_ctx;
+use flow_recon::obs::{FlightDump, FlightRecorder};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -53,19 +53,21 @@ fn actions_strategy() -> impl Strategy<Value = Vec<Action>> {
 /// The `(node, rule)` of every flight-recorded `Hit`, with the flow of
 /// the probe it belongs to (from that probe's `Inject`).
 fn flight_hits(flight: &FlightRecorder) -> Vec<(u64, u64, u64)> {
+    let dump = FlightDump::parse(&flight.dump_string("hits")).expect("dump reads back");
     let mut injected = BTreeMap::new();
     let mut hits = Vec::new();
-    for (id, rec) in flight.records() {
-        match rec.ev {
-            TraceEv::Inject { flow } => {
-                injected.insert(id.token, flow);
+    for rec in &dump.records {
+        let int = |key| rec.int(key).expect("switch events carry their fields");
+        match rec.kind.as_str() {
+            "inject" => {
+                injected.insert(rec.probe, int("flow"));
             }
-            TraceEv::Hit { node, rule } => hits.push((id.token, node, rule)),
+            "hit" => hits.push((rec.probe, int("node"), int("rule"))),
             _ => {}
         }
     }
     hits.into_iter()
-        .map(|(token, node, rule)| (node, rule, injected[&token]))
+        .map(|(probe, node, rule)| (node, rule, injected[&probe]))
         .collect()
 }
 

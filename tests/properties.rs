@@ -1,9 +1,7 @@
 //! Property-based tests over the core data structures and model
 //! invariants.
 
-use flow_recon::flowspace::relevant::{
-    effective_rate, irrelevant_rate, relevant_flow_ids, FlowRates,
-};
+use flow_recon::flowspace::relevant::{effective_rate, relevant_flow_ids, FlowRates};
 use flow_recon::flowspace::{FlowId, FlowSet, Rule, RuleId, RuleSet, TernaryPattern, Timeout};
 use flow_recon::ftcache::FlowTable;
 use flow_recon::model::compact::CompactModel;
@@ -98,7 +96,7 @@ proptest! {
         let parsed: TernaryPattern = s.parse().unwrap();
         prop_assert_eq!(parsed, pattern);
         // Coverage count is 2^(#wildcards).
-        let wild = bits - pattern.specificity();
+        let wild = bits - pattern.mask().count_ones();
         prop_assert_eq!(pattern.to_flow_set(1 << bits).len(), 1usize << wild);
     }
 
@@ -114,11 +112,12 @@ proptest! {
             .collect();
         for j in rules.ids() {
             let g = effective_rate(&rules, &rates, &cached, j);
-            let big = irrelevant_rate(&rules, &rates, &cached, j);
-            prop_assert!((g + big - rates.total()).abs() < 1e-9);
-            // Relevant sets stay within the rule's cover.
+            // The relevant flows and the rest partition the total rate.
             let rel = relevant_flow_ids(&rules, &cached, j);
-            prop_assert!(rel.is_subset(rules.rule(j).covers()));
+            let rest = rates.sum_over(&FlowSet::full(UNIVERSE).difference(&rel));
+            prop_assert!((g + rest - rates.total()).abs() < 1e-9);
+            // Relevant sets stay within the rule's cover.
+            prop_assert!(rel.difference(rules.rule(j).covers()).is_empty());
         }
     }
 
